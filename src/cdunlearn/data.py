@@ -20,6 +20,7 @@ same value, and nothing is mutated.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
@@ -354,13 +355,15 @@ def derive_mia_subsets(partition: StudentPartition, split: RecordSplit) -> MiaSp
 def records_to_arrays(
     records: Sequence[ResponseRecord] | Iterable[ResponseRecord],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columnize records into (student, item, score) arrays for vectorized math."""
+    """Columnize records into (student, item, score) arrays for vectorized math.
+
+    Raises ``ValueError`` naming the first record that does not have exactly
+    three fields.
+    """
     recs = records if isinstance(records, (list, tuple)) else list(records)
-    if len(recs) == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    arr = np.asarray(recs, dtype=np.int64)
+    if set(map(len, recs)) - {3}:
+        i, bad = next((i, r) for i, r in enumerate(recs) if len(r) != 3)
+        raise ValueError(f"record {i} has {len(bad)} fields, expected 3: {bad!r}")
+    flat = np.fromiter(itertools.chain.from_iterable(recs), np.int64, count=3 * len(recs))
+    arr = flat.reshape(-1, 3)
     return arr[:, 0], arr[:, 1], arr[:, 2].astype(np.float64)

@@ -176,12 +176,12 @@ class DecoupledWiring(_FfnMixin):
             raise IndexError("item id out of range")
 
     def proficiency_from(self, params: nn.ParamStore, students: np.ndarray) -> np.ndarray:
-        e_s = params["student_emb"][students]
-        return nn.sigmoid(e_s @ params["kc_emb"].T + params["prof_bias"])
+        return self._over_kcs(params, params["student_emb"][students], "prof_bias")
 
-    def difficulty_from(self, params: nn.ParamStore, items: np.ndarray) -> np.ndarray:
-        e_q = params["exercise_emb"][items]
-        return nn.sigmoid(e_q @ params["kc_emb"].T + params["diff_bias"])
+    @staticmethod
+    def _over_kcs(params: nn.ParamStore, rows: np.ndarray, bias: str) -> np.ndarray:
+        """sigmoid(rows @ E_C.T + bias): per-KC proficiency or difficulty."""
+        return nn.sigmoid(rows @ params["kc_emb"].T + params[bias])
 
     def forward(self, params, students, items, train=False, rng=None):
         students = np.asarray(students, dtype=np.int64)
@@ -189,8 +189,8 @@ class DecoupledWiring(_FfnMixin):
         self._check_indices(students, items)
         e_s = params["student_emb"][students]
         e_q = params["exercise_emb"][items]
-        prof = self.proficiency_from(params, students)
-        diff = self.difficulty_from(params, items)
+        prof = self._over_kcs(params, e_s, "prof_bias")
+        diff = self._over_kcs(params, e_q, "diff_bias")
         qmask = self.qrows[items]
         gap = (prof - diff) * qmask
         p, inputs, acts, drops = self._ffn_forward(params, gap, train, rng)
@@ -224,8 +224,6 @@ class DecoupledWiring(_FfnMixin):
         kc = params["kc_emb"]
         d_rows_s = d_ap @ kc
         d_rows_q = d_ad @ kc
-        g_student = np.zeros((self.n_students, self.embed_dim))
-        g_exercise = np.zeros((self.n_items, self.embed_dim))
         if squared:
             grads["prof_bias"] = np.square(d_ap).sum(axis=0)
             grads["diff_bias"] = np.square(d_ad).sum(axis=0)
@@ -235,16 +233,14 @@ class DecoupledWiring(_FfnMixin):
                 + 2.0 * np.einsum("bk,bd->kd", d_ap * d_ad, e_s * e_q)
                 + np.einsum("bk,bd->kd", np.square(d_ad), np.square(e_q))
             )
-            np.add.at(g_student, cache["students"], np.square(d_rows_s))
-            np.add.at(g_exercise, cache["items"], np.square(d_rows_q))
+            d_rows_s = np.square(d_rows_s)
+            d_rows_q = np.square(d_rows_q)
         else:
             grads["prof_bias"] = d_ap.sum(axis=0)
             grads["diff_bias"] = d_ad.sum(axis=0)
             grads["kc_emb"] = d_ap.T @ e_s + d_ad.T @ e_q
-            np.add.at(g_student, cache["students"], d_rows_s)
-            np.add.at(g_exercise, cache["items"], d_rows_q)
-        grads["student_emb"] = g_student
-        grads["exercise_emb"] = g_exercise
+        grads["student_emb"] = nn.scatter_rows(self.n_students, cache["students"], d_rows_s)
+        grads["exercise_emb"] = nn.scatter_rows(self.n_items, cache["items"], d_rows_q)
         ordered = {name: grads[name] for name, _ in self.layer_shapes()}
         return nn.GradientBuffer(ordered)
 
@@ -342,18 +338,12 @@ class MonotonicCdmWiring(_FfnMixin):
         d_ms = d_mastery * mastery * (1.0 - mastery)
         d_md = d_difficulty * difficulty * (1.0 - difficulty)
         d_mc = d_disc * disc * (1.0 - disc)
-        g_student = np.zeros((self.n_students, self.n_kcs))
-        g_diff = np.zeros((self.n_items, self.n_kcs))
-        g_disc = np.zeros((self.n_items, 1))
-        student_rows = np.square(d_ms) if squared else d_ms
-        diff_rows = np.square(d_md) if squared else d_md
-        disc_rows = np.square(d_mc) if squared else d_mc
-        np.add.at(g_student, cache["students"], student_rows)
-        np.add.at(g_diff, cache["items"], diff_rows)
-        np.add.at(g_disc, cache["items"], disc_rows)
-        grads["student_emb"] = g_student
-        grads["diff_emb"] = g_diff
-        grads["disc_emb"] = g_disc
+        if squared:
+            d_ms, d_md, d_mc = np.square(d_ms), np.square(d_md), np.square(d_mc)
+        students, items = cache["students"], cache["items"]
+        grads["student_emb"] = nn.scatter_rows(self.n_students, students, d_ms)
+        grads["diff_emb"] = nn.scatter_rows(self.n_items, items, d_md)
+        grads["disc_emb"] = nn.scatter_rows(self.n_items, items, d_mc)
         ordered = {name: grads[name] for name, _ in self.layer_shapes()}
         return nn.GradientBuffer(ordered)
 

@@ -30,14 +30,35 @@ PROB_EPS = 1e-7  # probability clamp applied before logs
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` otherwise,
+    computed in one pass: ``exp(-|x|)`` is ``exp(-x)`` or ``exp(x)`` exactly,
+    so both branches share one exponential and one division per element.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
+    if not x.ndim:
+        return float(sigmoid(x.reshape(1))[0])
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def scatter_rows(n_rows: int, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """An ``(n_rows, d)`` table holding the sum of ``rows[b]`` in row ``index[b]``.
+
+    Equal to ``np.add.at`` into zeros: ``bincount`` adds the rows in batch
+    order, starting from 0.0, so duplicate indices sum in the same order.
+    (``bincount`` returns integers for an empty batch, hence the cast.)
+    """
+    d = rows.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    table = np.bincount(flat, weights=rows.ravel(), minlength=n_rows * d)
+    return table.astype(np.float64, copy=False).reshape(n_rows, d)
 
 
 def bce_loss(p: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float:
@@ -202,15 +223,28 @@ def optimizer_step(
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
     assert state.m is not None and state.v is not None
+    # In place, with the operations of
+    #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g**2
+    #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+    # in that order, through two temporaries per layer.
     for k, p in params.items():
         g = grads[k]
         m = state.m[k]
         v = state.v[k]
+        t = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += t
+        np.square(g, out=t)
+        t *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += t
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += state.eps
+        u = np.divide(m, bc1)
+        u *= state.lr
+        u /= t
+        p -= u
     return params, state
 
 

@@ -246,3 +246,31 @@ def test_records_to_arrays_roundtrip(small_dataset):
     assert len(s) == len(small_dataset.records)
     k = 17
     assert small_dataset.records[k] == ResponseRecord(int(s[k]), int(q[k]), int(y[k]))
+
+
+class TestRecordsToArrays:
+    def test_tuple_list_generator_agree(self, small_dataset):
+        recs = small_dataset.records[:30]
+        want = records_to_arrays(recs)
+        for form in (list(recs), [tuple(r) for r in recs], (r for r in recs)):
+            got = records_to_arrays(form)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert want[0].dtype == np.int64 and want[2].dtype == np.float64
+
+    def test_empty(self):
+        for form in ((), [], iter(())):
+            s, q, y = records_to_arrays(form)
+            assert len(s) == len(q) == len(y) == 0
+            assert (s.dtype, q.dtype, y.dtype) == (np.int64, np.int64, np.float64)
+
+    def test_short_record_named(self):
+        with pytest.raises(ValueError, match=r"record 0 has 2 fields.*\(0, 1\)"):
+            records_to_arrays([(0, 1)])
+
+    def test_balanced_ragged_input_rejected(self):
+        # 4 + 2 fields total 6 = 2 * 3: must not be silently realigned
+        with pytest.raises(ValueError, match=r"record 0 has 4 fields.*\(0, 1, 1, 5\)"):
+            records_to_arrays([(0, 1, 1, 5), (2, 3)])
+        with pytest.raises(ValueError, match=r"record 2 has 4 fields"):
+            records_to_arrays(iter([(0, 1, 1), (2, 3, 0), (4, 5, 1, 0), (6, 7)]))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cdunlearn import nn, serialize
+from cdunlearn import data, importance, mia, model, nn, serialize, unlearn
 from cdunlearn.data import QMatrix, records_to_arrays
 from cdunlearn.model import CDArchConfig, CDModel, build_wiring
 
@@ -299,3 +299,185 @@ class TestCheckpointContainer:
         for name, values in small_model.params_.items():
             assert np.array_equal(values, loaded.params_[name])
         assert loaded.params_.rng_seed == small_model.params_.rng_seed
+
+
+# -- reference kernels --------------------------------------------------
+# The straightforward forms the library's kernels replaced. The kernels must
+# give the same bits; these are kept only as oracles.
+
+
+def ref_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out if out.ndim else float(out)
+
+
+def ref_scatter_rows(n_rows, index, rows):
+    table = np.zeros((n_rows, rows.shape[1]))
+    np.add.at(table, index, rows)
+    return table
+
+
+def ref_optimizer_step(params, grads, state):
+    params.require_congruent(grads)
+    if state.kind == "sgd":
+        for k, p in params.items():
+            p -= state.lr * grads[k]
+        return params, state
+    state.step += 1
+    bc1 = 1.0 - state.beta1**state.step
+    bc2 = 1.0 - state.beta2**state.step
+    for k, p in params.items():
+        g, m, v = grads[k], state.m[k], state.v[k]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * np.square(g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    return params, state
+
+
+def ref_records_to_arrays(records):
+    recs = records if isinstance(records, (list, tuple)) else list(records)
+    if len(recs) == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)
+    arr = np.asarray(recs, dtype=np.int64)
+    return arr[:, 0], arr[:, 1], arr[:, 2].astype(np.float64)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSigmoidKernel:
+    SPECIAL = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf,
+               36.7, -36.7, 709.8, -709.8, 5e-324, -5e-324]
+
+    def test_special_values_bit_exact(self):
+        x = np.array(self.SPECIAL)
+        assert_same_bits(nn.sigmoid(x), ref_sigmoid(x))
+        assert nn.sigmoid(-np.inf) == 0.0 and nn.sigmoid(np.inf) == 1.0
+
+    def test_scalars_are_python_floats(self):
+        for v in self.SPECIAL:
+            got = nn.sigmoid(v)
+            assert type(got) is float
+            assert_same_bits(np.float64(got), np.float64(ref_sigmoid(v)))
+
+    def test_random_bit_exact(self):
+        x = np.random.default_rng(0).normal(0.0, 30.0, size=(300, 17))
+        assert_same_bits(nn.sigmoid(x), ref_sigmoid(x))
+
+    def test_strided_and_transposed_input(self):
+        x = np.random.default_rng(1).normal(0.0, 10.0, size=(64, 40))
+        for view in (x[:, ::3], x.T, x[::-2, 1::2].T):
+            assert_same_bits(nn.sigmoid(view), ref_sigmoid(view))
+
+    def test_nan_stays_nan(self):
+        x = np.array([np.nan, 1.0, -np.nan, -2.0])
+        got = nn.sigmoid(x)
+        assert np.isnan(got[[0, 2]]).all()
+        assert_same_bits(got[[1, 3]], ref_sigmoid(x[[1, 3]]))
+        assert math.isnan(nn.sigmoid(float("nan")))
+
+    def test_input_not_mutated(self):
+        x = np.random.default_rng(2).normal(size=(8, 5))
+        before = x.copy()
+        nn.sigmoid(x)
+        assert_same_bits(x, before)
+
+
+class TestScatterRows:
+    def test_duplicate_indices_match_add_at(self):
+        rng = np.random.default_rng(3)
+        index = rng.integers(0, 7, size=200)  # many repeats per row
+        rows = rng.normal(size=(200, 5)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
+        assert_same_bits(nn.scatter_rows(9, index, rows), ref_scatter_rows(9, index, rows))
+
+    def test_single_column(self):  # disc_emb is (n_items, 1)
+        rng = np.random.default_rng(4)
+        index = rng.integers(0, 4, size=50)
+        rows = rng.normal(size=(50, 1))
+        assert_same_bits(nn.scatter_rows(6, index, rows), ref_scatter_rows(6, index, rows))
+
+    def test_empty_batch(self):
+        got = nn.scatter_rows(4, np.empty(0, dtype=np.int64), np.empty((0, 3)))
+        assert_same_bits(got, ref_scatter_rows(4, np.empty(0, dtype=np.int64), np.empty((0, 3))))
+
+    def test_negative_zero_rows(self):
+        index = np.array([1, 1, 0])
+        rows = np.array([[-0.0], [-0.0], [-0.0]])
+        assert_same_bits(nn.scatter_rows(3, index, rows), ref_scatter_rows(3, index, rows))
+
+
+class TestFusedAdam:
+    SHAPES = {"emb": (40, 6), "w": (5, 6), "b": (5,)}
+
+    def _run(self, kind, step_fn, steps=7):
+        rng = np.random.default_rng(5)
+        params = nn.ParamStore({k: rng.normal(size=s) for k, s in self.SHAPES.items()})
+        state = nn.make_optimizer(kind, 0.01, params)
+        for _ in range(steps):
+            grads = {}
+            for k, shape in self.SHAPES.items():
+                g = rng.normal(size=shape)
+                # row-sparse: most rows untouched in a batch, like embeddings
+                g[rng.random(shape[0]) < 0.8] = 0.0
+                grads[k] = g
+            step_fn(params, nn.GradientBuffer(grads), state)
+        return params, state
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_matches_reference_over_steps(self, kind):
+        got, got_state = self._run(kind, nn.optimizer_step)
+        want, want_state = self._run(kind, ref_optimizer_step)
+        assert got_state.step == want_state.step
+        for k, values in want.items():
+            assert_same_bits(got[k], values)
+            if kind == "adam":
+                assert_same_bits(got_state.m[k], want_state.m[k])
+                assert_same_bits(got_state.v[k], want_state.v[k])
+
+
+RTA_OWNERS = (data, model, importance, mia, unlearn)
+
+
+@pytest.fixture
+def reference_kernels(monkeypatch):
+    """Install the reference kernels everywhere the library calls them."""
+    monkeypatch.setattr(nn, "sigmoid", ref_sigmoid)
+    monkeypatch.setattr(nn, "scatter_rows", ref_scatter_rows)
+    monkeypatch.setattr(nn, "optimizer_step", ref_optimizer_step)
+    for owner in RTA_OWNERS:
+        monkeypatch.setattr(owner, "records_to_arrays", ref_records_to_arrays)
+    return monkeypatch
+
+
+def _fit_and_unlearn(dataset, arch):
+    fitted = CDModel(
+        arch=arch, embed_dim=6, ffn_hidden=(8,), dropout=0.2,
+        max_epochs=4, batch_size=32, seed=3,
+    ).fit(dataset.records, dataset.qmatrix)
+    forget = [r for r in dataset.records if r.student_id < 8]
+    retain = [r for r in dataset.records if r.student_id >= 8]
+    cfg = unlearn.HIFConfig(alpha=1.0, lambda_=0.8, beta=0.1)
+    forgotten, report = unlearn.hif_unlearn(fitted, forget, retain, cfg)
+    return fitted, forgotten, report
+
+
+@pytest.mark.parametrize("arch", ["decoupled", "neuralcdm"])
+def test_kernels_give_the_reference_bits_end_to_end(small_dataset, arch, reference_kernels):
+    want = _fit_and_unlearn(small_dataset, arch)
+    reference_kernels.undo()
+    got = _fit_and_unlearn(small_dataset, arch)
+    assert nn.sigmoid is not ref_sigmoid and model.records_to_arrays is data.records_to_arrays
+    assert got[2].parameters_modified == want[2].parameters_modified > 0
+    for got_model, want_model in zip(got[:2], want[:2]):
+        for k, values in want_model.params_.items():
+            assert got_model.params_[k].tobytes() == values.tobytes()
