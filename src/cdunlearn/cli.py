@@ -16,17 +16,20 @@ import numpy as np
 from . import metrics, synth
 from .data import DataFormatError, DataValidationError, records_to_arrays
 from .experiment import (
+    ALGORITHM_NAMES,
     ConfigError,
     ExperimentConfig,
     StageError,
     _write_json,
-    apply_algorithm,
+    fit_attacker,
     load_config,
     prepare_data,
+    run_algorithm,
     run_experiment,
     sweep,
+    write_profiles_csv,
 )
-from .mia import evaluate_attack, extract_features, train_attacker
+from .mia import evaluate_attack
 from .model import CDModel, train
 from .shrinkage import optimal_beta, sweep_betas
 
@@ -92,8 +95,7 @@ def _cmd_unlearn(args: argparse.Namespace) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     results = {}
     for name, params in config.algorithms.items():
-        ctx_like = _MiniCtx(config, mia_splits, model)
-        unlearned, report = apply_algorithm(ctx_like, name, params)
+        unlearned, report = run_algorithm(model, mia_splits, name, params, config.seed_model)
         unlearned.save(os.path.join(config.out_dir, f"{name}.ckpt"))
         results[name] = {
             "parameters_modified": report.parameters_modified,
@@ -105,27 +107,12 @@ def _cmd_unlearn(args: argparse.Namespace) -> int:
     return 0
 
 
-class _MiniCtx:
-    """Just enough context for apply_algorithm outside a full run."""
-
-    def __init__(self, config, mia_splits, model):
-        self.config = config
-        self.mia_splits = mia_splits
-        self.m_orig = model
-
-
 def _cmd_mia(args: argparse.Namespace) -> int:
     config = _load_effective_config(args)
     _, _, _, mia_splits = prepare_data(config)
     orig = CDModel.load(args.orig_model)
     target = CDModel.load(args.model)
-    members = extract_features(
-        orig, mia_splits.forget_test, group="forget_test", model_tag="m_orig"
-    )
-    nonmembers = extract_features(
-        orig, mia_splits.nm_train_test, group="nm_train_test", model_tag="m_orig"
-    )
-    attacker = train_attacker(members, nonmembers, seed=config.seed_attack)
+    attacker = fit_attacker(orig, mia_splits, config.seed_attack)
     report = evaluate_attack(
         attacker,
         target,
@@ -210,8 +197,6 @@ def _cmd_simulate_shrinkage(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_profiles(args: argparse.Namespace) -> int:
-    from .experiment import write_profiles_csv
-
     model = CDModel.load(args.model)
     student_ids = [int(s) for s in args.students.split(",")]
     write_profiles_csv(model, student_ids, args.out)
@@ -259,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algo",
         action="append",
-        choices=["hif", "fim", "gradasc", "hessian"],
+        choices=ALGORITHM_NAMES,
         help="algorithm to run (repeatable; default: config algorithms)",
     )
     p.set_defaults(func=_cmd_unlearn)
@@ -275,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algo",
         action="append",
-        choices=["hif", "fim", "gradasc", "hessian"],
+        choices=ALGORITHM_NAMES,
         help="algorithm to run (repeatable; default: config algorithms)",
     )
     p.set_defaults(func=_cmd_run)
@@ -285,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algo",
         action="append",
-        choices=["hif", "fim", "gradasc", "hessian"],
+        choices=ALGORITHM_NAMES,
         help="algorithm to sweep (repeatable; default: config algorithms)",
     )
     p.add_argument("--grid", help="JSON file mapping algorithm -> list of param dicts")

@@ -14,6 +14,7 @@ derived from them.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -38,13 +39,15 @@ from .data import (
     partition_students,
     split_records,
 )
-from .mia import LogisticAttacker, MIAReport, evaluate_attack, extract_features, train_attacker
+from .mia import LogisticAttacker, evaluate_attack, extract_features, train_attacker
 from .model import CDArchConfig, CDModel, train
 from .nn import TrainConfig
 from .unlearn import (
     HIFConfig,
     UnlearnReport,
+    attenuate,
     fim_unlearn,
+    fisher_pair,
     gradient_ascent_unlearn,
     hessian_unlearn,
     hif_unlearn,
@@ -358,20 +361,14 @@ class ExperimentContext:
         labels = np.asarray([r.score for r in records], dtype=np.float64)
         return metrics.auc(probs, labels), metrics.acc(probs, labels)
 
-    def attack(self, model: CDModel, tag: str) -> MIAReport:
-        return evaluate_attack(
-            self.attacker,
-            model,
-            self.mia_splits.forget_test,
-            self.mia_splits.nm_eval_test,
-            model_tag=tag,
-        )
-
     def entry_for(
         self, tag: str, model: CDModel, unlearn_report: UnlearnReport | None = None
     ) -> ModelEntry:
+        splits = self.mia_splits
         utility_auc, utility_acc = self.utility(model)
-        mia_report = self.attack(model, tag)
+        mia_report = evaluate_attack(
+            self.attacker, model, splits.forget_test, splits.nm_eval_test, model_tag=tag
+        )
         entry = ModelEntry(
             tag=tag,
             utility_auc=utility_auc,
@@ -387,6 +384,16 @@ class ExperimentContext:
                 unlearn_report.wall_time_seconds, self.t_retrain_seconds
             )
         return entry
+
+
+def fit_attacker(m_orig: CDModel, splits: MiaSplits, seed: int) -> LogisticAttacker:
+    """The attack classifier, fit on ``m_orig``'s outputs for the forget-test
+    members and the non-member training group."""
+    members = extract_features(m_orig, splits.forget_test, group="forget_test", model_tag="m_orig")
+    nonmembers = extract_features(
+        m_orig, splits.nm_train_test, group="nm_train_test", model_tag="m_orig"
+    )
+    return train_attacker(members, nonmembers, seed=seed)
 
 
 def build_context(config: ExperimentConfig) -> ExperimentContext:
@@ -430,13 +437,7 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     stages.append("train-retrain")
 
     with _stage("train-attacker"):
-        members = extract_features(
-            m_orig, mia_splits.forget_test, group="forget_test", model_tag="m_orig"
-        )
-        nonmembers = extract_features(
-            m_orig, mia_splits.nm_train_test, group="nm_train_test", model_tag="m_orig"
-        )
-        attacker = train_attacker(members, nonmembers, seed=config.seed_attack)
+        attacker = fit_attacker(m_orig, mia_splits, config.seed_attack)
     stages.append("train-attacker")
 
     ctx = ExperimentContext(
@@ -463,46 +464,51 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     return ctx
 
 
-def apply_algorithm(
-    ctx: ExperimentContext, name: str, params: dict
+def _hif_config(name: str, params: dict) -> HIFConfig:
+    """The validated attenuation config of a ``hif`` or ``fim`` parameter dict
+    (fim always runs at beta 0)."""
+    return HIFConfig(
+        alpha=params["alpha"],
+        lambda_=params["lambda_"],
+        beta=params["beta"] if name == "hif" else 0.0,
+        excluded_layers=frozenset(params.get("excluded_layers", ())),
+    )
+
+
+def run_algorithm(
+    model: CDModel, splits: MiaSplits, name: str, params: dict, seed: int
 ) -> tuple[CDModel, UnlearnReport]:
-    """Run one unlearning algorithm end to end on the context's original model."""
-    forget = ctx.mia_splits.forget_train_valid
-    retain = ctx.mia_splits.retain_train_valid
+    """Unlearn the forget students of ``splits`` from ``model`` with one
+    algorithm; ``seed`` is hessian's probe seed unless ``params`` sets one."""
+    forget = splits.forget_train_valid
+    retain = splits.retain_train_valid
     if name == "hif":
-        cfg = HIFConfig(
-            alpha=params["alpha"],
-            lambda_=params["lambda_"],
-            beta=params["beta"],
-            excluded_layers=frozenset(params.get("excluded_layers", ())),
-        )
-        return hif_unlearn(ctx.m_orig, forget, retain, cfg)
+        return hif_unlearn(model, forget, retain, _hif_config(name, params))
     if name == "fim":
-        return fim_unlearn(
-            ctx.m_orig,
-            forget,
-            retain,
-            alpha=params["alpha"],
-            lambda_=params["lambda_"],
-            excluded_layers=frozenset(params.get("excluded_layers", ())),
-        )
+        cfg = _hif_config(name, params)
+        return fim_unlearn(model, forget, retain, cfg.alpha, cfg.lambda_, cfg.excluded_layers)
     if name == "gradasc":
-        return gradient_ascent_unlearn(
-            ctx.m_orig, forget, lr=params["lr"], steps=params["steps"]
-        )
+        return gradient_ascent_unlearn(model, forget, lr=params["lr"], steps=params["steps"])
     if name == "hessian":
         return hessian_unlearn(
-            ctx.m_orig,
+            model,
             forget,
             retain,
             alpha=params["alpha"],
             lambda_=params["lambda_"],
             n_probe_samples=params["n_probe_samples"],
             n_batches=params["n_batches"],
-            seed=params.get("seed", ctx.config.seed_model),
+            seed=params.get("seed", seed),
             excluded_layers=frozenset(params.get("excluded_layers", ())),
         )
     raise ConfigError(f"unknown algorithm {name!r}")
+
+
+def apply_algorithm(
+    ctx: ExperimentContext, name: str, params: dict
+) -> tuple[CDModel, UnlearnReport]:
+    """Run one unlearning algorithm end to end on the context's original model."""
+    return run_algorithm(ctx.m_orig, ctx.mia_splits, name, params, ctx.config.seed_model)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -592,9 +598,10 @@ def sweep(
     """Grid-search unlearning hyperparameters over a shared trained context.
 
     The original/retrained models and the attacker are trained once. For the
-    importance-guided algorithms the two Fisher maps are also computed once
-    and reused across grid points, which is sound because attenuation is a
-    pure function of (model, maps, hyperparameters); the selected best config
+    Fisher-guided algorithms (hif, fim) the two Fisher maps are also computed
+    once and every grid point runs only :func:`attenuate`, which is sound
+    because attenuation is a pure function of (model, maps, config); grid
+    points are validated exactly as in a run. The selected best config
     is then re-run end to end to confirm its metrics and measure honest wall
     time. A point is feasible when its utility AUC is within
     ``epsilon_utility`` of the original model's; among feasible points the
@@ -610,31 +617,11 @@ def sweep(
             raise ConfigError(f"empty grid for algorithm {name!r}")
         algo_grids[name] = grid
 
-    fisher_cache = None
+    fisher = None
     if any(name in ("hif", "fim") for name in algo_grids):
-        from .importance import fim_diag, layer_importance, smooth_importance
-        from .unlearn import select_and_attenuate
-
-        imp_f = fim_diag(ctx.m_orig, ctx.mia_splits.forget_train_valid, source="forget")
-        imp_r = fim_diag(ctx.m_orig, ctx.mia_splits.retain_train_valid, source="retain")
-        layer_means = layer_importance(imp_f)
-        smoothed: dict[float, object] = {}
-
-        def attenuation_point(params: dict) -> tuple[CDModel, int]:
-            beta = float(params.get("beta", 0.0))
-            if beta not in smoothed:
-                smoothed[beta] = smooth_importance(imp_f, layer_means, beta)
-            new_params, n_sel = select_and_attenuate(
-                ctx.m_orig.params_,
-                smoothed[beta],
-                imp_r,
-                params["alpha"],
-                params["lambda_"],
-                frozenset(params.get("excluded_layers", ())),
-            )
-            return ctx.m_orig.with_params(new_params), n_sel
-
-        fisher_cache = attenuation_point
+        fisher = fisher_pair(
+            ctx.m_orig, ctx.mia_splits.forget_train_valid, ctx.mia_splits.retain_train_valid
+        )
 
     retrain_mia = ctx.retrain_entry.mia_auc
     orig_auc = ctx.orig_entry.utility_auc
@@ -643,24 +630,23 @@ def sweep(
         base = dict(config.algorithms[name])
         for grid_params in grid:
             params = {**base, **grid_params}
-            if name in ("hif", "fim") and fisher_cache is not None:
-                model, n_modified = fisher_cache(params)
+            if name in ("hif", "fim"):
+                model, n_modified = attenuate(ctx.m_orig, *fisher, _hif_config(name, params))
             else:
                 model, ureport = apply_algorithm(ctx, name, params)
                 n_modified = ureport.parameters_modified
-            utility_auc, utility_acc = ctx.utility(model)
-            mia_report = ctx.attack(model, name)
+            entry = ctx.entry_for(name, model)
             points.append(
                 SweepPoint(
                     algorithm=name,
                     params=params,
-                    utility_auc=utility_auc,
-                    utility_acc=utility_acc,
-                    mia_auc=mia_report.mia_auc,
-                    mia_acc=mia_report.mia_acc,
+                    utility_auc=entry.utility_auc,
+                    utility_acc=entry.utility_acc,
+                    mia_auc=entry.mia_auc,
+                    mia_acc=entry.mia_acc,
                     parameters_modified=int(n_modified),
-                    mia_gap=abs(mia_report.mia_auc - retrain_mia),
-                    feasible=utility_auc >= orig_auc - epsilon_utility,
+                    mia_gap=abs(entry.mia_auc - retrain_mia),
+                    feasible=entry.utility_auc >= orig_auc - epsilon_utility,
                 )
             )
 
@@ -690,8 +676,6 @@ def export_profiles(model: CDModel, student_ids: Sequence[int]) -> list[tuple[in
 
 
 def write_profiles_csv(model: CDModel, student_ids: Sequence[int], path: str) -> None:
-    import csv
-
     rows = export_profiles(model, student_ids)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

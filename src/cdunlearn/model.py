@@ -510,21 +510,15 @@ class CDModel:
 
     # -- inference -------------------------------------------------------
     def _as_arrays(self, records) -> tuple[np.ndarray, np.ndarray]:
-        pair = (
-            isinstance(records, tuple)
-            and len(records) == 2
-            and not isinstance(records[0], ResponseRecord)
-        )
-        if pair:
-            return (
-                np.asarray(records[0], dtype=np.int64),
-                np.asarray(records[1], dtype=np.int64),
-            )
+        pair = isinstance(records, tuple) and len(records) == 2
+        if pair and all(isinstance(a, np.ndarray) for a in records):
+            return tuple(np.asarray(a, dtype=np.int64) for a in records)
         s, q, _ = records_to_arrays(records)
         return s, q
 
     def predict_proba(self, records) -> np.ndarray:
-        """Correct-response probabilities for records or an (students, items) pair."""
+        """Correct-response probabilities for records or a pair of (students,
+        items) NumPy arrays."""
         self._require_fitted()
         s, q = self._as_arrays(records)
         return nn._predict_all(self.wiring_, self.params_, (s, q, None))

@@ -1,6 +1,11 @@
 """Unlearning algorithms: importance-guided attenuation (with and without
 layer smoothing), gradient ascent, and Hessian-guided attenuation.
 
+The three attenuation algorithms share one core: an estimator yields a
+(forget, retain) importance pair, and :func:`attenuate` smooths the forget
+side and applies the select-and-dampen rule. They differ only in the
+estimator (Fisher or |Hessian|) and in beta (fim and hessian use 0).
+
 All algorithms take a fitted model plus the records to forget and return a new
 model with a report; the input model is never mutated. Reported wall time
 covers the whole operation including importance estimation, since that is the
@@ -11,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,6 +107,56 @@ def select_and_attenuate(
     return out, n_selected
 
 
+def attenuate(
+    model: CDModel,
+    imp_forget: imp_mod.ImportanceMap,
+    imp_retain: imp_mod.ImportanceMap,
+    config: HIFConfig,
+) -> tuple[CDModel, int]:
+    """The shared unlearning step: smooth the forget-side importance toward its
+    layer means (weight ``config.beta``; ``beta=0`` keeps it bit-unchanged),
+    then apply :func:`select_and_attenuate`. Pure in its arguments, so one
+    estimated pair can serve many configs. Returns the model and the number
+    of parameters selected.
+    """
+    means = imp_mod.layer_importance(imp_forget)
+    smoothed = imp_mod.smooth_importance(imp_forget, means, config.beta)
+    new_params, n_selected = select_and_attenuate(
+        model.params_, smoothed, imp_retain, config.alpha, config.lambda_, config.excluded_layers
+    )
+    return model.with_params(new_params), n_selected
+
+
+def fisher_pair(
+    model: CDModel,
+    forget_records: Sequence[ResponseRecord],
+    retain_records: Sequence[ResponseRecord],
+) -> tuple[imp_mod.ImportanceMap, imp_mod.ImportanceMap]:
+    """Fisher-diagonal importance over the forget and the retain records."""
+    return (
+        imp_mod.fim_diag(model, forget_records, source="forget"),
+        imp_mod.fim_diag(model, retain_records, source="retain"),
+    )
+
+
+def _estimate_and_attenuate(
+    algorithm: str,
+    model: CDModel,
+    forget_records: Sequence[ResponseRecord],
+    retain_records: Sequence[ResponseRecord],
+    config: HIFConfig,
+    report_config: dict,
+    estimate: Callable = fisher_pair,
+) -> tuple[CDModel, UnlearnReport]:
+    """Check the record sets, then time estimation plus :func:`attenuate`."""
+    _check_disjoint(forget_records, retain_records)
+    t0 = time.perf_counter()
+    imp_f, imp_r = estimate(model, forget_records, retain_records)
+    unlearned, n_selected = attenuate(model, imp_f, imp_r, config)
+    wall = time.perf_counter() - t0
+    return unlearned, UnlearnReport(algorithm, n_selected, wall, report_config)
+
+
 def hif_unlearn(
     model: CDModel,
     forget_records: Sequence[ResponseRecord],
@@ -115,23 +170,9 @@ def hif_unlearn(
     importance. With ``beta=0`` this reduces to plain Fisher-guided
     attenuation.
     """
-    _check_disjoint(forget_records, retain_records)
-    t0 = time.perf_counter()
-    imp_f = imp_mod.fim_diag(model, forget_records, source="forget")
-    imp_r = imp_mod.fim_diag(model, retain_records, source="retain")
-    layer_means = imp_mod.layer_importance(imp_f)
-    adjusted = imp_mod.smooth_importance(imp_f, layer_means, config.beta)
-    new_params, n_selected = select_and_attenuate(
-        model.params_, adjusted, imp_r, config.alpha, config.lambda_, config.excluded_layers
+    return _estimate_and_attenuate(
+        "hif", model, forget_records, retain_records, config, config.to_dict()
     )
-    wall = time.perf_counter() - t0
-    report = UnlearnReport(
-        algorithm="hif",
-        parameters_modified=n_selected,
-        wall_time_seconds=wall,
-        config=config.to_dict(),
-    )
-    return model.with_params(new_params), report
 
 
 def fim_unlearn(
@@ -143,11 +184,11 @@ def fim_unlearn(
     excluded_layers: frozenset[str] = frozenset(),
 ) -> tuple[CDModel, UnlearnReport]:
     """Fisher-guided attenuation without layer smoothing (beta = 0)."""
-    cfg = HIFConfig(alpha=alpha, lambda_=lambda_, beta=0.0, excluded_layers=excluded_layers)
-    unlearned, report = hif_unlearn(model, forget_records, retain_records, cfg)
-    report.algorithm = "fim"
-    report.config = {k: v for k, v in report.config.items() if k != "beta"}
-    return unlearned, report
+    config = HIFConfig(alpha=alpha, lambda_=lambda_, beta=0.0, excluded_layers=excluded_layers)
+    report_config = {k: v for k, v in config.to_dict().items() if k != "beta"}
+    return _estimate_and_attenuate(
+        "fim", model, forget_records, retain_records, config, report_config
+    )
 
 
 def gradient_ascent_unlearn(
@@ -210,33 +251,28 @@ def hessian_unlearn(
     both the forget and retain side. Probe seeds for the two estimates derive
     deterministically from ``seed``.
     """
-    _check_disjoint(forget_records, retain_records)
-    HIFConfig(alpha=alpha, lambda_=lambda_, beta=0.0)  # validates ranges
-    t0 = time.perf_counter()
-    seed_f, seed_r = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
-    imp_f = imp_mod.hutchinson_hessian_diag(
-        model, forget_records, n_probe_samples, n_batches, seed=seed_f, source="forget"
-    ).abs()
-    imp_r = imp_mod.hutchinson_hessian_diag(
-        model, retain_records, n_probe_samples, n_batches, seed=seed_r, source="retain"
-    ).abs()
-    new_params, n_selected = select_and_attenuate(
-        model.params_, imp_f, imp_r, alpha, lambda_, excluded_layers
+    config = HIFConfig(alpha=alpha, lambda_=lambda_, beta=0.0, excluded_layers=excluded_layers)
+
+    def hessian_pair(model, forget_records, retain_records):
+        seed_f, seed_r = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
+        imp_f = imp_mod.hutchinson_hessian_diag(
+            model, forget_records, n_probe_samples, n_batches, seed=seed_f, source="forget"
+        )
+        imp_r = imp_mod.hutchinson_hessian_diag(
+            model, retain_records, n_probe_samples, n_batches, seed=seed_r, source="retain"
+        )
+        return imp_f.abs(), imp_r.abs()
+
+    report_config = {
+        "alpha": alpha,
+        "lambda_": lambda_,
+        "n_probe_samples": n_probe_samples,
+        "n_batches": n_batches,
+        "seed": seed,
+    }
+    return _estimate_and_attenuate(
+        "hessian", model, forget_records, retain_records, config, report_config, hessian_pair
     )
-    wall = time.perf_counter() - t0
-    report = UnlearnReport(
-        algorithm="hessian",
-        parameters_modified=n_selected,
-        wall_time_seconds=wall,
-        config={
-            "alpha": alpha,
-            "lambda_": lambda_,
-            "n_probe_samples": n_probe_samples,
-            "n_batches": n_batches,
-            "seed": seed,
-        },
-    )
-    return model.with_params(new_params), report
 
 
 def _check_disjoint(

@@ -10,6 +10,7 @@ import pytest
 from cdunlearn import synth
 from cdunlearn.cli import main as cli_main
 from cdunlearn.experiment import (
+    ALGORITHM_NAMES,
     ConfigError,
     ExperimentConfig,
     apply_algorithm,
@@ -181,6 +182,12 @@ class TestRunExperiment:
         assert status == {"status": "failed", "stage": "train-attacker"}
 
 
+@pytest.fixture(scope="module")
+def sweep_ctx(tiny_paths):
+    config = _tiny_config(tiny_paths, "sweep_ctx", algorithms={"hif": {}, "fim": {}})
+    return config, build_context(config)
+
+
 class TestSweep:
     def test_single_point_grid_matches_run_experiment(self, tiny_paths):
         params = {"alpha": 1.3, "lambda_": 0.5, "beta": 0.1}
@@ -209,6 +216,33 @@ class TestSweep:
         feasible = [p for p in result.points if p.feasible]
         assert result.best is not None
         assert all(result.best.mia_gap <= p.mia_gap for p in feasible)
+
+    @pytest.mark.parametrize(
+        "name, point, key",
+        [
+            ("hif", {"alpha": 1.3, "lambda_": 1.5, "beta": 0.1}, "lambda_"),
+            ("fim", {"alpha": -2.0, "lambda_": 0.5}, "alpha"),
+        ],
+    )
+    def test_grid_points_validated_as_in_a_run(self, sweep_ctx, name, point, key):
+        # A negative epsilon makes every point infeasible, so no best-point
+        # re-run through apply_algorithm can be what rejects the point.
+        config, ctx = sweep_ctx
+        with pytest.raises(ValueError, match=key):
+            sweep(config, grids={name: [point]}, ctx=ctx, epsilon_utility=-1.0)
+
+    def test_fisher_points_match_apply_algorithm(self, sweep_ctx):
+        config, ctx = sweep_ctx
+        grids = {
+            "hif": [{"alpha": 2.0, "lambda_": 0.8, "beta": 0.3}],
+            "fim": [{"alpha": 1.3, "lambda_": 0.5, "excluded_layers": ["kc_emb"]}],
+        }
+        result = sweep(config, grids=grids, ctx=ctx, epsilon_utility=-1.0)
+        for point in result.points:
+            model, ureport = apply_algorithm(ctx, point.algorithm, point.params)
+            direct = ctx.entry_for(point.algorithm, model, ureport)
+            assert point.parameters_modified == ureport.parameters_modified > 0
+            assert (point.utility_auc, point.mia_auc) == (direct.utility_auc, direct.mia_auc)
 
     def test_empty_grid_rejected(self, tiny_paths):
         config = _tiny_config(tiny_paths, "sweep_empty")
@@ -264,6 +298,49 @@ class TestCli:
         first = (out / "report.json").read_bytes()
         assert cli_main(["run", "--config", str(config_path)]) == 0
         assert (out / "report.json").read_bytes() == first
+
+    def test_unlearn_and_mia_subcommands_reproduce_the_run(self, tiny_paths, tmp_path, capsys):
+        responses, qmatrix, _ = tiny_paths
+        run_out = tmp_path / "run"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "responses_path": responses,
+                    "qmatrix_path": qmatrix,
+                    "out_dir": str(run_out),
+                    "training": {"max_epochs": 8},
+                    "algorithms": {name: {} for name in ALGORITHM_NAMES},
+                }
+            )
+        )
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        orig = str(run_out / "m_orig.ckpt")
+
+        unlearn_out = tmp_path / "unlearn"
+        code = cli_main(
+            ["unlearn", "--config", str(config_path), "--model", orig, "--out", str(unlearn_out)]
+        )
+        assert code == 0
+        for name in ALGORITHM_NAMES:
+            ckpt = f"{name}.ckpt"
+            assert (unlearn_out / ckpt).read_bytes() == (run_out / ckpt).read_bytes(), name
+
+        mia_out = tmp_path / "mia"
+        code = cli_main(
+            [
+                "mia",
+                "--config", str(config_path),
+                "--orig-model", orig,
+                "--model", str(run_out / "hif.ckpt"),
+                "--out", str(mia_out),
+            ]
+        )
+        assert code == 0
+        audit = json.load(open(mia_out / "mia.json"))
+        report = json.load(open(run_out / "report.json"))
+        hif_row = next(m for m in report["models"] if m["tag"] == "hif")
+        assert (audit["mia_auc"], audit["mia_acc"]) == (hif_row["mia_auc"], hif_row["mia_acc"])
 
     def test_train_subcommand(self, tiny_paths, tmp_path, capsys):
         responses, qmatrix, _ = tiny_paths

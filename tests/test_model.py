@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cdunlearn import nn, synth
-from cdunlearn.data import records_to_arrays
+from cdunlearn.data import ResponseRecord, records_to_arrays
 from cdunlearn.metrics import auc
 from cdunlearn.model import CDArchConfig, CDModel, build_wiring, train
 
@@ -67,6 +67,16 @@ class TestDecoupledPredict:
         s, q, _ = records_to_arrays(small_dataset.records)
         p = small_model.predict_proba((s, q))
         assert np.all(p > 0) and np.all(p < 1)
+
+    def test_two_plain_tuples_are_records_not_a_pair(self, small_model):
+        # Two 3-tuples are two records; only a pair of arrays means (s, q).
+        as_tuples = small_model.predict_proba(((0, 1, 1), (2, 3, 0)))
+        as_records = small_model.predict_proba(
+            [ResponseRecord(0, 1, 1), ResponseRecord(2, 3, 0)]
+        )
+        assert np.array_equal(as_tuples, as_records)
+        pair = small_model.predict_proba((np.array([0, 2]), np.array([1, 3])))
+        assert np.array_equal(pair, as_records)
 
 
 class TestProficiency:

@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 from cdunlearn import nn
-from cdunlearn.importance import ImportanceMap, fim_diag, layer_importance, smooth_importance
+from cdunlearn.importance import (
+    ImportanceMap,
+    fim_diag,
+    hutchinson_hessian_diag,
+    layer_importance,
+    smooth_importance,
+)
 from cdunlearn.unlearn import (
     HIFConfig,
+    attenuate,
     fim_unlearn,
+    fisher_pair,
     gradient_ascent_unlearn,
     hessian_unlearn,
     hif_unlearn,
@@ -192,6 +200,54 @@ class TestHifUnlearn:
         forget, retain = forget_retain
         with pytest.raises(ValueError):
             hif_unlearn(small_model, [], retain, HIFConfig(1.3, 0.5, 0.1))
+
+
+def _same_params(a, b):
+    return all(np.array_equal(values, b.params_[name]) for name, values in a.params_.items())
+
+
+class TestAttenuateCore:
+    def test_hif_is_attenuate_over_the_fisher_pair(self, small_model, forget_retain):
+        forget, retain = forget_retain
+        cfg = HIFConfig(alpha=1.3, lambda_=0.8, beta=0.3)
+        via_core, n_selected = attenuate(small_model, *fisher_pair(small_model, forget, retain), cfg)
+        via_hif, report = hif_unlearn(small_model, forget, retain, cfg)
+        assert _same_params(via_core, via_hif)
+        assert n_selected == report.parameters_modified > 0
+
+    def test_hessian_equals_unsmoothed_rule_on_abs_estimates(self, small_model, forget_retain):
+        # beta = 0 smoothing inside attenuate must leave |Hessian| maps bit-unchanged.
+        forget, retain = forget_retain
+        seed_f, seed_r = (int(x) for x in np.random.SeedSequence(4).generate_state(2))
+        imp_f = hutchinson_hessian_diag(small_model, forget, 6, 1, seed=seed_f).abs()
+        imp_r = hutchinson_hessian_diag(small_model, retain, 6, 1, seed=seed_r).abs()
+        params, n = select_and_attenuate(small_model.params_, imp_f, imp_r, 1.3, 0.5)
+        unlearned, report = hessian_unlearn(
+            small_model, forget, retain, 1.3, 0.5, n_probe_samples=6, seed=4
+        )
+        assert _same_params(unlearned, small_model.with_params(params))
+        assert report.parameters_modified == n > 0
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"alpha": 1.3, "lambda_": 1.5}, "lambda_"),
+            ({"alpha": -2.0, "lambda_": 0.5}, "alpha"),
+            ({"alpha": 1.3, "lambda_": 0.5, "excluded_layers": {"nope"}}, "excluded layers"),
+        ],
+    )
+    def test_hessian_validated_like_fisher(self, small_model, forget_retain, kwargs, match):
+        forget, retain = forget_retain
+        with pytest.raises(ValueError, match=match):
+            hessian_unlearn(small_model, forget, retain, n_probe_samples=2, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            fim_unlearn(small_model, forget, retain, **kwargs)
+
+    def test_fim_report_is_its_own(self, small_model, forget_retain):
+        forget, retain = forget_retain
+        _, report = fim_unlearn(small_model, forget, retain, alpha=1.3, lambda_=0.5)
+        assert report.algorithm == "fim"
+        assert report.config == {"alpha": 1.3, "lambda_": 0.5, "excluded_layers": []}
 
 
 class TestGradientAscent:
