@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration/validation error (including a malformed
+checkpoint), 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -31,6 +33,7 @@ from .experiment import (
 )
 from .mia import evaluate_attack
 from .model import CDModel, train
+from .serialize import ContainerError
 from .shrinkage import optimal_beta, sweep_betas
 
 
@@ -44,20 +47,16 @@ def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> N
 
 def _load_effective_config(args: argparse.Namespace) -> ExperimentConfig:
     config = load_config(args.config)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed_data", "seed_model", "seed_attack")
+        if getattr(args, key) is not None
+    }
     if args.out:
-        config.out_dir = os.path.abspath(args.out)
-    if args.seed_data is not None:
-        config.seed_data = args.seed_data
-    if args.seed_model is not None:
-        config.seed_model = args.seed_model
-    if args.seed_attack is not None:
-        config.seed_attack = args.seed_attack
+        overrides["out_dir"] = os.path.abspath(args.out)
     if getattr(args, "algo", None):
-        config.algorithms = {
-            name: config.algorithms.get(name, {}) for name in args.algo
-        }
-        config.__post_init__()  # re-resolve defaults for newly added algorithms
-    return config
+        overrides["algorithms"] = {name: config.algorithms.get(name, {}) for name in args.algo}
+    return dataclasses.replace(config, **overrides)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -316,7 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, DataValidationError, FileNotFoundError) as exc:
+    except (
+        ConfigError, ContainerError, DataFormatError, DataValidationError, FileNotFoundError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StageError as exc:

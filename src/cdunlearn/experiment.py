@@ -105,6 +105,17 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+def resolve_params(name: str, params: dict) -> dict:
+    """``params`` merged over the algorithm's defaults; an unknown algorithm
+    or key raises :class:`ConfigError`."""
+    if name not in ALGORITHM_NAMES:
+        raise ConfigError(f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
+    unknown = set(params) - set(DEFAULT_ALGO_PARAMS[name]) - _ALGO_OPTIONAL_KEYS[name]
+    if unknown:
+        raise ConfigError(f"algorithm {name!r}: unknown keys {sorted(unknown)}")
+    return {**DEFAULT_ALGO_PARAMS[name], **params}
+
+
 def default_grid(algorithm: str) -> list[dict]:
     """The stock hyperparameter grid swept for each algorithm."""
     if algorithm == "hif":
@@ -148,81 +159,37 @@ class ExperimentConfig:
         self.split_ratios = tuple(float(r) for r in self.split_ratios)
         if len(self.split_ratios) != 3:
             raise ConfigError("split_ratios must have three entries")
-        resolved: dict[str, dict] = {}
-        for name, params in self.algorithms.items():
-            if name not in ALGORITHM_NAMES:
-                raise ConfigError(
-                    f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}"
-                )
-            allowed = set(DEFAULT_ALGO_PARAMS[name]) | _ALGO_OPTIONAL_KEYS[name]
-            unknown = set(params) - allowed
-            if unknown:
-                raise ConfigError(f"algorithm {name!r}: unknown keys {sorted(unknown)}")
-            resolved[name] = {**DEFAULT_ALGO_PARAMS[name], **params}
-        self.algorithms = resolved
+        self.unlearn_ratio = float(self.unlearn_ratio)
+        if isinstance(self.architecture, dict):
+            self.architecture = CDArchConfig(**self.architecture)
+        if isinstance(self.training, dict):
+            self.training = TrainConfig(**self.training)
+        self.seed_data, self.seed_model, self.seed_attack = (
+            int(self.seed_data), int(self.seed_model), int(self.seed_attack)
+        )
+        self.algorithms = {
+            name: resolve_params(name, params) for name, params in self.algorithms.items()
+        }
 
     def to_dict(self) -> dict:
-        arch = dataclasses.asdict(self.architecture)
-        arch["ffn_hidden"] = list(arch["ffn_hidden"])
-        return {
-            "responses_path": self.responses_path,
-            "qmatrix_path": self.qmatrix_path,
-            "out_dir": self.out_dir,
-            "split_ratios": list(self.split_ratios),
-            "unlearn_ratio": self.unlearn_ratio,
-            "architecture": arch,
-            "training": dataclasses.asdict(self.training),
-            "algorithms": {k: dict(v) for k, v in self.algorithms.items()},
-            "seed_data": self.seed_data,
-            "seed_model": self.seed_model,
-            "seed_attack": self.seed_attack,
-        }
+        return dataclasses.asdict(self)
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build a validated config from parsed JSON; paths resolve against base_dir."""
-    known = {
-        "responses_path",
-        "qmatrix_path",
-        "out_dir",
-        "split_ratios",
-        "unlearn_ratio",
-        "architecture",
-        "training",
-        "algorithms",
-        "seed_data",
-        "seed_model",
-        "seed_attack",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for required in ("responses_path", "qmatrix_path"):
         if required not in raw:
             raise ConfigError(f"config is missing {required!r}")
-
-    def _resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.normpath(os.path.join(base_dir, p))
-
+    kwargs = {"out_dir": ExperimentConfig.out_dir, **raw}  # a default out_dir resolves too
+    for key in ("responses_path", "qmatrix_path", "out_dir"):
+        path = str(kwargs[key])
+        if not os.path.isabs(path):
+            kwargs[key] = os.path.normpath(os.path.join(base_dir, path))
     try:
-        arch_raw = dict(raw.get("architecture", {}))
-        if "ffn_hidden" in arch_raw:
-            arch_raw["ffn_hidden"] = tuple(arch_raw["ffn_hidden"])
-        arch = CDArchConfig(**arch_raw)
-        training = TrainConfig(**raw.get("training", {}))
-        return ExperimentConfig(
-            responses_path=_resolve(str(raw["responses_path"])),
-            qmatrix_path=_resolve(str(raw["qmatrix_path"])),
-            out_dir=_resolve(str(raw.get("out_dir", "runs/experiment"))),
-            split_ratios=tuple(raw.get("split_ratios", (0.6, 0.2, 0.2))),
-            unlearn_ratio=float(raw.get("unlearn_ratio", 0.1)),
-            architecture=arch,
-            training=training,
-            algorithms=dict(raw.get("algorithms", {"hif": {}})),
-            seed_data=int(raw.get("seed_data", 0)),
-            seed_model=int(raw.get("seed_model", 0)),
-            seed_attack=int(raw.get("seed_attack", 0)),
-        )
+        return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -255,15 +222,10 @@ class ModelEntry:
     rtrr: float | None = None
 
     def stable_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "utility_auc": self.utility_auc,
-            "utility_acc": self.utility_acc,
-            "mia_auc": self.mia_auc,
-            "mia_acc": self.mia_acc,
-            "parameters_modified": self.parameters_modified,
-            "algorithm_config": self.algorithm_config,
-        }
+        """The deterministic fields: all but the wall time and RTRR."""
+        row = dataclasses.asdict(self)
+        del row["wall_time_seconds"], row["rtrr"]
+        return row
 
 
 @dataclass
@@ -579,13 +541,7 @@ class SweepResult:
             "epsilon_utility": self.epsilon_utility,
             "points": [dataclasses.asdict(p) for p in self.points],
             "best": dataclasses.asdict(self.best) if self.best else None,
-            "best_full_run": {
-                **self.best_entry.stable_dict(),
-                "wall_time_seconds": self.best_entry.wall_time_seconds,
-                "rtrr": self.best_entry.rtrr,
-            }
-            if self.best_entry
-            else None,
+            "best_full_run": dataclasses.asdict(self.best_entry) if self.best_entry else None,
         }
 
 
@@ -600,22 +556,24 @@ def sweep(
     The original/retrained models and the attacker are trained once. For the
     Fisher-guided algorithms (hif, fim) the two Fisher maps are also computed
     once and every grid point runs only :func:`attenuate`, which is sound
-    because attenuation is a pure function of (model, maps, config); grid
-    points are validated exactly as in a run. The selected best config
+    because attenuation is a pure function of (model, maps, config). Every
+    grid point goes through :func:`resolve_params`, as a run's config does,
+    before anything is trained, so an unknown key raises :class:`ConfigError`;
+    a hif/fim point a run rejects raises ``ValueError``. The selected best config
     is then re-run end to end to confirm its metrics and measure honest wall
     time. A point is feasible when its utility AUC is within
     ``epsilon_utility`` of the original model's; among feasible points the
     winner minimizes the distance of its attack AUC from the retrained
     model's.
     """
-    if ctx is None:
-        ctx = build_context(config)
     algo_grids: dict[str, list[dict]] = {}
-    for name in config.algorithms:
+    for name, base in config.algorithms.items():
         grid = (grids or {}).get(name, default_grid(name))
         if not grid:
             raise ConfigError(f"empty grid for algorithm {name!r}")
-        algo_grids[name] = grid
+        algo_grids[name] = [resolve_params(name, {**base, **point}) for point in grid]
+    if ctx is None:
+        ctx = build_context(config)
 
     fisher = None
     if any(name in ("hif", "fim") for name in algo_grids):
@@ -627,9 +585,7 @@ def sweep(
     orig_auc = ctx.orig_entry.utility_auc
     points: list[SweepPoint] = []
     for name, grid in algo_grids.items():
-        base = dict(config.algorithms[name])
-        for grid_params in grid:
-            params = {**base, **grid_params}
+        for params in grid:
             if name in ("hif", "fim"):
                 model, n_modified = attenuate(ctx.m_orig, *fisher, _hif_config(name, params))
             else:

@@ -26,7 +26,7 @@ and summed *squared* per-example gradients for importance estimation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -63,11 +63,52 @@ def _init_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarra
     return rng.uniform(-bound, bound, size=shape)
 
 
-class _FfnMixin:
-    """Shared feed-forward forward/backward over ``self.dims``."""
+class _Wiring:
+    """What both architectures share: the constructor, the index check,
+    parameter initialization and the feed-forward stack over ``self.dims``."""
 
-    dims: tuple[int, ...]
-    dropout: float
+    def __init__(self, config: CDArchConfig, n_students: int, n_items: int, qmatrix: QMatrix):
+        self.n_students = n_students
+        self.n_items = n_items
+        self.n_kcs = qmatrix.n_kcs
+        self.embed_dim = config.embed_dim
+        self.dims = (self.n_kcs, *config.ffn_hidden, 1)
+        self.dropout = float(config.dropout)
+        self.qrows = np.asarray(qmatrix.entries, dtype=np.float64)
+
+    def init_params(self, rng: np.random.Generator, seed: int) -> nn.ParamStore:
+        """Biases start at zero, every other layer uniform in +-1/sqrt(fan_in)."""
+        arrays = {}
+        for name, shape in self.layer_shapes():
+            if name.endswith("bias") or name.startswith("ffn_b_"):
+                arrays[name] = np.zeros(shape)
+            else:
+                arrays[name] = _init_uniform(rng, shape)
+        params = nn.ParamStore(arrays, rng_seed=seed)
+        self.post_step(params)
+        return params
+
+    def post_step(self, params: nn.ParamStore) -> None:
+        pass
+
+    def _indices(self, students, items) -> tuple[np.ndarray, np.ndarray]:
+        """Students and items as int64 arrays, checked against the table sizes."""
+        students = np.asarray(students, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        if len(students) and (students.min() < 0 or students.max() >= self.n_students):
+            raise IndexError("student id out of range")
+        if len(items) and (items.min() < 0 or items.max() >= self.n_items):
+            raise IndexError("item id out of range")
+        return students, items
+
+    @staticmethod
+    def _squared(mode: str) -> bool:
+        if mode not in ("sum", "sq_sum"):
+            raise ValueError(f"unknown mode {mode!r}")
+        return mode == "sq_sum"
+
+    def _ordered(self, grads: dict[str, np.ndarray]) -> nn.GradientBuffer:
+        return nn.GradientBuffer({name: grads[name] for name, _ in self.layer_shapes()})
 
     def _ffn_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         shapes = []
@@ -124,28 +165,10 @@ class _FfnMixin:
         return dx  # unreachable: n_dense >= 1
 
 
-class DecoupledWiring(_FfnMixin):
+class DecoupledWiring(_Wiring):
     """Forward/backward for the decoupled embedding architecture."""
 
     arch = "decoupled"
-
-    def __init__(
-        self,
-        n_students: int,
-        n_items: int,
-        n_kcs: int,
-        embed_dim: int,
-        ffn_hidden: Sequence[int],
-        dropout: float,
-        qrows: np.ndarray,
-    ):
-        self.n_students = n_students
-        self.n_items = n_items
-        self.n_kcs = n_kcs
-        self.embed_dim = embed_dim
-        self.dims = (n_kcs, *ffn_hidden, 1)
-        self.dropout = float(dropout)
-        self.qrows = np.asarray(qrows, dtype=np.float64)
 
     def layer_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return [
@@ -157,24 +180,6 @@ class DecoupledWiring(_FfnMixin):
             *self._ffn_shapes(),
         ]
 
-    def init_params(self, rng: np.random.Generator, seed: int) -> nn.ParamStore:
-        arrays = {}
-        for name, shape in self.layer_shapes():
-            if name.endswith("bias") or name.startswith("ffn_b_"):
-                arrays[name] = np.zeros(shape)
-            else:
-                arrays[name] = _init_uniform(rng, shape)
-        return nn.ParamStore(arrays, rng_seed=seed)
-
-    def post_step(self, params: nn.ParamStore) -> None:
-        pass
-
-    def _check_indices(self, students, items):
-        if len(students) and (students.min() < 0 or students.max() >= self.n_students):
-            raise IndexError("student id out of range")
-        if len(items) and (items.min() < 0 or items.max() >= self.n_items):
-            raise IndexError("item id out of range")
-
     def proficiency_from(self, params: nn.ParamStore, students: np.ndarray) -> np.ndarray:
         return self._over_kcs(params, params["student_emb"][students], "prof_bias")
 
@@ -184,9 +189,7 @@ class DecoupledWiring(_FfnMixin):
         return nn.sigmoid(rows @ params["kc_emb"].T + params[bias])
 
     def forward(self, params, students, items, train=False, rng=None):
-        students = np.asarray(students, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        self._check_indices(students, items)
+        students, items = self._indices(students, items)
         e_s = params["student_emb"][students]
         e_q = params["exercise_emb"][items]
         prof = self._over_kcs(params, e_s, "prof_bias")
@@ -209,9 +212,7 @@ class DecoupledWiring(_FfnMixin):
         return p, cache
 
     def backward(self, params, cache, dz, mode="sum"):
-        if mode not in ("sum", "sq_sum"):
-            raise ValueError(f"unknown mode {mode!r}")
-        squared = mode == "sq_sum"
+        squared = self._squared(mode)
         grads: dict[str, np.ndarray] = {}
         dgap = self._ffn_backward(
             params, grads, cache["inputs"], cache["acts"], cache["drops"], dz, squared
@@ -241,30 +242,13 @@ class DecoupledWiring(_FfnMixin):
             grads["kc_emb"] = d_ap.T @ e_s + d_ad.T @ e_q
         grads["student_emb"] = nn.scatter_rows(self.n_students, cache["students"], d_rows_s)
         grads["exercise_emb"] = nn.scatter_rows(self.n_items, cache["items"], d_rows_q)
-        ordered = {name: grads[name] for name, _ in self.layer_shapes()}
-        return nn.GradientBuffer(ordered)
+        return self._ordered(grads)
 
 
-class MonotonicCdmWiring(_FfnMixin):
+class MonotonicCdmWiring(_Wiring):
     """Forward/backward for the mastery-table architecture with a monotonic FFN."""
 
     arch = "neuralcdm"
-
-    def __init__(
-        self,
-        n_students: int,
-        n_items: int,
-        n_kcs: int,
-        ffn_hidden: Sequence[int],
-        dropout: float,
-        qrows: np.ndarray,
-    ):
-        self.n_students = n_students
-        self.n_items = n_items
-        self.n_kcs = n_kcs
-        self.dims = (n_kcs, *ffn_hidden, 1)
-        self.dropout = float(dropout)
-        self.qrows = np.asarray(qrows, dtype=np.float64)
 
     def layer_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return [
@@ -274,35 +258,16 @@ class MonotonicCdmWiring(_FfnMixin):
             *self._ffn_shapes(),
         ]
 
-    def init_params(self, rng: np.random.Generator, seed: int) -> nn.ParamStore:
-        arrays = {}
-        for name, shape in self.layer_shapes():
-            if name.startswith("ffn_b_"):
-                arrays[name] = np.zeros(shape)
-            else:
-                arrays[name] = _init_uniform(rng, shape)
-        params = nn.ParamStore(arrays, rng_seed=seed)
-        self.post_step(params)  # start inside the monotonic feasible set
-        return params
-
     def post_step(self, params: nn.ParamStore) -> None:
-        # Monotonicity: dense weights stay nonnegative.
+        # Monotonicity: dense weights stay nonnegative (from initialization on).
         for l in range(len(self.dims) - 1):
             np.maximum(params[f"ffn_W_{l}"], 0.0, out=params[f"ffn_W_{l}"])
-
-    def _check_indices(self, students, items):
-        if len(students) and (students.min() < 0 or students.max() >= self.n_students):
-            raise IndexError("student id out of range")
-        if len(items) and (items.min() < 0 or items.max() >= self.n_items):
-            raise IndexError("item id out of range")
 
     def proficiency_from(self, params: nn.ParamStore, students: np.ndarray) -> np.ndarray:
         return nn.sigmoid(params["student_emb"][students])
 
     def forward(self, params, students, items, train=False, rng=None):
-        students = np.asarray(students, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        self._check_indices(students, items)
+        students, items = self._indices(students, items)
         mastery = nn.sigmoid(params["student_emb"][students])
         difficulty = nn.sigmoid(params["diff_emb"][items])
         disc = nn.sigmoid(params["disc_emb"][items])
@@ -323,9 +288,7 @@ class MonotonicCdmWiring(_FfnMixin):
         return p, cache
 
     def backward(self, params, cache, dz, mode="sum"):
-        if mode not in ("sum", "sq_sum"):
-            raise ValueError(f"unknown mode {mode!r}")
-        squared = mode == "sq_sum"
+        squared = self._squared(mode)
         grads: dict[str, np.ndarray] = {}
         dx = self._ffn_backward(
             params, grads, cache["inputs"], cache["acts"], cache["drops"], dz, squared
@@ -344,29 +307,12 @@ class MonotonicCdmWiring(_FfnMixin):
         grads["student_emb"] = nn.scatter_rows(self.n_students, students, d_ms)
         grads["diff_emb"] = nn.scatter_rows(self.n_items, items, d_md)
         grads["disc_emb"] = nn.scatter_rows(self.n_items, items, d_mc)
-        ordered = {name: grads[name] for name, _ in self.layer_shapes()}
-        return nn.GradientBuffer(ordered)
+        return self._ordered(grads)
 
 
 def build_wiring(config: CDArchConfig, n_students: int, n_items: int, qmatrix: QMatrix):
-    if config.arch == "decoupled":
-        return DecoupledWiring(
-            n_students,
-            n_items,
-            qmatrix.n_kcs,
-            config.embed_dim,
-            config.ffn_hidden,
-            config.dropout,
-            qmatrix.entries,
-        )
-    return MonotonicCdmWiring(
-        n_students,
-        n_items,
-        qmatrix.n_kcs,
-        config.ffn_hidden,
-        config.dropout,
-        qmatrix.entries,
-    )
+    wiring = DecoupledWiring if config.arch == "decoupled" else MonotonicCdmWiring
+    return wiring(config, n_students, n_items, qmatrix)
 
 
 def _monitor_score(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -387,16 +333,8 @@ class CDModel:
     """
 
     _PARAM_NAMES = (
-        "arch",
-        "embed_dim",
-        "ffn_hidden",
-        "dropout",
-        "optimizer",
-        "lr",
-        "batch_size",
-        "max_epochs",
-        "patience",
-        "min_delta",
+        *(f.name for f in fields(CDArchConfig)),
+        *(f.name for f in fields(nn.TrainConfig)),
         "seed",
     )
 
@@ -414,17 +352,11 @@ class CDModel:
         min_delta: float = 0.0,
         seed: int = 0,
     ):
-        self.arch = arch
-        self.embed_dim = embed_dim
-        self.ffn_hidden = tuple(ffn_hidden)
-        self.dropout = dropout
-        self.optimizer = optimizer
-        self.lr = lr
-        self.batch_size = batch_size
-        self.max_epochs = max_epochs
-        self.patience = patience
-        self.min_delta = min_delta
-        self.seed = seed
+        # The defaults repeat CDArchConfig's and TrainConfig's for keyword
+        # callers; the tests hold the two lists equal.
+        hyper = dict(locals())
+        del hyper["self"]
+        self.set_params(**hyper)
 
     # -- scikit-learn style plumbing ------------------------------------
     def get_params(self, deep: bool = True) -> dict:
@@ -434,26 +366,17 @@ class CDModel:
         for key, value in updates.items():
             if key not in self._PARAM_NAMES:
                 raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
+            setattr(self, key, tuple(value) if key == "ffn_hidden" else value)
         return self
 
+    def _config(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def arch_config(self) -> CDArchConfig:
-        return CDArchConfig(
-            arch=self.arch,
-            embed_dim=self.embed_dim,
-            ffn_hidden=self.ffn_hidden,
-            dropout=self.dropout,
-        )
+        return self._config(CDArchConfig)
 
     def train_config(self) -> nn.TrainConfig:
-        return nn.TrainConfig(
-            optimizer=self.optimizer,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            min_delta=self.min_delta,
-        )
+        return self._config(nn.TrainConfig)
 
     @property
     def is_fitted(self) -> bool:
@@ -569,12 +492,10 @@ class CDModel:
         self._require_fitted()
         arrays = {name: arr for name, arr in self.params_.items()}
         arrays["qmatrix"] = self.qmatrix_.entries
-        hyper = self.get_params()
-        hyper["ffn_hidden"] = list(hyper["ffn_hidden"])
         meta = {
             "kind": "cd_model",
             "arch": self.arch,
-            "hyperparameters": hyper,
+            "hyperparameters": self.get_params(),
             "layer_ids": list(self.params_.layer_ids),
             "rng_seed": self.params_.rng_seed,
             "n_students": self.n_students_,
@@ -585,12 +506,13 @@ class CDModel:
 
     @classmethod
     def load(cls, path: str) -> "CDModel":
+        """Read a checkpoint written by :meth:`save`; raises
+        :class:`serialize.ContainerError` when its arrays are not exactly the
+        layers its architecture and counts call for."""
         arrays, meta = serialize.load_bundle(path)
         if meta.get("kind") != "cd_model":
             raise serialize.ContainerError(f"{path} is not a model checkpoint")
-        hyper = dict(meta["hyperparameters"])
-        hyper["ffn_hidden"] = tuple(hyper["ffn_hidden"])
-        model = cls(**hyper)
+        model = cls(**meta["hyperparameters"])
         qmatrix = QMatrix(arrays.pop("qmatrix"))
         model.n_students_ = int(meta["n_students"])
         model.n_items_ = int(meta["n_items"])
@@ -599,7 +521,19 @@ class CDModel:
         model.wiring_ = build_wiring(
             model.arch_config(), model.n_students_, model.n_items_, qmatrix
         )
-        ordered = {name: arrays[name] for name in meta["layer_ids"]}
+        shapes = model.wiring_.layer_shapes()
+        found = {name: values.shape for name, values in arrays.items()}
+        if (
+            meta["layer_ids"] != [name for name, _ in shapes]
+            or found != dict(shapes)
+            or qmatrix.entries.shape != (model.n_items_, model.n_kcs_)
+        ):
+            raise serialize.ContainerError(
+                f"{path}: arrays {found} and layer_ids {meta['layer_ids']} do not match the "
+                f"{model.arch} layers for {model.n_students_} students, {model.n_items_} "
+                f"items and {model.n_kcs_} KCs"
+            )
+        ordered = {name: arrays[name] for name, _ in shapes}
         model.params_ = nn.ParamStore(ordered, rng_seed=int(meta["rng_seed"]))
         return model
 
@@ -616,18 +550,6 @@ def train(
 ) -> tuple[CDModel, float]:
     """Train a model and return it with the wall-clock seconds spent fitting."""
     tc = train_config or nn.TrainConfig()
-    model = CDModel(
-        arch=arch_config.arch,
-        embed_dim=arch_config.embed_dim,
-        ffn_hidden=arch_config.ffn_hidden,
-        dropout=arch_config.dropout,
-        optimizer=tc.optimizer,
-        lr=tc.lr,
-        batch_size=tc.batch_size,
-        max_epochs=tc.max_epochs,
-        patience=tc.patience,
-        min_delta=tc.min_delta,
-        seed=seed,
-    )
+    model = CDModel(**asdict(arch_config), **asdict(tc), seed=seed)
     model.fit(train_records, qmatrix, valid_records, n_students=n_students, n_items=n_items)
     return model, model.fit_seconds_

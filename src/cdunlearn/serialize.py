@@ -21,6 +21,7 @@ content produces identical files, and a save/load round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from typing import Mapping
 
 import numpy as np
@@ -53,24 +54,32 @@ def save_bundle(path: str, arrays: Mapping[str, np.ndarray], meta: dict) -> None
 
 
 def load_bundle(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and meta of a container; anything but a well-formed file of
+    this format version raises :class:`ContainerError`."""
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ContainerError(f"{path}: bad magic {magic!r}")
-        (hlen,) = np.frombuffer(f.read(4), dtype="<u4")
-        header = json.loads(f.read(int(hlen)).decode("utf-8"))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ContainerError(
-                f"{path}: unsupported format_version {header.get('format_version')}"
-            )
-        arrays: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ContainerError(f"{path}: truncated array {entry['name']!r}")
-            arrays[entry["name"]] = (
-                np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-            )
+        blob = f.read()
+    if blob[:8] != MAGIC:
+        raise ContainerError(f"{path}: bad magic {blob[:8]!r}")
+    if len(blob) < 12:
+        raise ContainerError(f"{path}: truncated preamble")
+    offset = 12 + int.from_bytes(blob[8:12], "little")
+    if offset > len(blob):
+        raise ContainerError(f"{path}: header length runs past the end of the file")
+    try:
+        header = json.loads(blob[12:offset].decode("utf-8"))
+    except ValueError as exc:
+        raise ContainerError(f"{path}: header is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
+        raise ContainerError(f"{path}: not a format_version {FORMAT_VERSION} header")
+    arrays: dict[str, np.ndarray] = {}
+    for entry in header["arrays"]:
+        shape = tuple(entry["shape"])
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or offset + 8 * count > len(blob):
+            raise ContainerError(f"{path}: bad shape or truncated array {entry['name']!r}")
+        values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        arrays[entry["name"]] = values.astype(np.float64).reshape(shape)
+        offset += 8 * count
+    if offset != len(blob):
+        raise ContainerError(f"{path}: trailing bytes after the last array")
     return arrays, header["meta"]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,12 +140,12 @@ class TestRunExperiment:
         names = set(os.listdir(config.out_dir))
         assert {"report.json", "timing.json", "status.json", "m_orig.ckpt",
                 "m_retrain.ckpt", "hif.ckpt", "gradasc.ckpt"} <= names
-        status = json.load(open(os.path.join(config.out_dir, "status.json")))
+        status = json.loads(Path(config.out_dir, "status.json").read_text())
         assert status == {"status": "complete"}
 
     def test_report_schema(self, tiny_report):
         config, report = tiny_report
-        payload = json.load(open(os.path.join(config.out_dir, "report.json")))
+        payload = json.loads(Path(config.out_dir, "report.json").read_text())
         assert payload["schema_version"] == 1
         assert payload["seeds"] == {"data": 0, "model": 0, "attack": 0}
         tags = [m["tag"] for m in payload["models"]]
@@ -152,7 +153,7 @@ class TestRunExperiment:
         hif_row = payload["models"][2]
         assert hif_row["parameters_modified"] > 0
         assert 0.0 <= hif_row["mia_auc"] <= 1.0
-        timing = json.load(open(os.path.join(config.out_dir, "timing.json")))
+        timing = json.loads(Path(config.out_dir, "timing.json").read_text())
         assert timing["models"]["hif"]["rtrr"] is not None
         assert timing["models"]["m_orig"]["rtrr"] is None
 
@@ -178,7 +179,7 @@ class TestRunExperiment:
         monkeypatch.setattr(exp, "train_attacker", boom)
         with pytest.raises(exp.StageError, match="train-attacker"):
             run_experiment(config)
-        status = json.load(open(os.path.join(config.out_dir, "status.json")))
+        status = json.loads(Path(config.out_dir, "status.json").read_text())
         assert status == {"status": "failed", "stage": "train-attacker"}
 
 
@@ -222,6 +223,7 @@ class TestSweep:
         [
             ("hif", {"alpha": 1.3, "lambda_": 1.5, "beta": 0.1}, "lambda_"),
             ("fim", {"alpha": -2.0, "lambda_": 0.5}, "alpha"),
+            ("hif", {"alpah": 5.0, "lambda_": 0.8, "beta": 0.1}, "alpah"),
         ],
     )
     def test_grid_points_validated_as_in_a_run(self, sweep_ctx, name, point, key):
@@ -337,8 +339,8 @@ class TestCli:
             ]
         )
         assert code == 0
-        audit = json.load(open(mia_out / "mia.json"))
-        report = json.load(open(run_out / "report.json"))
+        audit = json.loads((mia_out / "mia.json").read_text())
+        report = json.loads((run_out / "report.json").read_text())
         hif_row = next(m for m in report["models"] if m["tag"] == "hif")
         assert (audit["mia_auc"], audit["mia_acc"]) == (hif_row["mia_auc"], hif_row["mia_acc"])
 
@@ -357,7 +359,7 @@ class TestCli:
         out = tmp_path / "train_out"
         code = cli_main(["train", "--config", str(config_path), "--out", str(out)])
         assert code == 0
-        summary = json.load(open(out / "train_summary.json"))
+        summary = json.loads((out / "train_summary.json").read_text())
         assert 0.5 <= summary["test_auc"] <= 1.0
         assert (out / "trained_model.ckpt").exists()
 
@@ -378,7 +380,7 @@ class TestCli:
         )
         code = cli_main(["run", "--config", str(config_path), "--algo", "gradasc"])
         assert code == 0
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert [m["tag"] for m in report["models"]] == ["m_orig", "m_retrain", "gradasc"]
 
     def test_simulate_shrinkage_csv(self, tmp_path, capsys):
@@ -404,6 +406,28 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"responses_path": "r"}))
         assert cli_main(["run", "--config", str(bad)]) == 1
+
+    def test_malformed_checkpoint_exit_code(self, tmp_path, capsys):
+        from cdunlearn.serialize import MAGIC
+
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(MAGIC + b"\x01")
+        args = ["export-profiles", "--model", str(ckpt), "--students", "0"]
+        assert cli_main([*args, "--out", str(tmp_path / "p.csv")]) == 1
+        assert "truncated preamble" in capsys.readouterr().err
+
+    def test_misspelled_grid_key_exit_code(self, tiny_paths, tmp_path, capsys):
+        responses, qmatrix, _ = tiny_paths
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"responses_path": responses, "qmatrix_path": qmatrix,
+                        "training": {"max_epochs": 2}})
+        )
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"hif": [{"alpah": 5.0, "lambda_": 0.8, "beta": 0.1}]}))
+        args = ["sweep", "--config", str(config_path), "--grid", str(grid)]
+        assert cli_main([*args, "--out", str(tmp_path / "sweep")]) == 1
+        assert "alpah" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tiny_paths, tmp_path):
         responses, qmatrix, _ = tiny_paths

@@ -1,6 +1,8 @@
 """Architecture behavior: masking, decoupling, proficiency, training quality,
 and the monotonic mastery-table variant."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,12 @@ def test_get_set_params_roundtrip():
     assert model.dropout == 0.0 and model.batch_size == 128
     with pytest.raises(ValueError):
         model.set_params(not_a_param=1)
+
+
+def test_constructor_defaults_are_the_config_defaults():
+    # CDModel's signature spells the defaults a second time for keyword callers.
+    expected = {**asdict(CDArchConfig()), **asdict(nn.TrainConfig()), "seed": 0}
+    assert CDModel().get_params() == expected
 
 
 def test_neuralcdm_checkpoint_roundtrip(small_dataset, tmp_path):

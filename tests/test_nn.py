@@ -280,13 +280,69 @@ class TestCheckpointContainer:
         p1, p2 = str(tmp_path / "one.bin"), str(tmp_path / "two.bin")
         serialize.save_bundle(p1, arrays, {"k": 1})
         serialize.save_bundle(p2, arrays, {"k": 1})
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert (tmp_path / "one.bin").read_bytes() == (tmp_path / "two.bin").read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(serialize.ContainerError):
             serialize.load_bundle(str(path))
+
+    def test_short_preamble_rejected(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(serialize.MAGIC + b"\x01\x00")
+        with pytest.raises(serialize.ContainerError, match="preamble"):
+            serialize.load_bundle(str(path))
+
+    @pytest.mark.parametrize(
+        "header", [b"\xff\xfe{}", b'{"format_version": 1,'], ids=["not-utf8", "not-json"]
+    )
+    def test_header_not_utf8_json_rejected(self, tmp_path, header):
+        path = tmp_path / "header.bin"
+        path.write_bytes(serialize.MAGIC + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(serialize.ContainerError, match="UTF-8 JSON"):
+            serialize.load_bundle(str(path))
+
+    def test_header_length_past_the_end_rejected(self, tmp_path):
+        path = tmp_path / "oversize.bin"
+        path.write_bytes(serialize.MAGIC + (2**32 - 1).to_bytes(4, "little") + b"{}")
+        with pytest.raises(serialize.ContainerError, match="past the end"):
+            serialize.load_bundle(str(path))
+
+    def test_truncated_array_rejected(self, tmp_path):
+        path = tmp_path / "truncated.bin"
+        serialize.save_bundle(str(path), {"a": np.arange(3.0)}, {})
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(serialize.ContainerError, match="truncated array 'a'"):
+            serialize.load_bundle(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "trailing.bin"
+        serialize.save_bundle(str(path), {"a": np.arange(3.0)}, {})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(serialize.ContainerError, match="trailing"):
+            serialize.load_bundle(str(path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arrays, meta: arrays.pop("kc_emb"),
+            lambda arrays, meta: meta["layer_ids"].remove("kc_emb"),
+            lambda arrays, meta: meta.update(n_students=meta["n_students"] + 1),
+            lambda arrays, meta: meta.update(n_items=meta["n_items"] + 1),
+            lambda arrays, meta: meta.update(n_kcs=meta["n_kcs"] + 1),
+        ],
+        ids=["layer-id-without-array", "array-without-layer-id", "n_students", "n_items",
+             "n_kcs"],
+    )
+    def test_checkpoint_disagreeing_with_its_layers_rejected(self, small_model, tmp_path, edit):
+        path = str(tmp_path / "model.ckpt")
+        small_model.save(path)
+        arrays, meta = serialize.load_bundle(path)
+        edit(arrays, meta)
+        serialize.save_bundle(path, arrays, meta)
+        with pytest.raises(serialize.ContainerError, match="do not match"):
+            CDModel.load(path)
 
     def test_model_checkpoint_roundtrip(self, small_model, tmp_path, small_dataset):
         path = str(tmp_path / "model.ckpt")
