@@ -145,8 +145,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_effective_config(args)
     grids = None
     if args.grid:
-        with open(args.grid) as f:
-            grids = json.load(f)
+        try:
+            with open(args.grid) as f:
+                grids = json.load(f)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ConfigError(f"{args.grid}: not a JSON grid: {exc}") from None
     result = sweep(config, grids=grids, epsilon_utility=args.epsilon_utility)
     os.makedirs(config.out_dir, exist_ok=True)
     _write_json(os.path.join(config.out_dir, "sweep.json"), result.to_dict())
@@ -197,7 +200,13 @@ def _cmd_simulate_shrinkage(args: argparse.Namespace) -> int:
 
 def _cmd_export_profiles(args: argparse.Namespace) -> int:
     model = CDModel.load(args.model)
-    student_ids = [int(s) for s in args.students.split(",")]
+    try:
+        student_ids = [int(s) for s in args.students.split(",")]
+    except ValueError:
+        raise ConfigError(f"--students takes comma-separated ids, got {args.students!r}") from None
+    unknown = [s for s in student_ids if not 0 <= s < model.n_students_]
+    if unknown:
+        raise ConfigError(f"--students {unknown} not in the model's {model.n_students_} students")
     write_profiles_csv(model, student_ids, args.out)
     print(f"wrote profiles for {len(student_ids)} students to {args.out}")
     return 0

@@ -558,17 +558,29 @@ def sweep(
     once and every grid point runs only :func:`attenuate`, which is sound
     because attenuation is a pure function of (model, maps, config). Every
     grid point goes through :func:`resolve_params`, as a run's config does,
-    before anything is trained, so an unknown key raises :class:`ConfigError`;
-    a hif/fim point a run rejects raises ``ValueError``. The selected best config
+    before anything is trained, so an unknown key raises :class:`ConfigError`,
+    as do ``grids`` that are not a mapping of algorithm to a list of parameter
+    objects or that name an algorithm not in ``config.algorithms``; a hif/fim
+    point a run rejects raises ``ValueError``. The selected best config
     is then re-run end to end to confirm its metrics and measure honest wall
-    time. A point is feasible when its utility AUC is within
-    ``epsilon_utility`` of the original model's; among feasible points the
-    winner minimizes the distance of its attack AUC from the retrained
-    model's.
+    time; like any request on the same model and records, the re-run reuses
+    the memoized whole-set Fisher sum (see :func:`fisher_pair`). A point is
+    feasible when its utility AUC is within ``epsilon_utility`` of the
+    original model's; among feasible points the winner minimizes the distance
+    of its attack AUC from the retrained model's.
     """
+    grids = {} if grids is None else grids
+    if not isinstance(grids, dict) or not all(
+        isinstance(grid, list) and all(isinstance(point, dict) for point in grid)
+        for grid in grids.values()
+    ):
+        raise ConfigError("a sweep grid maps each algorithm to a list of parameter objects")
+    unknown = sorted(set(grids) - set(config.algorithms))
+    if unknown:
+        raise ConfigError(f"grid names algorithms {unknown} that the config does not run")
     algo_grids: dict[str, list[dict]] = {}
     for name, base in config.algorithms.items():
-        grid = (grids or {}).get(name, default_grid(name))
+        grid = grids.get(name, default_grid(name))
         if not grid:
             raise ConfigError(f"empty grid for algorithm {name!r}")
         algo_grids[name] = [resolve_params(name, {**base, **point}) for point in grid]

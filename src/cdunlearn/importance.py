@@ -14,6 +14,8 @@ that shrinks each parameter's importance toward its layer mean.
 from __future__ import annotations
 
 import csv
+import hashlib
+import weakref
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -33,10 +35,11 @@ class ImportanceMap(nn.ArrayBundle):
         super().__init__(arrays)
         self.source = source
         self.kind = kind
-        if kind == KIND_FIM:
-            for name, values in self.items():
-                if values.size and values.min() < 0:
-                    raise ValueError(f"negative Fisher importance in layer {name!r}")
+        for name, values in self.items():
+            if not np.isfinite(values).all():
+                raise ValueError(f"non-finite importance in layer {name!r}")
+            if kind == KIND_FIM and values.size and values.min() < 0:
+                raise ValueError(f"negative Fisher importance in layer {name!r}")
 
     def copy(self) -> "ImportanceMap":
         return ImportanceMap(self.copy_arrays(), source=self.source, kind=self.kind)
@@ -87,6 +90,53 @@ def fim_diag(
         raise ValueError("importance needs a nonempty dataset")
     sq = nn.accumulate_sq_grads(model.wiring_, model.params_, s, q, y, batch_size)
     return ImportanceMap(dict(sq.items()), source=source, kind=KIND_FIM)
+
+
+# One entry per model: (digest of its parameters and of the record multiset,
+# sum of squared per-example gradients over that multiset).
+_WHOLE_SET_SUMS: "weakref.WeakKeyDictionary[CDModel, tuple[bytes, nn.GradientBuffer]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def whole_set_sq_grads(
+    model: CDModel, students: np.ndarray, items: np.ndarray, scores: np.ndarray
+) -> nn.GradientBuffer:
+    """Sum of squared per-example loss gradients over the records given as
+    columns, memoized per model.
+
+    The records are summed in a canonical order (by student, item, score), so
+    the sum depends only on the parameters and on the multiset of records: a
+    memoized sum has the bits of a fresh one. The memo keeps one entry per
+    model, keyed by a digest of the parameter bytes and the sorted records; a
+    different multiset, or parameters changed in place, recompute it. The
+    returned arrays are read-only. Scores must be 0 or 1.
+    """
+    model._require_fitted()
+    wiring = model.wiring_
+    s, q = wiring._indices(students, items)
+    if len(scores) == 0:
+        raise ValueError("importance needs a nonempty dataset")
+    if not ((scores == 0.0) | (scores == 1.0)).all():
+        raise ValueError("scores must be 0 or 1")
+    keys = np.sort((s * wiring.n_items + q) * 2 + scores.astype(np.int64))
+    digest = hashlib.sha256(wiring.qrows.tobytes())
+    for name, values in model.params_.items():
+        digest.update(f"{name}{values.shape}".encode())
+        digest.update(np.ascontiguousarray(values).data)
+    digest.update(keys.data)
+    key = digest.digest()
+    cached = _WHOLE_SET_SUMS.get(model)
+    if cached is None or cached[0] != key:
+        pairs = keys >> 1
+        total = nn.sum_sq_grads(
+            wiring, model.params_, pairs // wiring.n_items, pairs % wiring.n_items,
+            (keys & 1).astype(np.float64),
+        )
+        for _, values in total.items():
+            values.setflags(write=False)
+        cached = _WHOLE_SET_SUMS[model] = (key, total)
+    return cached[1]
 
 
 def layer_importance(imp: ImportanceMap) -> dict[str, float]:

@@ -169,6 +169,9 @@ class DecoupledWiring(_Wiring):
     """Forward/backward for the decoupled embedding architecture."""
 
     arch = "decoupled"
+    # Embedding tables by the index that picks their rows: row i of a
+    # "students" table is touched only by records of student i.
+    row_index = {"student_emb": "students", "exercise_emb": "items"}
 
     def layer_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return [
@@ -249,6 +252,7 @@ class MonotonicCdmWiring(_Wiring):
     """Forward/backward for the mastery-table architecture with a monotonic FFN."""
 
     arch = "neuralcdm"
+    row_index = {"student_emb": "students", "diff_emb": "items", "disc_emb": "items"}
 
     def layer_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return [
@@ -508,7 +512,7 @@ class CDModel:
     def load(cls, path: str) -> "CDModel":
         """Read a checkpoint written by :meth:`save`; raises
         :class:`serialize.ContainerError` when its arrays are not exactly the
-        layers its architecture and counts call for."""
+        layers its architecture and counts call for, or hold NaN or ±inf."""
         arrays, meta = serialize.load_bundle(path)
         if meta.get("kind") != "cd_model":
             raise serialize.ContainerError(f"{path} is not a model checkpoint")
@@ -533,6 +537,9 @@ class CDModel:
                 f"{model.arch} layers for {model.n_students_} students, {model.n_items_} "
                 f"items and {model.n_kcs_} KCs"
             )
+        nonfinite = [name for name, _ in shapes if not np.isfinite(arrays[name]).all()]
+        if nonfinite:
+            raise serialize.ContainerError(f"{path}: non-finite values in layers {nonfinite}")
         ordered = {name: arrays[name] for name, _ in shapes}
         model.params_ = nn.ParamStore(ordered, rng_seed=int(meta["rng_seed"]))
         return model

@@ -262,7 +262,7 @@ def example_gradient(wiring, params: ParamStore, student: int, item: int, score:
     return wiring.backward(params, cache, dz, mode="sum")
 
 
-def accumulate_sq_grads(
+def sum_sq_grads(
     wiring,
     params: ParamStore,
     students: np.ndarray,
@@ -270,7 +270,7 @@ def accumulate_sq_grads(
     scores: np.ndarray,
     batch_size: int = 4096,
 ) -> GradientBuffer:
-    """Mean over the dataset of squared per-example loss gradients.
+    """Sum over the dataset of squared per-example loss gradients.
 
     Batches are processed in dataset order and each batch reduces in a fixed
     order, so the result is reproducible bit-for-bit on one machine.
@@ -284,8 +284,21 @@ def accumulate_sq_grads(
         p, cache = wiring.forward(params, students[sl], items[sl], train=False)
         dz = p - scores[sl]
         total.add_(wiring.backward(params, cache, dz, mode="sq_sum"))
-    total.scale_(1.0 / n)
     return total
+
+
+def accumulate_sq_grads(
+    wiring,
+    params: ParamStore,
+    students: np.ndarray,
+    items: np.ndarray,
+    scores: np.ndarray,
+    batch_size: int = 4096,
+) -> GradientBuffer:
+    """Mean over the dataset of squared per-example loss gradients: the
+    :func:`sum_sq_grads` times ``1 / n``."""
+    total = sum_sq_grads(wiring, params, students, items, scores, batch_size)
+    return total.scale_(1.0 / len(scores))
 
 
 @dataclass

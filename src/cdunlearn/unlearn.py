@@ -132,11 +132,36 @@ def fisher_pair(
     forget_records: Sequence[ResponseRecord],
     retain_records: Sequence[ResponseRecord],
 ) -> tuple[imp_mod.ImportanceMap, imp_mod.ImportanceMap]:
-    """Fisher-diagonal importance over the forget and the retain records."""
-    return (
-        imp_mod.fim_diag(model, forget_records, source="forget"),
-        imp_mod.fim_diag(model, retain_records, source="retain"),
-    )
+    """Fisher-diagonal importance over the forget and the retain records.
+
+    The forget map is a pass over the forget records. The retain map takes no
+    pass over the retain records: with ``S`` the model's memoized sum of
+    squared per-example gradients over forget ∪ retain
+    (:func:`importance.whole_set_sq_grads`), it is
+    ``max(S - n_f * F_forget, 0) / n_r``, since the per-example squares add
+    up. Embedding rows that no retain record indexes (the forget students'
+    rows among them) are exactly 0, as in a pass over the retain records;
+    elsewhere the map agrees with ``fim_diag(model, retain_records)`` to
+    rounding.
+    """
+    forget = records_to_arrays(forget_records)
+    retain = records_to_arrays(retain_records)
+    _check_disjoint(forget[0], retain[0])
+    imp_f = imp_mod.fim_diag(model, forget_records, source="forget")
+    union = [np.concatenate(pair) for pair in zip(forget, retain)]
+    total = imp_mod.whole_set_sq_grads(model, *union)
+    n_f, n_r = len(forget[2]), len(retain[2])
+    arrays = {}
+    for name, values in total.items():
+        retained = values - n_f * imp_f[name]
+        np.maximum(retained, 0.0, out=retained)
+        retained *= 1.0 / n_r
+        arrays[name] = retained
+    indexed = {"students": retain[0], "items": retain[1]}
+    for name, index in model.wiring_.row_index.items():
+        rows = arrays[name]
+        rows[np.bincount(indexed[index], minlength=len(rows)) == 0] = 0.0
+    return imp_f, imp_mod.ImportanceMap(arrays, source="retain")
 
 
 def _estimate_and_attenuate(
@@ -148,8 +173,8 @@ def _estimate_and_attenuate(
     report_config: dict,
     estimate: Callable = fisher_pair,
 ) -> tuple[CDModel, UnlearnReport]:
-    """Check the record sets, then time estimation plus :func:`attenuate`."""
-    _check_disjoint(forget_records, retain_records)
+    """Time estimation plus :func:`attenuate`; each estimator checks that the
+    record sets are nonempty and share no student."""
     t0 = time.perf_counter()
     imp_f, imp_r = estimate(model, forget_records, retain_records)
     unlearned, n_selected = attenuate(model, imp_f, imp_r, config)
@@ -254,6 +279,9 @@ def hessian_unlearn(
     config = HIFConfig(alpha=alpha, lambda_=lambda_, beta=0.0, excluded_layers=excluded_layers)
 
     def hessian_pair(model, forget_records, retain_records):
+        _check_disjoint(
+            records_to_arrays(forget_records)[0], records_to_arrays(retain_records)[0]
+        )
         seed_f, seed_r = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
         imp_f = imp_mod.hutchinson_hessian_diag(
             model, forget_records, n_probe_samples, n_batches, seed=seed_f, source="forget"
@@ -275,17 +303,13 @@ def hessian_unlearn(
     )
 
 
-def _check_disjoint(
-    forget_records: Sequence[ResponseRecord], retain_records: Sequence[ResponseRecord]
-) -> None:
-    if len(forget_records) == 0 or len(retain_records) == 0:
+def _check_disjoint(forget_students: np.ndarray, retain_students: np.ndarray) -> None:
+    if len(forget_students) == 0 or len(retain_students) == 0:
         raise ValueError("forget and retain sets must both be nonempty")
-    forget_students = {r.student_id for r in forget_records}
-    retain_students = {r.student_id for r in retain_records}
-    overlap = forget_students & retain_students
+    overlap = np.unique(forget_students[np.isin(forget_students, retain_students)]).tolist()
     if overlap:
         raise ValueError(
-            f"forget and retain sets share students {sorted(overlap)[:5]}..."
+            f"forget and retain sets share students {overlap[:5]}..."
             if len(overlap) > 5
-            else f"forget and retain sets share students {sorted(overlap)}"
+            else f"forget and retain sets share students {overlap}"
         )

@@ -246,6 +246,11 @@ class TestSweep:
             assert point.parameters_modified == ureport.parameters_modified > 0
             assert (point.utility_auc, point.mia_auc) == (direct.utility_auc, direct.mia_auc)
 
+    def test_grid_naming_an_unconfigured_algorithm_rejected(self, tiny_paths):
+        config = _tiny_config(tiny_paths, "sweep_unconfigured")
+        with pytest.raises(ConfigError, match=r"\['fim'\]"):
+            sweep(config, grids={"fim": [{}]}, ctx=object.__new__(_FakeCtx))
+
     def test_empty_grid_rejected(self, tiny_paths):
         config = _tiny_config(tiny_paths, "sweep_empty")
         with pytest.raises(ConfigError, match="empty grid"):
@@ -428,6 +433,56 @@ class TestCli:
         args = ["sweep", "--config", str(config_path), "--grid", str(grid)]
         assert cli_main([*args, "--out", str(tmp_path / "sweep")]) == 1
         assert "alpah" in capsys.readouterr().err
+
+    def _sweep_with_grid(self, tiny_paths, tmp_path, grid_text):
+        responses, qmatrix, _ = tiny_paths
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"responses_path": responses, "qmatrix_path": qmatrix,
+                        "training": {"max_epochs": 2}, "algorithms": {"hif": {}}})
+        )
+        grid = tmp_path / "grid.json"
+        grid.write_text(grid_text)
+        args = ["sweep", "--config", str(config_path), "--grid", str(grid)]
+        return cli_main([*args, "--out", str(tmp_path / "sweep")])
+
+    def test_grid_not_json_exit_code(self, tiny_paths, tmp_path, capsys):
+        assert self._sweep_with_grid(tiny_paths, tmp_path, '{"hif": [') == 1
+        assert "not a JSON grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid", [[{"alpha": 2.0}], {"hif": {"alpha": 2.0}}, {"hif": [2.0]}],
+        ids=["list", "algorithm-to-object", "point-not-object"],
+    )
+    def test_grid_of_the_wrong_shape_exit_code(self, tiny_paths, tmp_path, capsys, grid):
+        assert self._sweep_with_grid(tiny_paths, tmp_path, json.dumps(grid)) == 1
+        assert "list of parameter objects" in capsys.readouterr().err
+
+    def test_grid_naming_an_unconfigured_algorithm_exit_code(self, tiny_paths, tmp_path, capsys):
+        grid = json.dumps({"fim": [{"alpha": 2.0, "lambda_": 0.5}]})
+        assert self._sweep_with_grid(tiny_paths, tmp_path, grid) == 1
+        assert "['fim']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("students", ["1,x", "0,100000"], ids=["not-an-id", "unknown-id"])
+    def test_export_profiles_bad_students_exit_code(self, small_model, tmp_path, capsys, students):
+        ckpt = tmp_path / "model.ckpt"
+        small_model.save(str(ckpt))
+        args = ["export-profiles", "--model", str(ckpt), "--students", students]
+        assert cli_main([*args, "--out", str(tmp_path / "p.csv")]) == 1
+        assert "--students" in capsys.readouterr().err
+
+    def test_nonfinite_checkpoint_exit_code(self, small_model, tmp_path, capsys):
+        from cdunlearn.serialize import load_bundle, save_bundle
+
+        ckpt = str(tmp_path / "model.ckpt")
+        small_model.save(ckpt)
+        arrays, meta = load_bundle(ckpt)
+        arrays["kc_emb"] = arrays["kc_emb"].copy()
+        arrays["kc_emb"][0, 0] = float("nan")
+        save_bundle(ckpt, arrays, meta)
+        args = ["export-profiles", "--model", ckpt, "--students", "0"]
+        assert cli_main([*args, "--out", str(tmp_path / "p.csv")]) == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tiny_paths, tmp_path):
         responses, qmatrix, _ = tiny_paths

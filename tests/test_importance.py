@@ -64,6 +64,22 @@ class TestFisherDiagonal:
         assert fisher.source == "forget" and fisher.kind == "fim"
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["fim", "hessian"])
+    def test_rejected_naming_the_layer(self, bad, kind):
+        with pytest.raises(ValueError, match="non-finite importance in layer 'w'"):
+            ImportanceMap({"ok": np.ones(2), "w": np.array([1.0, bad])}, kind=kind)
+
+    def test_nan_parameter_gives_an_error_not_a_map(self, small_model, small_dataset):
+        # Before this check a NaN map passed as nonnegative and hif/fim then
+        # selected nothing, silently.
+        poisoned = small_model.copy()
+        poisoned.params_["kc_emb"][0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite importance"):
+            fim_diag(poisoned, small_dataset.records)
+
+
 class TestLayerImportance:
     def test_mean_of_two(self):
         imp = ImportanceMap({"layer": np.array([1.0, 3.0])})

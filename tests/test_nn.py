@@ -344,6 +344,17 @@ class TestCheckpointContainer:
         with pytest.raises(serialize.ContainerError, match="do not match"):
             CDModel.load(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_parameters_rejected(self, small_model, tmp_path, bad):
+        path = str(tmp_path / "model.ckpt")
+        small_model.save(path)
+        arrays, meta = serialize.load_bundle(path)
+        arrays["kc_emb"] = arrays["kc_emb"].copy()
+        arrays["kc_emb"][1, 2] = bad
+        serialize.save_bundle(path, arrays, meta)
+        with pytest.raises(serialize.ContainerError, match="non-finite values in layers"):
+            CDModel.load(path)
+
     def test_model_checkpoint_roundtrip(self, small_model, tmp_path, small_dataset):
         path = str(tmp_path / "model.ckpt")
         small_model.save(path)

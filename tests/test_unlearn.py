@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdunlearn import nn
+from cdunlearn.model import CDModel
 from cdunlearn.importance import (
     ImportanceMap,
     fim_diag,
@@ -248,6 +249,122 @@ class TestAttenuateCore:
         _, report = fim_unlearn(small_model, forget, retain, alpha=1.3, lambda_=0.5)
         assert report.algorithm == "fim"
         assert report.config == {"alpha": 1.3, "lambda_": 0.5, "excluded_layers": []}
+
+
+@pytest.fixture(scope="module", params=["decoupled", "neuralcdm"])
+def lone_item_case(request, small_dataset):
+    """A model trained where item 0 is answered only by the forget students
+    (ids below 8), with its forget and retain records."""
+    records = [r for r in small_dataset.records if r.item_id != 0 or r.student_id < 8]
+    model = CDModel(
+        arch=request.param, embed_dim=8, ffn_hidden=(12,), dropout=0.0, max_epochs=15,
+        batch_size=64, seed=5,
+    ).fit(records, small_dataset.qmatrix, n_items=small_dataset.n_items)
+    forget = [r for r in records if r.student_id < 8]
+    retain = [r for r in records if r.student_id >= 8]
+    return model, forget, retain
+
+
+class _CountingSums:
+    """Counts passes of ``nn.sum_sq_grads`` over more than ``floor`` records:
+    the whole-set passes, not the forget passes."""
+
+    def __init__(self, monkeypatch, floor):
+        self.calls = 0
+        original = nn.sum_sq_grads
+
+        def counted(wiring, params, students, *args, **kwargs):
+            self.calls += len(students) > floor
+            return original(wiring, params, students, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "sum_sq_grads", counted)
+
+
+def _same_bits(a, b):
+    return all(values.tobytes() == b[name].tobytes() for name, values in a.items())
+
+
+class TestSubtractiveFisher:
+    """The retain map of :func:`fisher_pair` against the exact two-pass oracle
+    ``fim_diag(model, retain)``."""
+
+    def test_maps_match_the_two_pass_oracle(self, lone_item_case):
+        model, forget, retain = lone_item_case
+        imp_f, imp_r = fisher_pair(model, forget, retain)
+        assert _same_bits(imp_f, fim_diag(model, forget))
+        exact = fim_diag(model, retain)
+        assert (imp_r.source, imp_r.kind) == ("retain", "fim")
+        for name, values in exact.items():
+            np.testing.assert_allclose(imp_r[name], values, rtol=1e-12, atol=0.0, err_msg=name)
+
+    def test_untouched_rows_exactly_zero_and_no_negatives(self, lone_item_case):
+        model, forget, retain = lone_item_case
+        _, imp_r = fisher_pair(model, forget, retain)
+        exact = fim_diag(model, retain)
+        for name, values in imp_r.items():
+            assert (values >= 0).all()
+            assert np.array_equal(values == 0, exact[name] == 0), name
+        assert not imp_r["student_emb"][:8].any() and imp_r["student_emb"][8:].any(axis=1).all()
+        item_tables = [n for n, index in model.wiring_.row_index.items() if index == "items"]
+        for name in item_tables:
+            assert not imp_r[name][0].any() and imp_r[name][1:].any(axis=1).all()
+
+    def test_hit_has_the_bits_of_a_miss(self, lone_item_case, monkeypatch):
+        model, forget, retain = lone_item_case
+        fresh = model.copy()
+        shuffled = [retain[i] for i in np.random.default_rng(0).permutation(len(retain))]
+        sums = _CountingSums(monkeypatch, len(forget))
+        missed = fisher_pair(fresh, forget, retain)
+        assert sums.calls == 1
+        hit = fisher_pair(fresh, forget, retain)
+        hit_shuffled = fisher_pair(fresh, forget, shuffled)
+        assert sums.calls == 1
+        assert _same_bits(hit[0], missed[0]) and _same_bits(hit[1], missed[1])
+        assert _same_bits(hit_shuffled[1], fisher_pair(model.copy(), forget, shuffled)[1])
+        assert sums.calls == 2
+
+    def test_recomputed_after_in_place_change_or_for_another_union(
+        self, lone_item_case, monkeypatch
+    ):
+        model, forget, retain = lone_item_case
+        changed = model.copy()
+        fisher_pair(changed, forget, retain)
+        changed.params_["student_emb"][20, 0] += 1e-3
+        fewer = retain[: len(retain) // 2]
+        oracles = fim_diag(changed, retain), fim_diag(changed, fewer)
+        sums = _CountingSums(monkeypatch, len(forget))
+        _, after_change = fisher_pair(changed, forget, retain)
+        assert sums.calls == 1
+        _, other_union = fisher_pair(changed, forget, fewer)
+        assert sums.calls == 2
+        assert _same_bits(after_change, fisher_pair(changed.copy(), forget, retain)[1])
+        for got, oracle in zip((after_change, other_union), oracles):
+            for name, values in oracle.items():
+                np.testing.assert_allclose(got[name], values, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    def test_selections_match_the_two_pass_maps(self, lone_item_case, alpha, beta):
+        model, forget, retain = lone_item_case
+        cfg = HIFConfig(alpha=alpha, lambda_=0.8, beta=beta)
+        got, n_got = attenuate(model, *fisher_pair(model, forget, retain), cfg)
+        want, n_want = attenuate(model, fim_diag(model, forget), fim_diag(model, retain), cfg)
+        assert n_got == n_want > 0
+        for name, values in model.params_.items():
+            assert np.array_equal(got.params_[name] != values, want.params_[name] != values)
+            np.testing.assert_allclose(got.params_[name], want.params_[name], rtol=1e-12)
+        # item 0's rows have no retain importance: every one with forget importance goes
+        imp_f = fim_diag(model, forget)
+        for name, index in model.wiring_.row_index.items():
+            if index == "items":
+                changed = got.params_[name][0] != model.params_[name][0]
+                assert changed[imp_f[name][0] > 0].all() and (imp_f[name][0] > 0).any()
+
+    def test_scores_must_be_binary(self, small_model, forget_retain):
+        forget, retain = forget_retain
+        graded = [r._replace(score=2) for r in retain[:5]] + list(retain[5:])
+        with pytest.raises(ValueError, match="0 or 1"):
+            fisher_pair(small_model, forget, graded)
 
 
 class TestGradientAscent:
