@@ -5,6 +5,7 @@ from .data import (
     Dataset,
     MiaSplits,
     QMatrix,
+    Records,
     RecordSplit,
     ResponseRecord,
     StudentPartition,
@@ -56,6 +57,7 @@ __all__ = [
     "Dataset",
     "MiaSplits",
     "QMatrix",
+    "Records",
     "RecordSplit",
     "ResponseRecord",
     "StudentPartition",

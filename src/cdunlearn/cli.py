@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import metrics, synth
-from .data import DataFormatError, DataValidationError, records_to_arrays
+from .data import DataFormatError, DataValidationError
 from .experiment import (
     ALGORITHM_NAMES,
     ConfigError,
@@ -72,8 +72,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         n_students=dataset.n_students,
         n_items=dataset.n_items,
     )
-    s, q, y = records_to_arrays(split.test)
-    probs = model.predict_proba((s, q))
+    probs = model.predict_proba(split.test)
+    y = split.test.scores
     summary = {
         "test_auc": metrics.auc(probs, y),
         "test_acc": metrics.acc(probs, y),

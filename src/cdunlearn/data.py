@@ -31,6 +31,7 @@ __all__ = [
     "DataFormatError",
     "DataValidationError",
     "ResponseRecord",
+    "Records",
     "QMatrix",
     "Dataset",
     "RecordSplit",
@@ -62,6 +63,62 @@ class ResponseRecord(NamedTuple):
     score: int
 
 
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Response records held column-wise and read-only: int64 ``students`` and
+    ``items``, float64 ``scores``. Every function that takes records accepts a
+    ``Records`` or any sequence of ``(student_id, item_id, score)`` records.
+
+    ``len``, ``+`` (concatenation in order) and equality work on the values.
+    An integer index gives one :class:`ResponseRecord`; a slice, boolean mask
+    or index array gives a ``Records``. Iteration yields ``ResponseRecord`` s
+    of Python ints.
+    """
+
+    students: np.ndarray
+    items: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("students", np.int64), ("items", np.int64), ("scores", np.float64)):
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            if col.ndim != 1:
+                raise ValueError(f"record column {name} must be 1-d, got shape {col.shape}")
+            if col.flags.writeable:  # never alias an array the caller can still write
+                col = col.copy()
+                col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        if len(set(map(len, self.columns))) != 1:
+            raise ValueError(f"record columns differ in length: {list(map(len, self.columns))}")
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.students, self.items, self.scores
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __iter__(self):
+        # tuple.__new__ is ResponseRecord._make without its per-record length check
+        cols = zip(self.students.tolist(), self.items.tolist(), self.scores.astype(int).tolist())
+        return map(tuple.__new__, itertools.repeat(ResponseRecord), cols)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return ResponseRecord(*(int(c[key]) for c in self.columns))
+        return Records(self.students[key], self.items[key], self.scores[key])
+
+    def __add__(self, other):
+        if not isinstance(other, Records):
+            return NotImplemented
+        return Records(*(np.concatenate(pair) for pair in zip(self.columns, other.columns)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Records):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+
+
 @dataclass(frozen=True)
 class QMatrix:
     """Expert item-to-knowledge-component binary matrix, shape (n_items, n_kcs)."""
@@ -90,15 +147,12 @@ class QMatrix:
     def n_kcs(self) -> int:
         return self.entries.shape[1]
 
-    def row(self, item_id: int) -> np.ndarray:
-        return self.entries[item_id]
-
 
 @dataclass(frozen=True)
 class Dataset:
     """A full response log with its dimensions and (optionally) its Q-matrix."""
 
-    records: tuple[ResponseRecord, ...]
+    records: Records
     n_students: int
     n_items: int
     qmatrix: QMatrix | None = None
@@ -117,9 +171,9 @@ class Dataset:
 class RecordSplit:
     """Disjoint train/valid/test record lists whose union is the input records."""
 
-    train: tuple[ResponseRecord, ...]
-    valid: tuple[ResponseRecord, ...]
-    test: tuple[ResponseRecord, ...]
+    train: Records
+    valid: Records
+    test: Records
 
 
 @dataclass(frozen=True)
@@ -137,31 +191,31 @@ class StudentPartition:
 
 @dataclass(frozen=True)
 class MiaSplits:
-    """Record lists per (student group, record split) cell.
+    """Records per (student group, record split) cell.
 
     Every record of the originating dataset lands in exactly one field.
     """
 
-    forget_train: tuple[ResponseRecord, ...]
-    forget_valid: tuple[ResponseRecord, ...]
-    forget_test: tuple[ResponseRecord, ...]
-    nm_train_train: tuple[ResponseRecord, ...]
-    nm_train_valid: tuple[ResponseRecord, ...]
-    nm_train_test: tuple[ResponseRecord, ...]
-    nm_eval_train: tuple[ResponseRecord, ...]
-    nm_eval_valid: tuple[ResponseRecord, ...]
-    nm_eval_test: tuple[ResponseRecord, ...]
-    retain_train: tuple[ResponseRecord, ...]
-    retain_valid: tuple[ResponseRecord, ...]
-    retain_test: tuple[ResponseRecord, ...]
+    forget_train: Records
+    forget_valid: Records
+    forget_test: Records
+    nm_train_train: Records
+    nm_train_valid: Records
+    nm_train_test: Records
+    nm_eval_train: Records
+    nm_eval_valid: Records
+    nm_eval_test: Records
+    retain_train: Records
+    retain_valid: Records
+    retain_test: Records
 
     @property
-    def forget_train_valid(self) -> tuple[ResponseRecord, ...]:
+    def forget_train_valid(self) -> Records:
         """Everything the original model saw from the forget students."""
         return self.forget_train + self.forget_valid
 
     @property
-    def retain_train_valid(self) -> tuple[ResponseRecord, ...]:
+    def retain_train_valid(self) -> Records:
         """Everything the retrained model is allowed to see."""
         return self.retain_train + self.retain_valid
 
@@ -211,15 +265,10 @@ def load_responses(path: str) -> Dataset:
     if not raw:
         raise DataValidationError(f"{path}: no records")
 
-    student_ids = sorted({r[0] for r in raw})
-    item_ids = sorted({r[1] for r in raw})
-    student_map = {orig: dense for dense, orig in enumerate(student_ids)}
-    item_map = {orig: dense for dense, orig in enumerate(item_ids)}
-    records = tuple(
-        ResponseRecord(student_map[sid], item_map[iid], score)
-        for sid, iid, score in raw
-    )
-    return Dataset(records=records, n_students=len(student_ids), n_items=len(item_ids))
+    raw_students, raw_items, scores = records_to_arrays(raw)
+    student_ids, students = np.unique(raw_students, return_inverse=True)
+    item_ids, items = np.unique(raw_items, return_inverse=True)
+    return Dataset(Records(students, items, scores), len(student_ids), len(item_ids))
 
 
 def load_qmatrix(path: str) -> QMatrix:
@@ -280,12 +329,11 @@ def split_records(
     n_valid = _floor_share(n, ratios[1])
     n_test = _floor_share(n, ratios[2])
     n_train = n - n_valid - n_test
-    perm = np.random.default_rng(seed).permutation(n)
-    shuffled = [dataset.records[i] for i in perm]
+    shuffled = dataset.records[np.random.default_rng(seed).permutation(n)]
     return RecordSplit(
-        train=tuple(shuffled[:n_train]),
-        valid=tuple(shuffled[n_train : n_train + n_valid]),
-        test=tuple(shuffled[n_train + n_valid :]),
+        train=shuffled[:n_train],
+        valid=shuffled[n_train : n_train + n_valid],
+        test=shuffled[n_train + n_valid :],
     )
 
 
@@ -302,19 +350,10 @@ def partition_students(dataset: Dataset, ratio: float, seed: int = 0) -> Student
         raise DataValidationError(
             f"ratio {ratio} selects zero students out of {dataset.n_students}"
         )
-    perm = np.random.default_rng(seed).permutation(dataset.n_students)
-    forget = frozenset(int(s) for s in perm[:size])
-    nm_train = frozenset(int(s) for s in perm[size : 2 * size])
-    nm_eval = frozenset(int(s) for s in perm[2 * size : 3 * size])
-    retain = frozenset(int(s) for s in perm[3 * size :])
-    return StudentPartition(
-        forget=forget,
-        nm_train=nm_train,
-        nm_eval=nm_eval,
-        retain=retain,
-        ratio=ratio,
-        n_students=dataset.n_students,
-    )
+    perm = np.random.default_rng(seed).permutation(dataset.n_students).tolist()
+    forget, nm_train, nm_eval = (frozenset(perm[i * size : (i + 1) * size]) for i in range(3))
+    retain = frozenset(perm[3 * size :])
+    return StudentPartition(forget, nm_train, nm_eval, retain, ratio, dataset.n_students)
 
 
 _GROUPS = ("forget", "nm_train", "nm_eval", "retain")
@@ -326,44 +365,47 @@ def derive_mia_subsets(partition: StudentPartition, split: RecordSplit) -> MiaSp
     Raises if the split references students outside the partition (the two must
     come from the same dataset).
     """
-    group_of = np.full(partition.n_students, -1, dtype=np.int64)
-    for gi, name in enumerate(_GROUPS):
-        for sid in getattr(partition, name):
-            group_of[sid] = gi
+    n = partition.n_students
+    group_of = np.full(n, _GROUPS.index("retain"), dtype=np.int64)
+    for gi, name in enumerate(_GROUPS[:-1]):
+        group_of[np.fromiter(getattr(partition, name), np.int64)] = gi
 
-    seen: set[int] = set()
-    buckets: dict[str, list[ResponseRecord]] = {
-        f"{g}_{s}": [] for g in _GROUPS for s in ("train", "valid", "test")
-    }
+    seen = np.zeros(n, dtype=bool)
+    cells: dict[str, Records] = {}
     for split_name in ("train", "valid", "test"):
-        for rec in getattr(split, split_name):
-            if rec.student_id >= partition.n_students:
-                raise DataValidationError(
-                    f"record student {rec.student_id} outside partition of "
-                    f"{partition.n_students} students; mismatched dataset?"
-                )
-            buckets[f"{_GROUPS[group_of[rec.student_id]]}_{split_name}"].append(rec)
-            seen.add(rec.student_id)
-    if len(seen) != partition.n_students:
+        records = getattr(split, split_name)
+        outside = np.flatnonzero(records.students >= n)
+        if outside.size:
+            raise DataValidationError(
+                f"record student {records.students[outside[0]]} outside partition of "
+                f"{n} students; mismatched dataset?"
+            )
+        seen[records.students] = True
+        groups = group_of[records.students]
+        for gi, group in enumerate(_GROUPS):
+            cells[f"{group}_{split_name}"] = records[groups == gi]
+    if seen.sum() != n:
         raise DataValidationError(
-            f"split covers {len(seen)} students but partition has "
-            f"{partition.n_students}; mismatched dataset?"
+            f"split covers {seen.sum()} students but partition has {n}; "
+            "mismatched dataset?"
         )
-    return MiaSplits(**{name: tuple(recs) for name, recs in buckets.items()})
+    return MiaSplits(**cells)
 
 
 def records_to_arrays(
-    records: Sequence[ResponseRecord] | Iterable[ResponseRecord],
+    records: Records | Sequence[ResponseRecord] | Iterable[ResponseRecord],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columnize records into (student, item, score) arrays for vectorized math.
 
-    Raises ``ValueError`` naming the first record that does not have exactly
-    three fields.
+    A :class:`Records` hands over its own read-only columns. Any other
+    sequence or iterable of 3-field records is columnized; ``ValueError``
+    names the first record that does not have exactly three fields.
     """
+    if isinstance(records, Records):
+        return records.columns
     recs = records if isinstance(records, (list, tuple)) else list(records)
     if set(map(len, recs)) - {3}:
         i, bad = next((i, r) for i, r in enumerate(recs) if len(r) != 3)
         raise ValueError(f"record {i} has {len(bad)} fields, expected 3: {bad!r}")
     flat = np.fromiter(itertools.chain.from_iterable(recs), np.int64, count=3 * len(recs))
-    arr = flat.reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2].astype(np.float64)
+    return flat[0::3], flat[1::3], flat[2::3].astype(np.float64)

@@ -320,8 +320,7 @@ class ExperimentContext:
         """AUC and ACC on the retain students' test records."""
         records = self.mia_splits.retain_test
         probs = model.predict_proba(records)
-        labels = np.asarray([r.score for r in records], dtype=np.float64)
-        return metrics.auc(probs, labels), metrics.acc(probs, labels)
+        return metrics.auc(probs, records.scores), metrics.acc(probs, records.scores)
 
     def entry_for(
         self, tag: str, model: CDModel, unlearn_report: UnlearnReport | None = None

@@ -13,7 +13,6 @@ that shrinks each parameter's importance toward its layer mean.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import weakref
 from typing import Callable, Mapping, Sequence
@@ -21,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import nn, serialize
-from .data import ResponseRecord, records_to_arrays
+from .data import Records, ResponseRecord, records_to_arrays
 from .model import CDModel
 
 KIND_FIM = "fim"
@@ -63,18 +62,10 @@ class ImportanceMap(nn.ArrayBundle):
             raise serialize.ContainerError(f"{path} is not an importance map")
         return cls(arrays, source=meta.get("source", ""), kind=meta.get("estimator", KIND_FIM))
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["layer_id", "index", "value"])
-            for name, values in self.items():
-                for idx, value in enumerate(values.ravel()):
-                    writer.writerow([name, idx, repr(float(value))])
-
 
 def fim_diag(
     model: CDModel,
-    records: Sequence[ResponseRecord],
+    records: Records | Sequence[ResponseRecord],
     source: str = "",
     batch_size: int = 4096,
 ) -> ImportanceMap:
@@ -196,7 +187,7 @@ def hutchinson_diag(
 
 def hutchinson_hessian_diag(
     model: CDModel,
-    records: Sequence[ResponseRecord],
+    records: Records | Sequence[ResponseRecord],
     n_probe_samples: int,
     n_batches: int = 1,
     seed: int = 0,

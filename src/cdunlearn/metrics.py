@@ -2,24 +2,19 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
-class ScoredLabels(NamedTuple):
-    scores: np.ndarray
-    labels: np.ndarray
-
-
-def _as_scored(scores: Sequence[float], labels: Sequence[int]) -> ScoredLabels:
+def _as_scored(scores: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length 1-d sequences")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("labels must be binary")
-    return ScoredLabels(s, y)
+    return s, y
 
 
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:

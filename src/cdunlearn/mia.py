@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics, nn
-from .data import ResponseRecord, records_to_arrays
+from .data import Records, ResponseRecord, records_to_arrays
 from .model import CDModel
 
 FEATURE_NAMES = ("prob", "label", "loss", "abs_error", "uncertainty")
@@ -64,15 +64,15 @@ def prediction_features(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def extract_features(
     model: CDModel,
-    records: Sequence[ResponseRecord],
+    records: Records | Sequence[ResponseRecord],
     group: str = "",
     model_tag: str = "",
 ) -> FeatureBatch:
     """Run records through the model (inference mode) and featurize the outputs."""
     if len(records) == 0:
         raise ValueError("cannot extract features from zero records")
-    s, q, y = records_to_arrays(records)
-    probs = model.predict_proba((s, q))
+    _, _, y = records_to_arrays(records)
+    probs = model.predict_proba(records)
     return FeatureBatch(prediction_features(probs, y), group=group, model_tag=model_tag)
 
 
@@ -155,8 +155,8 @@ def train_attacker(
 def evaluate_attack(
     attacker: LogisticAttacker,
     model: CDModel,
-    forget_test_records: Sequence[ResponseRecord],
-    nm_eval_test_records: Sequence[ResponseRecord],
+    forget_test_records: Records | Sequence[ResponseRecord],
+    nm_eval_test_records: Records | Sequence[ResponseRecord],
     model_tag: str = "",
 ) -> MIAReport:
     """Attack a model: forgotten students' test records against the clean

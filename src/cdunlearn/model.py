@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics, nn, serialize
-from .data import QMatrix, ResponseRecord, records_to_arrays
+from .data import QMatrix, Records, ResponseRecord, records_to_arrays
 
 ARCHITECTURES = ("decoupled", "neuralcdm")
 
@@ -393,9 +393,9 @@ class CDModel:
     # -- training --------------------------------------------------------
     def fit(
         self,
-        records: Sequence[ResponseRecord],
+        records: Records | Sequence[ResponseRecord],
         qmatrix: QMatrix,
-        valid_records: Sequence[ResponseRecord] | None = None,
+        valid_records: Records | Sequence[ResponseRecord] | None = None,
         n_students: int | None = None,
         n_items: int | None = None,
     ) -> "CDModel":
@@ -436,26 +436,10 @@ class CDModel:
         return self
 
     # -- inference -------------------------------------------------------
-    def _as_arrays(self, records) -> tuple[np.ndarray, np.ndarray]:
-        pair = isinstance(records, tuple) and len(records) == 2
-        if pair and all(isinstance(a, np.ndarray) for a in records):
-            return tuple(np.asarray(a, dtype=np.int64) for a in records)
-        s, q, _ = records_to_arrays(records)
-        return s, q
-
-    def predict_proba(self, records) -> np.ndarray:
-        """Correct-response probabilities for records or a pair of (students,
-        items) NumPy arrays."""
+    def predict_proba(self, records: Records | Sequence[ResponseRecord]) -> np.ndarray:
+        """Correct-response probabilities, one per record."""
         self._require_fitted()
-        s, q = self._as_arrays(records)
-        return nn._predict_all(self.wiring_, self.params_, (s, q, None))
-
-    def predict(self, student_id: int, item_id: int) -> float:
-        self._require_fitted()
-        p, _ = self.wiring_.forward(
-            self.params_, np.asarray([student_id]), np.asarray([item_id]), train=False
-        )
-        return float(p[0])
+        return nn._predict_all(self.wiring_, self.params_, records_to_arrays(records))
 
     def proficiency(self, student_id: int) -> np.ndarray:
         """The student's per-KC proficiency vector, each entry in (0, 1)."""
@@ -466,12 +450,10 @@ class CDModel:
             self.params_, np.asarray([student_id], dtype=np.int64)
         )[0]
 
-    def mean_loss(self, records: Sequence[ResponseRecord]) -> float:
+    def mean_loss(self, records: Records | Sequence[ResponseRecord]) -> float:
         """Mean binary cross-entropy over the given records, dropout disabled."""
-        self._require_fitted()
-        s, q, y = records_to_arrays(records)
-        probs = self.predict_proba((s, q))
-        return float(np.mean(nn.bce_loss(probs, y)))
+        _, _, y = records_to_arrays(records)
+        return float(np.mean(nn.bce_loss(self.predict_proba(records), y)))
 
     # -- copies and persistence -------------------------------------------
     def with_params(self, params: nn.ParamStore) -> "CDModel":
@@ -547,8 +529,8 @@ class CDModel:
 
 def train(
     arch_config: CDArchConfig,
-    train_records: Sequence[ResponseRecord],
-    valid_records: Sequence[ResponseRecord] | None,
+    train_records: Records | Sequence[ResponseRecord],
+    valid_records: Records | Sequence[ResponseRecord] | None,
     qmatrix: QMatrix,
     train_config: nn.TrainConfig | None = None,
     seed: int = 0,

@@ -248,11 +248,6 @@ def optimizer_step(
     return params, state
 
 
-def forward_predict(wiring, params: ParamStore, students, items):
-    """Inference-mode forward pass: probabilities plus the activation cache."""
-    return wiring.forward(params, np.asarray(students), np.asarray(items), train=False)
-
-
 def example_gradient(wiring, params: ParamStore, student: int, item: int, score: float) -> GradientBuffer:
     """Exact loss gradient for a single example; untouched parameters are 0."""
     s = np.asarray([student], dtype=np.int64)

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .data import Dataset, QMatrix, ResponseRecord
+from .data import Dataset, QMatrix, Records, records_to_arrays
 
 
 def generate_qmatrix(
@@ -74,27 +74,21 @@ def generate_dataset(
     else:
         keep = rng.random((n_students, n_items)) < density
         keep[np.flatnonzero(keep.sum(axis=1) == 0), 0] = True  # no orphan students
-    records = tuple(
-        ResponseRecord(int(s), int(j), int(scores[s, j]))
-        for s in range(n_students)
-        for j in range(n_items)
-        if keep[s, j]
-    )
+    students, items = np.nonzero(keep)  # row-major: by student, then item
     return Dataset(
-        records=records, n_students=n_students, n_items=n_items, qmatrix=qmatrix
+        Records(students, items, scores[students, items]), n_students, n_items, qmatrix
     )
 
 
 def write_dataset_csv(dataset: Dataset, responses_path: str, qmatrix_path: str) -> None:
     """Write a dataset in the CSV formats the loaders expect."""
+    if dataset.qmatrix is None:
+        raise ValueError("dataset has no Q-matrix to write")
     os.makedirs(os.path.dirname(os.path.abspath(responses_path)), exist_ok=True)
     with open(responses_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["student_id", "item_id", "score"])
-        for rec in dataset.records:
-            writer.writerow([rec.student_id, rec.item_id, rec.score])
-    if dataset.qmatrix is None:
-        raise ValueError("dataset has no Q-matrix to write")
+        writer.writerows(zip(*(c.astype(int).tolist() for c in records_to_arrays(dataset.records))))
     with open(qmatrix_path, "w", newline="") as f:
         writer = csv.writer(f)
         for row in dataset.qmatrix.entries:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import importance as imp_mod
 from . import nn
-from .data import ResponseRecord, records_to_arrays
+from .data import Records, ResponseRecord, records_to_arrays
 from .model import CDModel
 
 
@@ -129,8 +129,8 @@ def attenuate(
 
 def fisher_pair(
     model: CDModel,
-    forget_records: Sequence[ResponseRecord],
-    retain_records: Sequence[ResponseRecord],
+    forget_records: Records | Sequence[ResponseRecord],
+    retain_records: Records | Sequence[ResponseRecord],
 ) -> tuple[imp_mod.ImportanceMap, imp_mod.ImportanceMap]:
     """Fisher-diagonal importance over the forget and the retain records.
 
@@ -167,8 +167,8 @@ def fisher_pair(
 def _estimate_and_attenuate(
     algorithm: str,
     model: CDModel,
-    forget_records: Sequence[ResponseRecord],
-    retain_records: Sequence[ResponseRecord],
+    forget_records: Records | Sequence[ResponseRecord],
+    retain_records: Records | Sequence[ResponseRecord],
     config: HIFConfig,
     report_config: dict,
     estimate: Callable = fisher_pair,
@@ -184,8 +184,8 @@ def _estimate_and_attenuate(
 
 def hif_unlearn(
     model: CDModel,
-    forget_records: Sequence[ResponseRecord],
-    retain_records: Sequence[ResponseRecord],
+    forget_records: Records | Sequence[ResponseRecord],
+    retain_records: Records | Sequence[ResponseRecord],
     config: HIFConfig,
 ) -> tuple[CDModel, UnlearnReport]:
     """Attenuate parameters over-specialized to ``forget_records``.
@@ -202,8 +202,8 @@ def hif_unlearn(
 
 def fim_unlearn(
     model: CDModel,
-    forget_records: Sequence[ResponseRecord],
-    retain_records: Sequence[ResponseRecord],
+    forget_records: Records | Sequence[ResponseRecord],
+    retain_records: Records | Sequence[ResponseRecord],
     alpha: float,
     lambda_: float,
     excluded_layers: frozenset[str] = frozenset(),
@@ -218,7 +218,7 @@ def fim_unlearn(
 
 def gradient_ascent_unlearn(
     model: CDModel,
-    forget_records: Sequence[ResponseRecord],
+    forget_records: Records | Sequence[ResponseRecord],
     lr: float,
     steps: int,
 ) -> tuple[CDModel, UnlearnReport]:
@@ -260,8 +260,8 @@ def gradient_ascent_unlearn(
 
 def hessian_unlearn(
     model: CDModel,
-    forget_records: Sequence[ResponseRecord],
-    retain_records: Sequence[ResponseRecord],
+    forget_records: Records | Sequence[ResponseRecord],
+    retain_records: Records | Sequence[ResponseRecord],
     alpha: float,
     lambda_: float,
     n_probe_samples: int,

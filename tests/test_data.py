@@ -1,5 +1,6 @@
 """Ingestion, record splitting, and the student-level MIA partition."""
 
+import csv
 import math
 
 import numpy as np
@@ -10,7 +11,10 @@ from cdunlearn.data import (
     DataFormatError,
     DataValidationError,
     Dataset,
+    MiaSplits,
     QMatrix,
+    Records,
+    RecordSplit,
     ResponseRecord,
     derive_mia_subsets,
     load_qmatrix,
@@ -71,7 +75,7 @@ class TestLoadResponses:
         ds = load_responses(path)
         assert ds.n_students == 2 and ds.n_items == 2
         # sorted original-id order: student 5 -> 0, 100 -> 1; item 7 -> 0, 9 -> 1
-        assert ds.records == (
+        assert tuple(ds.records) == (
             ResponseRecord(1, 0, 1),
             ResponseRecord(0, 0, 0),
             ResponseRecord(1, 1, 1),
@@ -140,7 +144,7 @@ class TestSplitRecords:
             split_records(small_dataset, (0.6, 0.2, -0.2 + 1.4))
 
     def test_empty_dataset(self):
-        ds = Dataset(records=(), n_students=0, n_items=0)
+        ds = Dataset(records=Records([], [], []), n_students=0, n_items=0)
         with pytest.raises(DataValidationError):
             split_records(ds)
 
@@ -274,3 +278,167 @@ class TestRecordsToArrays:
             records_to_arrays([(0, 1, 1, 5), (2, 3)])
         with pytest.raises(ValueError, match=r"record 2 has 4 fields"):
             records_to_arrays(iter([(0, 1, 1), (2, 3, 0), (4, 5, 1, 0), (6, 7)]))
+
+
+class TestRecords:
+    def test_columns_validated(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Records([0, 1], [0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="1-d"):
+            Records(np.zeros((2, 2)), [0, 1], [1.0, 0.0])
+
+    def test_read_only(self):
+        students = np.array([3, 1, 2])
+        recs = Records(students, [0, 1, 0], [1, 0, 1])
+        for col in recs.columns:
+            with pytest.raises(ValueError):
+                col[0] = 0
+        with pytest.raises(AttributeError):
+            recs.scores = np.zeros(3)
+        students[0] = 9  # the caller's array is not aliased
+        assert recs.students[0] == 3
+        assert (recs.students.dtype, recs.items.dtype, recs.scores.dtype) == (
+            np.int64, np.int64, np.float64,
+        )
+
+    def test_iteration_yields_records_of_python_ints(self):
+        recs = Records([3, 1], [0, 2], [1.0, 0.0])
+        got = list(recs)
+        assert got == [ResponseRecord(3, 0, 1), ResponseRecord(1, 2, 0)]
+        assert all(type(r) is ResponseRecord for r in got)
+        assert all(type(v) is int for r in got for v in r)
+        assert all(type(v) is int for v in recs[1]) and recs[-1] == got[1]
+
+    def test_selection(self):
+        recs = Records([0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [1, 0, 1, 0, 1])
+        assert list(recs[1:3]) == [ResponseRecord(1, 6, 0), ResponseRecord(2, 7, 1)]
+        mask = np.array([True, False, False, True, True])
+        assert recs[mask] == Records([0, 3, 4], [5, 8, 9], [1, 0, 1])
+        assert recs[np.array([4, 0, 4])] == Records([4, 0, 4], [9, 5, 9], [1, 1, 1])
+        assert len(recs[:0]) == 0 and not recs[:0]
+
+    def test_concatenation_keeps_order(self):
+        a = Records([2, 0], [1, 1], [1, 0])
+        b = Records([1], [3], [1])
+        assert list(a + b) == list(a) + list(b)
+        assert list(b + a) == list(b) + list(a)
+
+    def test_equality(self):
+        a = Records([0, 1], [2, 3], [1, 0])
+        assert a == Records(np.array([0, 1]), (2, 3), np.array([1.0, 0.0]))
+        assert a != Records([0, 1], [2, 3], [1, 1])
+        assert a != Records([0], [2], [1])
+        assert a != tuple(a)
+
+    def test_records_to_arrays_hands_over_the_columns(self):
+        recs = Records([0, 1], [2, 3], [1, 0])
+        for got, col in zip(records_to_arrays(recs), recs.columns):
+            assert got is col
+
+
+def test_write_dataset_csv_without_qmatrix_writes_nothing(tmp_path):
+    ds = synth.generate_dataset(5, 3, 2, seed=0)
+    bare = Dataset(records=ds.records, n_students=5, n_items=3)
+    responses, qmatrix = tmp_path / "out" / "r.csv", tmp_path / "out" / "q.csv"
+    with pytest.raises(ValueError, match="no Q-matrix"):
+        synth.write_dataset_csv(bare, str(responses), str(qmatrix))
+    assert not responses.exists() and not qmatrix.exists()
+
+
+# -- reference implementations: the tuple-of-records pipeline ---------------
+def ref_generate_records(n_students, n_items, n_kcs, seed, student_scale=4.4,
+                         item_scale=2.6, complete=True, density=1.0):
+    rng = np.random.default_rng(seed)
+    qrows = synth.generate_qmatrix(n_items, n_kcs, rng).entries
+    mastery = rng.standard_normal((n_students, n_kcs))
+    difficulty = rng.standard_normal((n_items, n_kcs))
+    kc_counts = qrows.sum(axis=1)
+    student_part = mastery @ qrows.T / kc_counts
+    item_part = (difficulty * qrows).sum(axis=1) / kc_counts
+    probs = 1.0 / (1.0 + np.exp(-(student_scale * student_part - item_scale * item_part)))
+    scores = (rng.random((n_students, n_items)) < probs).astype(np.int64)
+    if complete:
+        keep = np.ones((n_students, n_items), dtype=bool)
+    else:
+        keep = rng.random((n_students, n_items)) < density
+        keep[np.flatnonzero(keep.sum(axis=1) == 0), 0] = True
+    return tuple(
+        ResponseRecord(int(s), int(j), int(scores[s, j]))
+        for s in range(n_students)
+        for j in range(n_items)
+        if keep[s, j]
+    )
+
+
+def ref_remap(raw):
+    student_map = {orig: dense for dense, orig in enumerate(sorted({r[0] for r in raw}))}
+    item_map = {orig: dense for dense, orig in enumerate(sorted({r[1] for r in raw}))}
+    return tuple(ResponseRecord(student_map[s], item_map[i], y) for s, i, y in raw)
+
+
+def ref_split_records(records, ratios, seed):
+    n = len(records)
+    n_valid = math.floor(n * ratios[1] + 1e-9)
+    n_test = math.floor(n * ratios[2] + 1e-9)
+    n_train = n - n_valid - n_test
+    shuffled = [records[i] for i in np.random.default_rng(seed).permutation(n)]
+    return {
+        "train": tuple(shuffled[:n_train]),
+        "valid": tuple(shuffled[n_train : n_train + n_valid]),
+        "test": tuple(shuffled[n_train + n_valid :]),
+    }
+
+
+def ref_derive_mia_subsets(partition, split):
+    group_of = {s: g for g in ("forget", "nm_train", "nm_eval", "retain")
+                for s in getattr(partition, g)}
+    buckets = {f"{g}_{s}": [] for g in ("forget", "nm_train", "nm_eval", "retain")
+               for s in ("train", "valid", "test")}
+    for split_name, records in split.items():
+        for rec in records:
+            buckets[f"{group_of[rec.student_id]}_{split_name}"].append(rec)
+    return {name: tuple(recs) for name, recs in buckets.items()}
+
+
+ORACLE_SHAPES = {
+    "paper-536x20x8": dict(n_students=536, n_items=20, n_kcs=8, seed=7),
+    "sparse-1500x40": dict(n_students=1500, n_items=40, n_kcs=6, seed=3,
+                           complete=False, density=0.4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ORACLE_SHAPES))
+class TestColumnarMatchesTupleReference:
+    """The columnar pipeline gives the tuple pipeline's records, in its order."""
+
+    def test_generate(self, shape):
+        kwargs = ORACLE_SHAPES[shape]
+        ds = synth.generate_dataset(student_scale=4.4, item_scale=2.6, **kwargs)
+        assert tuple(ds.records) == ref_generate_records(**kwargs)
+
+    def test_load_remaps_sparse_ids(self, shape, tmp_path):
+        ds = synth.generate_dataset(**ORACLE_SHAPES[shape])
+        order = np.random.default_rng(0).permutation(len(ds.records))
+        raw = [(s * 7 + 100, i * 3 + 5, y) for s, i, y in ds.records[order]]
+        path = tmp_path / "r.csv"
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows([("student_id", "item_id", "score"), *raw])
+        loaded = load_responses(str(path))
+        want = ref_remap(raw)
+        assert tuple(loaded.records) == want
+        assert (loaded.n_students, loaded.n_items) == (ds.n_students, ds.n_items)
+
+    def test_split_and_mia_subsets(self, shape):
+        ds = synth.generate_dataset(**ORACLE_SHAPES[shape])
+        for seed in (0, 5):
+            split = split_records(ds, (0.6, 0.2, 0.2), seed=seed)
+            want_split = ref_split_records(tuple(ds.records), (0.6, 0.2, 0.2), seed)
+            assert isinstance(split, RecordSplit)
+            for name, want in want_split.items():
+                assert tuple(getattr(split, name)) == want
+            partition = partition_students(ds, 0.1, seed=seed + 1)
+            got = derive_mia_subsets(partition, split)
+            assert isinstance(got, MiaSplits)
+            for name, want in ref_derive_mia_subsets(partition, want_split).items():
+                cell = getattr(got, name)
+                assert isinstance(cell, Records) and tuple(cell) == want, name

@@ -220,10 +220,3 @@ class TestSerialization:
         assert loaded.source == fisher.source and loaded.kind == fisher.kind
         for name, values in fisher.items():
             assert np.array_equal(values, loaded[name])
-
-    def test_csv_export(self, fisher, tmp_path):
-        path = tmp_path / "imp.csv"
-        fisher.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "layer_id,index,value"
-        assert len(lines) == 1 + fisher.total_size

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cdunlearn import nn, synth
-from cdunlearn.data import ResponseRecord, records_to_arrays
+from cdunlearn.data import Records, ResponseRecord
 from cdunlearn.metrics import auc
 from cdunlearn.model import CDArchConfig, CDModel, build_wiring, train
 
@@ -47,13 +47,12 @@ class TestDecoupledPredict:
 
     def test_masked_kc_does_not_affect_prediction(self, masked_setup):
         model, item, kc = masked_setup
-        before = model.predict_proba((np.arange(20), np.full(20, item)))
+        probe = Records(np.arange(20), np.full(20, item), np.zeros(20))
+        before = model.predict_proba(probe)
         perturbed = model.params_.copy()
         perturbed["prof_bias"][kc] += 3.21
         perturbed["kc_emb"][kc] -= 0.77
-        after = model.with_params(perturbed).predict_proba(
-            (np.arange(20), np.full(20, item))
-        )
+        after = model.with_params(perturbed).predict_proba(probe)
         assert np.array_equal(before, after)
 
     def test_unmasked_kc_does_affect_prediction(self, masked_setup):
@@ -61,24 +60,31 @@ class TestDecoupledPredict:
         tested_kc = int(np.argmax(model.qmatrix_.entries[item]))
         perturbed = model.params_.copy()
         perturbed["prof_bias"][tested_kc] += 3.21
-        before = model.predict(0, item)
-        after = model.with_params(perturbed).predict(0, item)
+        before = model.predict_proba([(0, item, 0)])
+        after = model.with_params(perturbed).predict_proba([(0, item, 0)])
         assert before != after
 
     def test_output_in_unit_interval(self, small_model, small_dataset):
-        s, q, _ = records_to_arrays(small_dataset.records)
-        p = small_model.predict_proba((s, q))
+        p = small_model.predict_proba(small_dataset.records)
+        assert p.shape == (len(small_dataset.records),)
         assert np.all(p > 0) and np.all(p < 1)
 
     def test_two_plain_tuples_are_records_not_a_pair(self, small_model):
-        # Two 3-tuples are two records; only a pair of arrays means (s, q).
+        # Two 3-tuples are two records, the same as a list or Records of them.
         as_tuples = small_model.predict_proba(((0, 1, 1), (2, 3, 0)))
         as_records = small_model.predict_proba(
             [ResponseRecord(0, 1, 1), ResponseRecord(2, 3, 0)]
         )
         assert np.array_equal(as_tuples, as_records)
-        pair = small_model.predict_proba((np.array([0, 2]), np.array([1, 3])))
-        assert np.array_equal(pair, as_records)
+        columnar = small_model.predict_proba(Records([0, 2], [1, 3], [1, 0]))
+        assert np.array_equal(columnar, as_records)
+
+    def test_two_array_records_are_records_not_a_pair(self, small_model):
+        # Two records given as arrays, not a (students, items) pair.
+        records = (np.array([0, 1, 1]), np.array([2, 3, 0]))
+        got = small_model.predict_proba(records)
+        want = small_model.predict_proba([ResponseRecord(0, 1, 1), ResponseRecord(2, 3, 0)])
+        assert got.shape == (2,) and np.array_equal(got, want)
 
 
 class TestProficiency:
@@ -120,8 +126,7 @@ class TestTraining:
             nn.TrainConfig(max_epochs=60),
             seed=1,
         )
-        s, q, y = records_to_arrays(ds.records)
-        assert auc(model.predict_proba((s, q)), y) > 0.95
+        assert auc(model.predict_proba(ds.records), ds.records.scores) > 0.95
 
     def test_same_seed_checkpoints_identical(self, small_dataset, tmp_path):
         paths = []
@@ -198,7 +203,7 @@ class TestMonotonicVariant:
         for logit in np.linspace(-4, 4, 33):
             params = model.params_.copy()
             params["student_emb"][sid, kc] = logit
-            outputs.append(model.with_params(params).predict(sid, item))
+            outputs.append(model.with_params(params).predict_proba([(sid, item, 0)])[0])
         assert np.all(np.diff(outputs) >= -1e-12)
 
 
@@ -225,5 +230,5 @@ def test_neuralcdm_checkpoint_roundtrip(small_dataset, tmp_path):
     model.save(path)
     loaded = CDModel.load(path)
     assert loaded.arch == "neuralcdm"
-    s, q, _ = records_to_arrays(small_dataset.records[:30])
-    assert np.array_equal(model.predict_proba((s, q)), loaded.predict_proba((s, q)))
+    records = small_dataset.records[:30]
+    assert np.array_equal(model.predict_proba(records), loaded.predict_proba(records))

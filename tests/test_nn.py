@@ -89,9 +89,9 @@ class TestSigmoidAndLoss:
 
 
 class TestForward:
-    def test_forward_predict_helper(self, small_model):
-        p, cache = nn.forward_predict(
-            small_model.wiring_, small_model.params_, [0, 1], [2, 3]
+    def test_inference_forward(self, small_model):
+        p, cache = small_model.wiring_.forward(
+            small_model.params_, np.array([0, 1]), np.array([2, 3]), train=False
         )
         assert p.shape == (2,)
         assert np.all((p > 0) & (p < 1))
@@ -359,9 +359,9 @@ class TestCheckpointContainer:
         path = str(tmp_path / "model.ckpt")
         small_model.save(path)
         loaded = CDModel.load(path)
-        s, q, _ = records_to_arrays(small_dataset.records[:40])
+        records = small_dataset.records[:40]
         assert np.array_equal(
-            small_model.predict_proba((s, q)), loaded.predict_proba((s, q))
+            small_model.predict_proba(records), loaded.predict_proba(records)
         )
         for name, values in small_model.params_.items():
             assert np.array_equal(values, loaded.params_[name])
