@@ -45,6 +45,15 @@ def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> N
     parser.add_argument("--seed-attack", type=int, help="override attack seed")
 
 
+def _add_algo(parser: argparse.ArgumentParser, verb: str) -> None:
+    parser.add_argument(
+        "--algo",
+        action="append",
+        choices=ALGORITHM_NAMES,
+        help=f"algorithm to {verb} (repeatable; default: config algorithms)",
+    )
+
+
 def _load_effective_config(args: argparse.Namespace) -> ExperimentConfig:
     config = load_config(args.config)
     overrides = {
@@ -112,15 +121,9 @@ def _cmd_mia(args: argparse.Namespace) -> int:
     orig = CDModel.load(args.orig_model)
     target = CDModel.load(args.model)
     attacker = fit_attacker(orig, mia_splits, config.seed_attack)
-    report = evaluate_attack(
-        attacker,
-        target,
-        mia_splits.forget_test,
-        mia_splits.nm_eval_test,
-        model_tag=os.path.basename(args.model),
-    )
+    report = evaluate_attack(attacker, target, mia_splits.forget_test, mia_splits.nm_eval_test)
     payload = {
-        "model": report.model_tag,
+        "model": os.path.basename(args.model),
         "mia_auc": report.mia_auc,
         "mia_acc": report.mia_acc,
         "n_member_eval": report.n_member_eval,
@@ -177,20 +180,11 @@ def _cmd_simulate_shrinkage(args: argparse.Namespace) -> int:
     if args.out:
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["beta", "mse_naive", "mse_adjusted", "se_naive", "se_adjusted"]
+            writer = csv.DictWriter(
+                f, ["beta", "mse_naive", "mse_adjusted", "se_naive", "se_adjusted"]
             )
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["beta"],
-                        repr(row["mse_naive"]),
-                        repr(row["mse_adjusted"]),
-                        repr(row["se_naive"]),
-                        repr(row["se_adjusted"]),
-                    ]
-                )
+            writer.writeheader()
+            writer.writerows(rows)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(json.dumps(rows, indent=2))
@@ -249,12 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unlearn", help="apply unlearning algorithms to a checkpoint")
     _add_common(p)
     p.add_argument("--model", required=True, help="checkpoint of the model to unlearn")
-    p.add_argument(
-        "--algo",
-        action="append",
-        choices=ALGORITHM_NAMES,
-        help="algorithm to run (repeatable; default: config algorithms)",
-    )
+    _add_algo(p, "run")
     p.set_defaults(func=_cmd_unlearn)
 
     p = sub.add_parser("mia", help="attack a model with a classifier trained on another")
@@ -265,22 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline: train, unlearn, attack, report")
     _add_common(p)
-    p.add_argument(
-        "--algo",
-        action="append",
-        choices=ALGORITHM_NAMES,
-        help="algorithm to run (repeatable; default: config algorithms)",
-    )
+    _add_algo(p, "run")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="grid-search unlearning hyperparameters")
     _add_common(p)
-    p.add_argument(
-        "--algo",
-        action="append",
-        choices=ALGORITHM_NAMES,
-        help="algorithm to sweep (repeatable; default: config algorithms)",
-    )
+    _add_algo(p, "sweep")
     p.add_argument("--grid", help="JSON file mapping algorithm -> list of param dicts")
     p.add_argument(
         "--epsilon-utility",

@@ -69,6 +69,10 @@ class Records:
     ``items``, float64 ``scores``. Every function that takes records accepts a
     ``Records`` or any sequence of ``(student_id, item_id, score)`` records.
 
+    Ids must be nonnegative integers and scores 0 or 1; anything else raises
+    ``ValueError`` naming the column. An id column of a non-integer dtype is
+    accepted when each value is a whole number.
+
     ``len``, ``+`` (concatenation in order) and equality work on the values.
     An integer index gives one :class:`ResponseRecord`; a slice, boolean mask
     or index array gives a ``Records``. Iteration yields ``ResponseRecord`` s
@@ -81,9 +85,24 @@ class Records:
 
     def __post_init__(self) -> None:
         for name, dtype in (("students", np.int64), ("items", np.int64), ("scores", np.float64)):
-            col = np.asarray(getattr(self, name), dtype=dtype)
+            given = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):  # a NaN id is rejected just below
+                col = given.astype(dtype, copy=False)
             if col.ndim != 1:
                 raise ValueError(f"record column {name} must be 1-d, got shape {col.shape}")
+            # Counts and reductions: no column-sized mask is built unless a check fails.
+            if name == "scores":
+                want = "0 or 1"
+                n_bad = len(col) - np.count_nonzero(col == 0) - np.count_nonzero(col == 1)
+            else:
+                want = "nonnegative integer ids"
+                n_bad = len(col) and int(col.min() < 0)
+                if given.dtype.kind not in "biu":
+                    n_bad = n_bad or not np.array_equal(col, given)
+            if n_bad:
+                bad = (col != 0) & (col != 1) if name == "scores" else (col < 0) | (col != given)
+                first = given[bad].tolist()[0]
+                raise ValueError(f"record column {name} must hold {want}, got {first!r}")
             if col.flags.writeable:  # never alias an array the caller can still write
                 col = col.copy()
                 col.setflags(write=False)
@@ -399,7 +418,11 @@ def records_to_arrays(
 
     A :class:`Records` hands over its own read-only columns. Any other
     sequence or iterable of 3-field records is columnized; ``ValueError``
-    names the first record that does not have exactly three fields.
+    names the first record that does not have exactly three fields. Their
+    values are not checked: they are cast to int64 as they come (a
+    non-integer id is truncated), which keeps this path at one pass and exact
+    for ids above 2**53. Wrap records from outside the program in a
+    :class:`Records` to have them checked.
     """
     if isinstance(records, Records):
         return records.columns

@@ -18,10 +18,11 @@ import csv
 import dataclasses
 import itertools
 import json
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,29 +57,39 @@ from .unlearn import (
 VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
-ALGORITHM_NAMES = ("hif", "fim", "gradasc", "hessian")
 
-DEFAULT_ALGO_PARAMS: dict[str, dict] = {
-    "hif": {"alpha": 1.3, "lambda_": 0.5, "beta": 0.1},
-    "fim": {"alpha": 1.3, "lambda_": 0.5},
-    "gradasc": {"lr": 1e-4, "steps": 3},
-    "hessian": {"alpha": 1.3, "lambda_": 0.5, "n_probe_samples": 20, "n_batches": 1},
+class Algorithm(NamedTuple):
+    """How a config spells one unlearning algorithm."""
+
+    defaults: dict  # key -> default value
+    optional: set  # keys taken without a default
+    grid: dict  # the stock sweep grid: key -> values, the first axis outermost
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "hif": Algorithm(
+        {"alpha": 1.3, "lambda_": 0.5, "beta": 0.1},
+        {"excluded_layers"},
+        {"alpha": (1.3, 2.0, 2.5, 5.0), "lambda_": (0.1, 0.3, 0.5, 0.8),
+         "beta": (0.02, 0.05, 0.1, 0.3, 0.5)},
+    ),
+    "fim": Algorithm(
+        {"alpha": 1.3, "lambda_": 0.5},
+        {"excluded_layers"},
+        {"alpha": (1.3, 2.0, 2.5, 5.0), "lambda_": (0.1, 0.3, 0.5, 0.8)},
+    ),
+    "gradasc": Algorithm(
+        {"lr": 1e-4, "steps": 3},
+        set(),
+        {"lr": (1e-5, 5e-5, 1e-4), "steps": (1, 3, 5)},
+    ),
+    "hessian": Algorithm(
+        {"alpha": 1.3, "lambda_": 0.5, "n_probe_samples": 20, "n_batches": 1},
+        {"excluded_layers", "seed"},
+        {"n_probe_samples": (10, 20, 40), "n_batches": (1, 2)},
+    ),
 }
-
-_ALGO_OPTIONAL_KEYS: dict[str, set[str]] = {
-    "hif": {"excluded_layers"},
-    "fim": {"excluded_layers"},
-    "gradasc": set(),
-    "hessian": {"excluded_layers", "seed"},
-}
-
-_GRID_ALPHAS = (1.3, 2.0, 2.5, 5.0)
-_GRID_LAMBDAS = (0.1, 0.3, 0.5, 0.8)
-_GRID_BETAS = (0.02, 0.05, 0.1, 0.3, 0.5)
-_GRID_GA_LRS = (1e-5, 5e-5, 1e-4)
-_GRID_GA_STEPS = (1, 3, 5)
-_GRID_HESS_PROBES = (10, 20, 40)
-_GRID_HESS_BATCHES = (1, 2)
+ALGORITHM_NAMES = tuple(ALGORITHMS)
 
 
 class ConfigError(ValueError):
@@ -105,40 +116,63 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def resolve_params(name: str, params: dict) -> dict:
-    """``params`` merged over the algorithm's defaults; an unknown algorithm
-    or key raises :class:`ConfigError`."""
-    if name not in ALGORITHM_NAMES:
+def _algorithm(name: str) -> Algorithm:
+    if name not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
-    unknown = set(params) - set(DEFAULT_ALGO_PARAMS[name]) - _ALGO_OPTIONAL_KEYS[name]
+    return ALGORITHMS[name]
+
+
+def _number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _count(minimum: int):
+    return lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= minimum
+
+
+# What each algorithm key must hold; HIFConfig also bounds alpha, lambda_ and beta.
+_VALUE_RULES = {
+    "alpha": ("a number", _number),
+    "lambda_": ("a number", _number),
+    "beta": ("a number", _number),
+    "lr": ("a number >= 0", lambda v: _number(v) and v >= 0),
+    "steps": ("an integer >= 0", _count(0)),
+    "n_probe_samples": ("an integer >= 1", _count(1)),
+    "n_batches": ("an integer >= 1", _count(1)),
+    "seed": ("an integer >= 0", _count(0)),
+    "excluded_layers": (
+        "a list of layer names",
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
+    ),
+}
+
+
+def resolve_params(name: str, params: dict) -> dict:
+    """``params`` merged over the algorithm's defaults. An unknown algorithm
+    or key, or a value the algorithm would reject, raises :class:`ConfigError`;
+    fim and hessian are checked at beta 0."""
+    spec = _algorithm(name)
+    unknown = set(params) - set(spec.defaults) - spec.optional
     if unknown:
         raise ConfigError(f"algorithm {name!r}: unknown keys {sorted(unknown)}")
-    return {**DEFAULT_ALGO_PARAMS[name], **params}
+    resolved = {**spec.defaults, **params}
+    for key, value in resolved.items():
+        want, holds = _VALUE_RULES[key]
+        if not holds(value):
+            raise ConfigError(f"algorithm {name!r}: {key} must be {want}, got {value!r}")
+    if "alpha" in resolved:
+        try:
+            HIFConfig(resolved["alpha"], resolved["lambda_"], resolved.get("beta", 0.0))
+        except ValueError as exc:
+            raise ConfigError(f"algorithm {name!r}: {exc}") from None
+    return resolved
 
 
 def default_grid(algorithm: str) -> list[dict]:
-    """The stock hyperparameter grid swept for each algorithm."""
-    if algorithm == "hif":
-        return [
-            {"alpha": a, "lambda_": l, "beta": b}
-            for a, l, b in itertools.product(_GRID_ALPHAS, _GRID_LAMBDAS, _GRID_BETAS)
-        ]
-    if algorithm == "fim":
-        return [
-            {"alpha": a, "lambda_": l}
-            for a, l in itertools.product(_GRID_ALPHAS, _GRID_LAMBDAS)
-        ]
-    if algorithm == "gradasc":
-        return [
-            {"lr": lr, "steps": s}
-            for lr, s in itertools.product(_GRID_GA_LRS, _GRID_GA_STEPS)
-        ]
-    if algorithm == "hessian":
-        return [
-            {"n_probe_samples": n, "n_batches": b}
-            for n, b in itertools.product(_GRID_HESS_PROBES, _GRID_HESS_BATCHES)
-        ]
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    """The stock hyperparameter grid swept for each algorithm: every
+    combination of its axes, the first axis outermost."""
+    axes = _algorithm(algorithm).grid
+    return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
 @dataclass
@@ -327,9 +361,7 @@ class ExperimentContext:
     ) -> ModelEntry:
         splits = self.mia_splits
         utility_auc, utility_acc = self.utility(model)
-        mia_report = evaluate_attack(
-            self.attacker, model, splits.forget_test, splits.nm_eval_test, model_tag=tag
-        )
+        mia_report = evaluate_attack(self.attacker, model, splits.forget_test, splits.nm_eval_test)
         entry = ModelEntry(
             tag=tag,
             utility_auc=utility_auc,
@@ -350,10 +382,8 @@ class ExperimentContext:
 def fit_attacker(m_orig: CDModel, splits: MiaSplits, seed: int) -> LogisticAttacker:
     """The attack classifier, fit on ``m_orig``'s outputs for the forget-test
     members and the non-member training group."""
-    members = extract_features(m_orig, splits.forget_test, group="forget_test", model_tag="m_orig")
-    nonmembers = extract_features(
-        m_orig, splits.nm_train_test, group="nm_train_test", model_tag="m_orig"
-    )
+    members = extract_features(m_orig, splits.forget_test, group="forget_test")
+    nonmembers = extract_features(m_orig, splits.nm_train_test, group="nm_train_test")
     return train_attacker(members, nonmembers, seed=seed)
 
 
@@ -425,43 +455,22 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     return ctx
 
 
-def _hif_config(name: str, params: dict) -> HIFConfig:
-    """The validated attenuation config of a ``hif`` or ``fim`` parameter dict
-    (fim always runs at beta 0)."""
-    return HIFConfig(
-        alpha=params["alpha"],
-        lambda_=params["lambda_"],
-        beta=params["beta"] if name == "hif" else 0.0,
-        excluded_layers=frozenset(params.get("excluded_layers", ())),
-    )
-
-
 def run_algorithm(
     model: CDModel, splits: MiaSplits, name: str, params: dict, seed: int
 ) -> tuple[CDModel, UnlearnReport]:
     """Unlearn the forget students of ``splits`` from ``model`` with one
-    algorithm; ``seed`` is hessian's probe seed unless ``params`` sets one."""
+    algorithm and its :func:`resolve_params` parameters; ``seed`` is hessian's
+    probe seed unless ``params`` sets one."""
     forget = splits.forget_train_valid
     retain = splits.retain_train_valid
     if name == "hif":
-        return hif_unlearn(model, forget, retain, _hif_config(name, params))
+        return hif_unlearn(model, forget, retain, HIFConfig(**params))
     if name == "fim":
-        cfg = _hif_config(name, params)
-        return fim_unlearn(model, forget, retain, cfg.alpha, cfg.lambda_, cfg.excluded_layers)
+        return fim_unlearn(model, forget, retain, **params)
     if name == "gradasc":
-        return gradient_ascent_unlearn(model, forget, lr=params["lr"], steps=params["steps"])
+        return gradient_ascent_unlearn(model, forget, **params)
     if name == "hessian":
-        return hessian_unlearn(
-            model,
-            forget,
-            retain,
-            alpha=params["alpha"],
-            lambda_=params["lambda_"],
-            n_probe_samples=params["n_probe_samples"],
-            n_batches=params["n_batches"],
-            seed=params.get("seed", seed),
-            excluded_layers=frozenset(params.get("excluded_layers", ())),
-        )
+        return hessian_unlearn(model, forget, retain, **{"seed": seed, **params})
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
@@ -557,14 +566,14 @@ def sweep(
     once and every grid point runs only :func:`attenuate`, which is sound
     because attenuation is a pure function of (model, maps, config). Every
     grid point goes through :func:`resolve_params`, as a run's config does,
-    before anything is trained, so an unknown key raises :class:`ConfigError`,
-    as do ``grids`` that are not a mapping of algorithm to a list of parameter
-    objects or that name an algorithm not in ``config.algorithms``; a hif/fim
-    point a run rejects raises ``ValueError``. The selected best config
-    is then re-run end to end to confirm its metrics and measure honest wall
-    time; like any request on the same model and records, the re-run reuses
-    the memoized whole-set Fisher sum (see :func:`fisher_pair`). A point is
-    feasible when its utility AUC is within ``epsilon_utility`` of the
+    before anything is trained, so an unknown key or a bad value raises
+    :class:`ConfigError`, as do ``grids`` that are not a mapping of algorithm
+    to a list of parameter objects or that name an algorithm not in
+    ``config.algorithms``. The selected best config is then re-run end to
+    end to confirm its metrics and measure honest wall time; like any
+    request on the same model and records, the re-run reuses the memoized
+    whole-set Fisher sum (see :func:`fisher_pair`). A point is feasible
+    when its utility AUC is within ``epsilon_utility`` of the
     original model's; among feasible points the winner minimizes the distance
     of its attack AUC from the retrained model's.
     """
@@ -598,7 +607,8 @@ def sweep(
     for name, grid in algo_grids.items():
         for params in grid:
             if name in ("hif", "fim"):
-                model, n_modified = attenuate(ctx.m_orig, *fisher, _hif_config(name, params))
+                attenuation = HIFConfig(**{"beta": 0.0, **params})
+                model, n_modified = attenuate(ctx.m_orig, *fisher, attenuation)
             else:
                 model, ureport = apply_algorithm(ctx, name, params)
                 n_modified = ureport.parameters_modified
@@ -647,5 +657,4 @@ def write_profiles_csv(model: CDModel, student_ids: Sequence[int], path: str) ->
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["student_id", "kc_index", "proficiency"])
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(row[2])])
+        writer.writerows(rows)

@@ -6,9 +6,9 @@ of held-out students. It is then pointed at an unlearned model: if unlearning
 worked, forgotten students score like the clean non-member control group and
 the attack AUC sits near 0.5.
 
-Feature batches carry provenance tags so the one protocol rule that is easy to
-get wrong — never train the attacker on the evaluation control group — is
-enforced mechanically.
+Feature batches carry their record group so the one protocol rule that is
+easy to get wrong — never train the attacker on the evaluation control group —
+is enforced mechanically.
 """
 
 from __future__ import annotations
@@ -22,17 +22,19 @@ from . import metrics, nn
 from .data import Records, ResponseRecord, records_to_arrays
 from .model import CDModel
 
-FEATURE_NAMES = ("prob", "label", "loss", "abs_error", "uncertainty")
 EVAL_ONLY_GROUP = "nm_eval_test"
+# The attacker's full-batch gradient descent: step size, steps and L2 weight.
+_ATTACKER_LR = 0.1
+_ATTACKER_ITERATIONS = 2000
+_ATTACKER_L2 = 1e-4
 
 
 @dataclass(frozen=True)
 class FeatureBatch:
-    """Attack features plus where they came from (model tag, record group)."""
+    """Attack features plus the record group they came from."""
 
     features: np.ndarray
     group: str = ""
-    model_tag: str = ""
 
     def __len__(self) -> int:
         return len(self.features)
@@ -44,7 +46,6 @@ class MIAReport:
     mia_acc: float
     n_member_eval: int
     n_nonmember_eval: int
-    model_tag: str = ""
 
 
 def prediction_features(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -66,33 +67,22 @@ def extract_features(
     model: CDModel,
     records: Records | Sequence[ResponseRecord],
     group: str = "",
-    model_tag: str = "",
 ) -> FeatureBatch:
     """Run records through the model (inference mode) and featurize the outputs."""
     if len(records) == 0:
         raise ValueError("cannot extract features from zero records")
     _, _, y = records_to_arrays(records)
     probs = model.predict_proba(records)
-    return FeatureBatch(prediction_features(probs, y), group=group, model_tag=model_tag)
+    return FeatureBatch(prediction_features(probs, y), group=group)
 
 
 class LogisticAttacker:
     """Logistic-regression membership classifier on standardized features.
 
     Fitting runs full-batch gradient descent from zero weights, so it is
-    deterministic; ``seed`` is accepted for interface stability but unused.
-    Standardization statistics are estimated on the attacker's training data
-    and frozen.
+    deterministic. Standardization statistics are estimated on the attacker's
+    training data and frozen.
     """
-
-    def __init__(self, lr: float = 0.1, n_iter: int = 2000, l2: float = 1e-4, seed: int = 0):
-        self.lr = lr
-        self.n_iter = n_iter
-        self.l2 = l2
-        self.seed = seed
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"lr": self.lr, "n_iter": self.n_iter, "l2": self.l2, "seed": self.seed}
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "LogisticAttacker":
         features = np.asarray(features, dtype=np.float64)
@@ -109,11 +99,11 @@ class LogisticAttacker:
         n = len(labels)
         w = np.zeros(features.shape[1])
         b = 0.0
-        for _ in range(self.n_iter):
+        for _ in range(_ATTACKER_ITERATIONS):
             p = nn.sigmoid(x @ w + b)
             err = p - labels
-            w -= self.lr * (x.T @ err / n + self.l2 * w)
-            b -= self.lr * float(err.mean())
+            w -= _ATTACKER_LR * (x.T @ err / n + _ATTACKER_L2 * w)
+            b -= _ATTACKER_LR * float(err.mean())
         self.weights_ = w
         self.bias_ = b
         return self
@@ -142,14 +132,18 @@ def train_attacker(
     nonmember_features: FeatureBatch | np.ndarray,
     seed: int = 0,
 ) -> LogisticAttacker:
-    """Fit the attack classifier: member features labeled 1, non-member 0."""
+    """Fit the attack classifier: member features labeled 1, non-member 0.
+
+    The fit is deterministic, so ``seed`` changes nothing; it is kept because
+    callers pass it (``perfbench/workloads.py`` among them).
+    """
     pos = _reject_eval_features(member_features, "member")
     neg = _reject_eval_features(nonmember_features, "non-member")
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both feature classes must be nonempty")
     features = np.vstack([pos, neg])
     labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-    return LogisticAttacker(seed=seed).fit(features, labels)
+    return LogisticAttacker().fit(features, labels)
 
 
 def evaluate_attack(
@@ -157,7 +151,6 @@ def evaluate_attack(
     model: CDModel,
     forget_test_records: Records | Sequence[ResponseRecord],
     nm_eval_test_records: Records | Sequence[ResponseRecord],
-    model_tag: str = "",
 ) -> MIAReport:
     """Attack a model: forgotten students' test records against the clean
     non-member control group. AUC near 0.5 means the attacker cannot tell them
@@ -165,8 +158,8 @@ def evaluate_attack(
     """
     if len(forget_test_records) == 0 or len(nm_eval_test_records) == 0:
         raise ValueError("both evaluation record sets must be nonempty")
-    members = extract_features(model, forget_test_records, group="forget_test", model_tag=model_tag)
-    control = extract_features(model, nm_eval_test_records, group=EVAL_ONLY_GROUP, model_tag=model_tag)
+    members = extract_features(model, forget_test_records, group="forget_test")
+    control = extract_features(model, nm_eval_test_records, group=EVAL_ONLY_GROUP)
     scores = np.concatenate([attacker.score(members.features), attacker.score(control.features)])
     labels = np.concatenate([np.ones(len(members)), np.zeros(len(control))])
     return MIAReport(
@@ -174,5 +167,4 @@ def evaluate_attack(
         mia_acc=metrics.acc(scores, labels, threshold=0.5),
         n_member_eval=len(members),
         n_nonmember_eval=len(control),
-        model_tag=model_tag,
     )

@@ -450,11 +450,6 @@ class CDModel:
             self.params_, np.asarray([student_id], dtype=np.int64)
         )[0]
 
-    def mean_loss(self, records: Records | Sequence[ResponseRecord]) -> float:
-        """Mean binary cross-entropy over the given records, dropout disabled."""
-        _, _, y = records_to_arrays(records)
-        return float(np.mean(nn.bce_loss(self.predict_proba(records), y)))
-
     # -- copies and persistence -------------------------------------------
     def with_params(self, params: nn.ParamStore) -> "CDModel":
         """A fitted copy of this model using ``params`` (shapes must match)."""

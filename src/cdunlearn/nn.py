@@ -74,14 +74,6 @@ def bce_loss(p: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float
     return out if out.ndim else float(out)
 
 
-def bce_grad(p: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float:
-    """d(bce_loss)/dp evaluated at the clamped probability."""
-    p = np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    y = np.asarray(y, dtype=np.float64)
-    out = (p - y) / (p * (1.0 - p))
-    return out if out.ndim else float(out)
-
-
 class ArrayBundle:
     """An ordered mapping of layer id -> float64 array with flat-vector views."""
 

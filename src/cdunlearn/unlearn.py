@@ -44,7 +44,7 @@ class HIFConfig:
     excluded_layers: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not (0.0 <= self.lambda_ <= 1.0):
             raise ValueError(f"lambda_ must be in [0, 1], got {self.lambda_}")

@@ -287,6 +287,23 @@ class TestRecords:
         with pytest.raises(ValueError, match="1-d"):
             Records(np.zeros((2, 2)), [0, 1], [1.0, 0.0])
 
+    def test_values_validated(self):
+        # A fractional id would be truncated, a negative one would index the
+        # last student's group, and a 0.5 score would iterate as 0.
+        for columns, name in (
+            (([0.7], [2], [1]), "students"),
+            (([np.nan], [2], [1]), "students"),
+            (([0], [2.5], [1]), "items"),
+            (([-1], [2], [1]), "students"),
+            (([0], np.array([-2], dtype=np.int32), [1]), "items"),
+            (([0], [2], [0.5]), "scores"),
+            (([0], [2], [2]), "scores"),
+            (([0], [2], [np.nan]), "scores"),
+        ):
+            with pytest.raises(ValueError, match=f"record column {name} must hold"):
+                Records(*columns)
+        assert Records([2.0], np.array([1], dtype=np.uint8), [True]) == Records([2], [1], [1])
+
     def test_read_only(self):
         students = np.array([3, 1, 2])
         recs = Records(students, [0, 1, 0], [1, 0, 1])

@@ -49,6 +49,27 @@ def _tiny_config(tiny_paths, out_name, **overrides):
     return ExperimentConfig(**base)
 
 
+# (algorithm, parameters, the key the error names). fim and hessian are checked
+# at beta 0; steps, probe counts and seeds must be integers.
+BAD_ALGORITHM_VALUES = [
+    ("hif", {"lambda_": 1.5}, "lambda_"),
+    ("hif", {"alpha": 0.0}, "alpha"),
+    ("hif", {"alpha": float("nan")}, "alpha"),
+    ("hif", {"beta": -0.1}, "beta"),
+    ("hif", {"alpha": True}, "alpha"),
+    ("hif", {"excluded_layers": "kc_emb"}, "excluded_layers"),
+    ("fim", {"lambda_": -0.5}, "lambda_"),
+    ("hessian", {"alpha": -1.0}, "alpha"),
+    ("gradasc", {"lr": -1e-4}, "lr"),
+    ("gradasc", {"lr": "fast"}, "lr"),
+    ("gradasc", {"steps": -1}, "steps"),
+    ("gradasc", {"steps": 2.5}, "steps"),
+    ("hessian", {"n_probe_samples": 0}, "n_probe_samples"),
+    ("hessian", {"n_batches": 1.0}, "n_batches"),
+    ("hessian", {"seed": -1}, "seed"),
+]
+
+
 class TestConfig:
     def test_json_roundtrip(self, tiny_paths, tmp_path):
         responses, qmatrix, _ = tiny_paths
@@ -105,8 +126,34 @@ class TestConfig:
         config = _tiny_config(tiny_paths, "x", algorithms={"hif": {"beta": 0.3}})
         assert config.algorithms["hif"] == {"alpha": 1.3, "lambda_": 0.5, "beta": 0.3}
 
+    @pytest.mark.parametrize("name, params, key", BAD_ALGORITHM_VALUES)
+    def test_bad_algorithm_value_rejected_when_read(self, name, params, key):
+        with pytest.raises(ConfigError, match=rf"algorithm '{name}': {key} "):
+            config_from_dict(
+                {"responses_path": "r", "qmatrix_path": "q", "algorithms": {name: params}}
+            )
+
 
 class TestDefaultGrids:
+    def test_stock_grids_pinned_point_by_point(self):
+        # The order decides sweep ties and the bytes of sweep.json.
+        alphas, lambdas = (1.3, 2.0, 2.5, 5.0), (0.1, 0.3, 0.5, 0.8)
+        assert default_grid("hif") == [
+            {"alpha": a, "lambda_": l, "beta": b}
+            for a in alphas
+            for l in lambdas
+            for b in (0.02, 0.05, 0.1, 0.3, 0.5)
+        ]
+        assert default_grid("fim") == [
+            {"alpha": a, "lambda_": l} for a in alphas for l in lambdas
+        ]
+        assert default_grid("gradasc") == [
+            {"lr": lr, "steps": s} for lr in (1e-5, 5e-5, 1e-4) for s in (1, 3, 5)
+        ]
+        assert default_grid("hessian") == [
+            {"n_probe_samples": n, "n_batches": b} for n in (10, 20, 40) for b in (1, 2)
+        ]
+
     def test_hif_grid_is_80_points(self):
         assert len(default_grid("hif")) == 4 * 4 * 5 == 80
 
@@ -256,8 +303,16 @@ class TestSweep:
         with pytest.raises(ConfigError, match="empty grid"):
             sweep(config, grids={"hif": []}, ctx=object.__new__(_FakeCtx))
 
+    @pytest.mark.parametrize("name, point, key", BAD_ALGORITHM_VALUES)
+    def test_bad_point_rejected_before_the_context_is_used(self, tiny_paths, name, point, key):
+        config = _tiny_config(tiny_paths, "sweep_bad", algorithms={name: {}})
+        with pytest.raises(ConfigError, match=rf"algorithm '{name}': {key} "):
+            sweep(config, grids={name: [point]}, ctx=object.__new__(_FakeCtx))
+
 
 class _FakeCtx:
+    """A context whose every field but ``config`` raises AttributeError."""
+
     config = None
 
 
@@ -411,6 +466,29 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"responses_path": "r"}))
         assert cli_main(["run", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "name, params", [("hif", {"lambda_": 1.5}), ("gradasc", {"steps": -1})]
+    )
+    def test_bad_algorithm_value_exits_1_before_training(
+        self, tiny_paths, tmp_path, capsys, name, params
+    ):
+        responses, qmatrix, _ = tiny_paths
+        out = tmp_path / "never"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "responses_path": responses,
+                    "qmatrix_path": qmatrix,
+                    "out_dir": str(out),
+                    "algorithms": {name: params},
+                }
+            )
+        )
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        assert f"algorithm {name!r}: {next(iter(params))} " in capsys.readouterr().err
+        assert not out.exists()  # no checkpoint, not even the status file
 
     def test_malformed_checkpoint_exit_code(self, tmp_path, capsys):
         from cdunlearn.serialize import MAGIC

@@ -93,8 +93,8 @@ class TestLogisticAttacker:
 class TestProtocolGuards:
     def test_training_on_eval_control_group_rejected(self):
         features = np.zeros((3, 5))
-        tainted = FeatureBatch(features, group=EVAL_ONLY_GROUP, model_tag="m_orig")
-        clean = FeatureBatch(features, group="forget_test", model_tag="m_orig")
+        tainted = FeatureBatch(features, group=EVAL_ONLY_GROUP)
+        clean = FeatureBatch(features, group="forget_test")
         with pytest.raises(ValueError, match="control group"):
             train_attacker(tainted, clean)
         with pytest.raises(ValueError, match="control group"):
@@ -104,8 +104,8 @@ class TestProtocolGuards:
         rng = np.random.default_rng(5)
         pos, neg = _gaussian_classes(rng, 50, shift=2.0)
         train_attacker(
-            FeatureBatch(pos, group="forget_test", model_tag="m_orig"),
-            FeatureBatch(neg, group="nm_train_test", model_tag="m_orig"),
+            FeatureBatch(pos, group="forget_test"),
+            FeatureBatch(neg, group="nm_train_test"),
         )
 
     def test_nonmember_rows_never_trained_into_original_model(self, frcsub_ctx):
@@ -158,8 +158,8 @@ class TestEvaluateAttack:
         attacker = train_attacker(pos, neg)
         forget = [r for r in small_dataset.records if r.student_id < 8]
         control = [r for r in small_dataset.records if 8 <= r.student_id < 16]
-        a = evaluate_attack(attacker, small_model, forget, control, model_tag="x")
-        b = evaluate_attack(attacker, small_model, forget, control, model_tag="x")
+        a = evaluate_attack(attacker, small_model, forget, control)
+        b = evaluate_attack(attacker, small_model, forget, control)
         assert a == b
         assert a.n_member_eval == len(forget)
         assert a.n_nonmember_eval == len(control)

@@ -80,9 +80,6 @@ class TestSigmoidAndLoss:
         near_perfect = nn.bce_loss(1 - 1e-7, 1)
         assert math.isclose(near_perfect, 1e-7, rel_tol=1e-3)
 
-    def test_bce_grad(self):
-        assert math.isclose(nn.bce_grad(0.5, 1.0), -2.0, rel_tol=1e-12)
-
     def test_bce_clamps_saturated_probabilities(self):
         assert np.isfinite(nn.bce_loss(1.0, 0.0))
         assert np.isfinite(nn.bce_loss(0.0, 1.0))

@@ -378,7 +378,11 @@ class TestGradientAscent:
     def test_single_small_step_increases_forget_loss(self, small_model, forget_retain):
         forget, _ = forget_retain
         unlearned, _ = gradient_ascent_unlearn(small_model, forget, lr=1e-5, steps=1)
-        assert unlearned.mean_loss(forget) > small_model.mean_loss(forget)
+        labels = [r.score for r in forget]
+        before, after = (
+            nn.bce_loss(m.predict_proba(forget), labels).mean() for m in (small_model, unlearned)
+        )
+        assert after > before
 
     def test_only_reachable_parameters_change(self, small_model, forget_retain):
         forget, retain = forget_retain
@@ -465,10 +469,10 @@ class TestHessianUnlearn:
 class TestEfficiency:
     def test_every_algorithm_is_faster_than_retraining(self, frcsub_ctx):
         # unlearning must beat training-from-scratch on the retain set
-        from cdunlearn.experiment import DEFAULT_ALGO_PARAMS, apply_algorithm
+        from cdunlearn.experiment import ALGORITHMS, apply_algorithm
 
-        for name, params in DEFAULT_ALGO_PARAMS.items():
-            _, report = apply_algorithm(frcsub_ctx, name, dict(params))
+        for name, spec in ALGORITHMS.items():
+            _, report = apply_algorithm(frcsub_ctx, name, dict(spec.defaults))
             assert report.wall_time_seconds < frcsub_ctx.t_retrain_seconds, (
                 f"{name}: {report.wall_time_seconds:.3f}s vs retrain "
                 f"{frcsub_ctx.t_retrain_seconds:.3f}s"
