@@ -35,8 +35,6 @@ from .mia import LogisticAttacker, MIAReport, evaluate_attack, extract_features,
 from .model import CDArchConfig, CDModel, train
 from .nn import ParamStore, TrainConfig
 from .shrinkage import (
-    MseResult,
-    ShrinkageScenario,
     closed_form_mse,
     optimal_beta,
     recommend_beta,
@@ -90,8 +88,6 @@ __all__ = [
     "train",
     "ParamStore",
     "TrainConfig",
-    "MseResult",
-    "ShrinkageScenario",
     "closed_form_mse",
     "optimal_beta",
     "recommend_beta",

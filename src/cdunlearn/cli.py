@@ -34,7 +34,7 @@ from .experiment import (
 from .mia import evaluate_attack
 from .model import CDModel, train
 from .serialize import ContainerError
-from .shrinkage import optimal_beta, sweep_betas
+from .shrinkage import optimal_beta, simulate_mse
 
 
 def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> None:
@@ -162,27 +162,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_shrinkage(args: argparse.Namespace) -> int:
-    betas = (
-        [float(b) for b in args.betas.split(",")]
-        if args.betas
-        else [round(0.05 * i, 2) for i in range(21)]
-    )
-    means = (
-        np.array([float(m) for m in args.means.split(",")])
-        if args.means
-        else np.zeros(args.p)
-    )
-    if means.shape != (args.p,):
-        raise ConfigError(f"--means must supply exactly {args.p} values")
-    rows = sweep_betas(args.p, means, args.sigma, np.array(betas), args.trials, args.seed)
-    sum_sq_dev = float(np.square(means - means.mean()).sum())
-    best = optimal_beta(args.p, sum_sq_dev, args.sigma**2)
+    try:
+        betas = [round(0.05 * i, 2) for i in range(21)]
+        if args.betas:
+            betas = [float(b) for b in args.betas.split(",")]
+        means = np.zeros(args.p)
+        if args.means:
+            means = np.array([float(m) for m in args.means.split(",")])
+        if means.shape != (args.p,):
+            raise ValueError(f"--means must supply exactly {args.p} values")
+        rows = simulate_mse(args.p, means, args.sigma, betas, args.trials, args.seed)
+        sum_sq_dev = float(np.square(means - means.mean()).sum())
+        best = optimal_beta(args.p, sum_sq_dev, args.sigma**2)
+    except ValueError as exc:  # an unparsable list or a value out of range
+        raise ConfigError(f"simulate-shrinkage: {exc}") from None
     if args.out:
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w", newline="") as f:
-            writer = csv.DictWriter(
-                f, ["beta", "mse_naive", "mse_adjusted", "se_naive", "se_adjusted"]
-            )
+            writer = csv.DictWriter(f, list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {len(rows)} rows to {args.out}")

@@ -32,6 +32,7 @@ from .data import (
     DataValidationError,
     Dataset,
     MiaSplits,
+    QMatrix,
     RecordSplit,
     StudentPartition,
     derive_mia_subsets,
@@ -41,8 +42,8 @@ from .data import (
     split_records,
 )
 from .mia import LogisticAttacker, evaluate_attack, extract_features, train_attacker
-from .model import CDArchConfig, CDModel, train
-from .nn import TrainConfig
+from .model import CDArchConfig, CDModel, build_wiring, train
+from .nn import TrainConfig, is_count
 from .unlearn import (
     HIFConfig,
     UnlearnReport,
@@ -126,20 +127,16 @@ def _number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _count(minimum: int):
-    return lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= minimum
-
-
 # What each algorithm key must hold; HIFConfig also bounds alpha, lambda_ and beta.
 _VALUE_RULES = {
     "alpha": ("a number", _number),
     "lambda_": ("a number", _number),
     "beta": ("a number", _number),
     "lr": ("a number >= 0", lambda v: _number(v) and v >= 0),
-    "steps": ("an integer >= 0", _count(0)),
-    "n_probe_samples": ("an integer >= 1", _count(1)),
-    "n_batches": ("an integer >= 1", _count(1)),
-    "seed": ("an integer >= 0", _count(0)),
+    "steps": ("an integer >= 0", lambda v: is_count(v, 0)),
+    "n_probe_samples": ("an integer >= 1", lambda v: is_count(v, 1)),
+    "n_batches": ("an integer >= 1", lambda v: is_count(v, 1)),
+    "seed": ("an integer >= 0", lambda v: is_count(v, 0)),
     "excluded_layers": (
         "a list of layer names",
         lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
@@ -147,10 +144,11 @@ _VALUE_RULES = {
 }
 
 
-def resolve_params(name: str, params: dict) -> dict:
+def resolve_params(name: str, params: dict, architecture: CDArchConfig) -> dict:
     """``params`` merged over the algorithm's defaults. An unknown algorithm
-    or key, or a value the algorithm would reject, raises :class:`ConfigError`;
-    fim and hessian are checked at beta 0."""
+    or key, a value the algorithm would reject, or an excluded layer that
+    ``architecture`` does not have raises :class:`ConfigError`; fim and
+    hessian are checked at beta 0."""
     spec = _algorithm(name)
     unknown = set(params) - set(spec.defaults) - spec.optional
     if unknown:
@@ -165,6 +163,15 @@ def resolve_params(name: str, params: dict) -> dict:
             HIFConfig(resolved["alpha"], resolved["lambda_"], resolved.get("beta", 0.0))
         except ValueError as exc:
             raise ConfigError(f"algorithm {name!r}: {exc}") from None
+    # The layer ids depend on the architecture alone, not on the data's counts.
+    wiring = build_wiring(architecture, 1, 1, QMatrix(np.ones((1, 1))))
+    layers = [layer_id for layer_id, _ in wiring.layer_shapes()]
+    unknown = sorted(set(resolved.get("excluded_layers", ())) - set(layers))
+    if unknown:
+        raise ConfigError(
+            f"algorithm {name!r}: excluded_layers {unknown} are not among the "
+            f"{architecture.arch} layers {layers}"
+        )
     return resolved
 
 
@@ -198,11 +205,13 @@ class ExperimentConfig:
             self.architecture = CDArchConfig(**self.architecture)
         if isinstance(self.training, dict):
             self.training = TrainConfig(**self.training)
-        self.seed_data, self.seed_model, self.seed_attack = (
-            int(self.seed_data), int(self.seed_model), int(self.seed_attack)
-        )
+        for key in ("seed_data", "seed_model", "seed_attack"):
+            if not is_count(seed := getattr(self, key), 0):
+                raise ConfigError(f"{key} must be an integer >= 0, got {seed!r}")
+            setattr(self, key, int(seed))
         self.algorithms = {
-            name: resolve_params(name, params) for name, params in self.algorithms.items()
+            name: resolve_params(name, params, self.architecture)
+            for name, params in self.algorithms.items()
         }
 
     def to_dict(self) -> dict:
@@ -591,7 +600,9 @@ def sweep(
         grid = grids.get(name, default_grid(name))
         if not grid:
             raise ConfigError(f"empty grid for algorithm {name!r}")
-        algo_grids[name] = [resolve_params(name, {**base, **point}) for point in grid]
+        algo_grids[name] = [
+            resolve_params(name, {**base, **point}, config.architecture) for point in grid
+        ]
     if ctx is None:
         ctx = build_context(config)
 

@@ -49,10 +49,10 @@ class CDArchConfig:
     def __post_init__(self) -> None:
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be >= 1")
-        if any(int(h) < 1 for h in self.ffn_hidden):
-            raise ValueError("ffn_hidden sizes must be >= 1")
+        if not nn.is_count(self.embed_dim, 1):
+            raise ValueError(f"embed_dim must be an integer >= 1, got {self.embed_dim!r}")
+        if not all(nn.is_count(h, 1) for h in self.ffn_hidden):
+            raise ValueError(f"ffn_hidden sizes must be integers >= 1, got {self.ffn_hidden!r}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
         object.__setattr__(self, "ffn_hidden", tuple(int(h) for h in self.ffn_hidden))
@@ -488,20 +488,37 @@ class CDModel:
     @classmethod
     def load(cls, path: str) -> "CDModel":
         """Read a checkpoint written by :meth:`save`; raises
-        :class:`serialize.ContainerError` when its arrays are not exactly the
-        layers its architecture and counts call for, or hold NaN or ±inf."""
+        :class:`serialize.ContainerError` when a meta field is missing or
+        malformed, or its arrays are not exactly the Q-matrix and the layers
+        its architecture and counts call for, or hold NaN or ±inf."""
         arrays, meta = serialize.load_bundle(path)
         if meta.get("kind") != "cd_model":
             raise serialize.ContainerError(f"{path} is not a model checkpoint")
-        model = cls(**meta["hyperparameters"])
-        qmatrix = QMatrix(arrays.pop("qmatrix"))
-        model.n_students_ = int(meta["n_students"])
-        model.n_items_ = int(meta["n_items"])
-        model.n_kcs_ = int(meta["n_kcs"])
+        for key, kind in (("hyperparameters", dict), ("layer_ids", list), ("n_students", int),
+                          ("n_items", int), ("n_kcs", int), ("rng_seed", int)):
+            if type(meta.get(key)) is not kind:  # bools are not counts
+                raise serialize.ContainerError(
+                    f"{path}: meta field {key!r} is missing or not a {kind.__name__}"
+                )
+        try:
+            model = cls(**meta["hyperparameters"])
+            arch_config = model.arch_config()
+            model.train_config()
+        except (TypeError, ValueError) as exc:
+            raise serialize.ContainerError(
+                f"{path}: meta field 'hyperparameters': {exc}"
+            ) from None
+        if "qmatrix" not in arrays:
+            raise serialize.ContainerError(f"{path}: no 'qmatrix' array")
+        try:
+            qmatrix = QMatrix(arrays.pop("qmatrix"))
+        except ValueError as exc:
+            raise serialize.ContainerError(f"{path}: array 'qmatrix': {exc}") from None
+        model.n_students_ = meta["n_students"]
+        model.n_items_ = meta["n_items"]
+        model.n_kcs_ = meta["n_kcs"]
         model.qmatrix_ = qmatrix
-        model.wiring_ = build_wiring(
-            model.arch_config(), model.n_students_, model.n_items_, qmatrix
-        )
+        model.wiring_ = build_wiring(arch_config, model.n_students_, model.n_items_, qmatrix)
         shapes = model.wiring_.layer_shapes()
         found = {name: values.shape for name, values in arrays.items()}
         if (
@@ -518,7 +535,7 @@ class CDModel:
         if nonfinite:
             raise serialize.ContainerError(f"{path}: non-finite values in layers {nonfinite}")
         ordered = {name: arrays[name] for name, _ in shapes}
-        model.params_ = nn.ParamStore(ordered, rng_seed=int(meta["rng_seed"]))
+        model.params_ = nn.ParamStore(ordered, rng_seed=meta["rng_seed"])
         return model
 
 

@@ -20,6 +20,7 @@ any example in the batch come back exactly zero.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
@@ -27,6 +28,11 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 PROB_EPS = 1e-7  # probability clamp applied before logs
+
+
+def is_count(value, minimum: int) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``minimum``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -310,10 +316,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("lr must be > 0, batch_size and max_epochs >= 1")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
+        for name, minimum in (("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
+            if not is_count(value := getattr(self, name), minimum):
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def fit_params(

@@ -71,14 +71,25 @@ def load_bundle(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raise ContainerError(f"{path}: header is not UTF-8 JSON ({exc})") from exc
     if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
         raise ContainerError(f"{path}: not a format_version {FORMAT_VERSION} header")
+    if not isinstance(header.get("arrays"), list) or not isinstance(header.get("meta"), dict):
+        raise ContainerError(f"{path}: header needs an 'arrays' list and a 'meta' object")
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+        fields = entry if isinstance(entry, dict) else {}
+        name, shape = fields.get("name"), fields.get("shape")
+        if not (
+            isinstance(name, str)
+            and isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)
+        ):
+            raise ContainerError(
+                f"{path}: array entry {entry!r} needs a 'name' and a 'shape' of counts >= 0"
+            )
         count = math.prod(shape)
-        if min(shape, default=0) < 0 or offset + 8 * count > len(blob):
-            raise ContainerError(f"{path}: bad shape or truncated array {entry['name']!r}")
+        if offset + 8 * count > len(blob):
+            raise ContainerError(f"{path}: truncated array {name!r}")
         values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = values.astype(np.float64).reshape(shape)
+        arrays[name] = values.astype(np.float64).reshape(shape)
         offset += 8 * count
     if offset != len(blob):
         raise ContainerError(f"{path}: trailing bytes after the last array")

@@ -10,18 +10,32 @@ error over the layer is strictly smaller than leaving the observations alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .importance import ImportanceMap
 
 
-@dataclass(frozen=True)
-class ShrinkageScenario:
-    """One simulation setting: layer of size ``p`` with true values
-    ``true_means``, Gaussian noise ``noise_std``, shrink weight ``beta``.
+def simulate_mse(
+    p: int,
+    true_means: np.ndarray,
+    sigma: float,
+    betas: Sequence[float],
+    trials: int,
+    seed: int = 0,
+    layer_noise: str = "shared",
+) -> list[dict]:
+    """Monte-Carlo totals of squared estimation error, naive vs shrunk, one
+    row per shrink weight in ``betas``.
+
+    One draw serves every row: ``trials`` noisy observations of a layer of
+    ``p`` parameters with true values ``true_means`` and Gaussian noise of
+    standard deviation ``sigma``. Each beta shrinks those same observations
+    toward a target, and each row holds ``beta``, ``mse_naive``,
+    ``mse_adjusted``, ``se_naive`` and ``se_adjusted``: the mean total squared
+    error over trials and its standard error (0 for a single trial).
+    Deterministic per seed.
 
     ``layer_noise`` picks what the shrink target is:
 
@@ -29,77 +43,51 @@ class ShrinkageScenario:
       empirical mean of the noisy per-parameter values, so its error is
       correlated with each value's own error;
     * ``"independent"``: the true layer mean plus a fresh Normal(0, sigma^2/p)
-      draw. This is the noise model under which :func:`closed_form_mse` is the
-      exact expectation; the shared-target expectation exceeds it by
-      ``2 * beta * (1 - beta) * sigma^2`` (the covariance term).
+      draw per trial. This is the noise model under which
+      :func:`closed_form_mse` is the exact expectation; the shared-target
+      expectation exceeds it by ``2 * beta * (1 - beta) * sigma^2`` (the
+      covariance term).
     """
-
-    p: int
-    true_means: np.ndarray
-    noise_std: float
-    beta: float
-    trials: int
-    seed: int = 0
-    layer_noise: str = "shared"
-
-    def __post_init__(self) -> None:
-        means = np.asarray(self.true_means, dtype=np.float64)
-        if self.p < 1 or means.shape != (self.p,):
-            raise ValueError("true_means must have shape (p,) with p >= 1")
-        if self.noise_std <= 0:
-            raise ValueError("noise_std must be positive")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ValueError("beta must be in [0, 1]")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.layer_noise not in ("shared", "independent"):
-            raise ValueError("layer_noise must be 'shared' or 'independent'")
-        object.__setattr__(self, "true_means", means)
-
-
-@dataclass(frozen=True)
-class MseResult:
-    mse_naive: float
-    mse_adjusted: float
-    se_naive: float
-    se_adjusted: float
-    trials: int
-
-
-def simulate_mse(scenario: ShrinkageScenario) -> MseResult:
-    """Monte-Carlo totals of squared estimation error, naive vs shrunk.
-
-    Each trial draws one noisy observation per parameter, forms the naive and
-    the beta-shrunk estimates from the same draws, and accumulates the total
-    squared error against the true means. Returned values are means over
-    trials with their standard errors; deterministic per seed.
-    """
-    mu = scenario.true_means
-    rng = np.random.default_rng(scenario.seed)
-    eps = rng.standard_normal((scenario.trials, scenario.p)) * scenario.noise_std
-    naive = mu + eps
-    if scenario.layer_noise == "shared":
+    mu = np.asarray(true_means, dtype=np.float64)
+    betas = [float(beta) for beta in betas]
+    if p < 1 or mu.shape != (p,):
+        raise ValueError("true_means must have shape (p,) with p >= 1")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    outside = [beta for beta in betas if not 0.0 <= beta <= 1.0]
+    if outside:
+        raise ValueError(f"each beta must be in [0, 1], got {outside}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if layer_noise not in ("shared", "independent"):
+        raise ValueError("layer_noise must be 'shared' or 'independent'")
+    rng = np.random.default_rng(seed)
+    naive = mu + rng.standard_normal((trials, p)) * sigma
+    if layer_noise == "shared":
         target = naive.mean(axis=1, keepdims=True)
     else:
-        bar_noise = rng.standard_normal((scenario.trials, 1)) * (
-            scenario.noise_std / np.sqrt(scenario.p)
-        )
-        target = mu.mean() + bar_noise
-    adjusted = (1.0 - scenario.beta) * naive + scenario.beta * target
-    err_naive = np.square(naive - mu).sum(axis=1)
-    err_adjusted = np.square(adjusted - mu).sum(axis=1)
+        target = mu.mean() + rng.standard_normal((trials, 1)) * (sigma / np.sqrt(p))
 
-    def _mean_se(errs: np.ndarray) -> tuple[float, float]:
-        if scenario.trials == 1:
+    def mean_se(estimate: np.ndarray) -> tuple[float, float]:
+        errs = np.square(estimate - mu).sum(axis=1)
+        if trials == 1:
             return float(errs[0]), 0.0
-        return (
-            float(errs.mean()),
-            float(errs.std(ddof=1) / np.sqrt(scenario.trials)),
-        )
+        return float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(trials))
 
-    mse_naive, se_naive = _mean_se(err_naive)
-    mse_adjusted, se_adjusted = _mean_se(err_adjusted)
-    return MseResult(mse_naive, mse_adjusted, se_naive, se_adjusted, scenario.trials)
+    mse_naive, se_naive = mean_se(naive)
+    rows = []
+    for beta in betas:
+        mse_adjusted, se_adjusted = mean_se((1.0 - beta) * naive + beta * target)
+        rows.append(
+            {
+                "beta": beta,
+                "mse_naive": mse_naive,
+                "mse_adjusted": mse_adjusted,
+                "se_naive": se_naive,
+                "se_adjusted": se_adjusted,
+            }
+        )
+    return rows
 
 
 def closed_form_mse(p: int, true_means: np.ndarray, sigma: float, beta: float) -> float:
@@ -140,17 +128,18 @@ class BetaRecommendation(NamedTuple):
     degenerate: bool  # True when all layer values coincide (no spread to fit)
 
 
-def recommend_beta(
-    imp: ImportanceMap, layer_id: str, sigma_sq: float | None = None
-) -> BetaRecommendation:
+def recommend_beta(imp: ImportanceMap, layer_id: str, sigma_sq: float) -> BetaRecommendation:
     """Advisory data-driven smoothing factor for one layer.
 
     Plugs the layer's sample spread into ``(p - 2) * sigma^2 / sum((v - mean)^2)``
-    and clamps to [0, 1]. ``sigma_sq`` is the caller's estimate of the
-    observation noise; when omitted the layer's own sample variance is used,
-    which over-shrinks when the true values are heterogeneous, hence advisory.
-    Requires at least 3 parameters in the layer.
+    and clamps to [0, 1]. The caller supplies ``sigma_sq``, the noise variance
+    of each per-parameter value, for example a per-example estimate from the
+    fourth powers of the gradients. The layer's own spread cannot stand in for
+    it: that gives ``(p - 2) / (p - 1)`` whatever the layer holds. Requires at
+    least 3 parameters in the layer.
     """
+    if not sigma_sq > 0:
+        raise ValueError("sigma_sq must be positive")
     values = imp[layer_id].ravel()
     p = values.size
     if p < 3:
@@ -158,40 +147,5 @@ def recommend_beta(
     sum_sq_dev = float(np.square(values - values.mean()).sum())
     if sum_sq_dev == 0.0:
         return BetaRecommendation(beta=1.0, degenerate=True)
-    if sigma_sq is None:
-        sigma_sq = sum_sq_dev / (p - 1)
     beta = (p - 2) * sigma_sq / sum_sq_dev
     return BetaRecommendation(beta=float(min(max(beta, 0.0), 1.0)), degenerate=False)
-
-
-def sweep_betas(
-    p: int,
-    true_means: np.ndarray,
-    sigma: float,
-    betas: np.ndarray,
-    trials: int,
-    seed: int = 0,
-) -> list[dict]:
-    """Simulate a grid of betas (shared seed, so draws are common across rows)."""
-    rows = []
-    for beta in betas:
-        result = simulate_mse(
-            ShrinkageScenario(
-                p=p,
-                true_means=np.asarray(true_means, dtype=np.float64),
-                noise_std=sigma,
-                beta=float(beta),
-                trials=trials,
-                seed=seed,
-            )
-        )
-        rows.append(
-            {
-                "beta": float(beta),
-                "mse_naive": result.mse_naive,
-                "mse_adjusted": result.mse_adjusted,
-                "se_naive": result.se_naive,
-                "se_adjusted": result.se_adjusted,
-            }
-        )
-    return rows

@@ -22,12 +22,7 @@ from cdunlearn.importance import (
     smooth_importance,
 )
 from cdunlearn.metrics import auc
-from cdunlearn.shrinkage import (
-    ShrinkageScenario,
-    closed_form_mse,
-    optimal_beta,
-    simulate_mse,
-)
+from cdunlearn.shrinkage import closed_form_mse, optimal_beta, simulate_mse
 from cdunlearn.unlearn import HIFConfig, fim_unlearn, hif_unlearn
 
 from tests.test_metrics import pairwise_auc
@@ -151,33 +146,23 @@ def test_c05_shrinkage_error_reduction_and_closed_form():
     p, sigma, trials = 50, 1.0, 20_000
     means = np.zeros(p)
     best = optimal_beta(p, 0.0, sigma**2)
-    result = simulate_mse(
-        ShrinkageScenario(p=p, true_means=means, noise_std=sigma, beta=best, trials=trials)
-    )
-    margin = 5.0 * max(result.se_naive, result.se_adjusted)
-    assert result.mse_adjusted < result.mse_naive - margin
+    (result,) = simulate_mse(p, means, sigma, [best], trials)
+    margin = 5.0 * max(result["se_naive"], result["se_adjusted"])
+    assert result["mse_adjusted"] < result["mse_naive"] - margin
 
     observed_bias_exceeds_4se = False
-    for beta in np.arange(0.0, 1.001, 0.1):
-        beta = float(beta)
+    betas = np.arange(0.0, 1.001, 0.1)
+    independent_rows = simulate_mse(p, means, sigma, betas, trials, layer_noise="independent")
+    shared_rows = simulate_mse(p, means, sigma, betas, trials)
+    for independent, shared in zip(independent_rows, shared_rows):
+        beta = independent["beta"]
         expected = closed_form_mse(p, means, sigma, beta)
-        independent = simulate_mse(
-            ShrinkageScenario(
-                p=p, true_means=means, noise_std=sigma, beta=beta,
-                trials=trials, layer_noise="independent",
-            )
-        )
-        tol = 4.0 * max(independent.se_adjusted, 1e-12)
-        assert abs(independent.mse_adjusted - expected) <= tol, f"beta={beta}"
-        shared = simulate_mse(
-            ShrinkageScenario(
-                p=p, true_means=means, noise_std=sigma, beta=beta, trials=trials
-            )
-        )
+        tol = 4.0 * max(independent["se_adjusted"], 1e-12)
+        assert abs(independent["mse_adjusted"] - expected) <= tol, f"beta={beta}"
         covariance_term = 2.0 * beta * (1.0 - beta) * sigma**2
-        tol_shared = 4.0 * max(shared.se_adjusted, 1e-12)
-        assert abs(shared.mse_adjusted - (expected + covariance_term)) <= tol_shared
-        if abs(shared.mse_adjusted - expected) > tol_shared:
+        tol_shared = 4.0 * max(shared["se_adjusted"], 1e-12)
+        assert abs(shared["mse_adjusted"] - (expected + covariance_term)) <= tol_shared
+        if abs(shared["mse_adjusted"] - expected) > tol_shared:
             observed_bias_exceeds_4se = True
     # the coupling bias is real: at mid-range betas the raw closed form sits
     # outside the Monte-Carlo band unless the covariance term is added

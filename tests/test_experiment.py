@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from cdunlearn import synth
+import cdunlearn
+from cdunlearn import data, synth
 from cdunlearn.cli import main as cli_main
 from cdunlearn.experiment import (
     ALGORITHM_NAMES,
@@ -24,6 +25,8 @@ from cdunlearn.experiment import (
     sweep,
     write_profiles_csv,
 )
+
+from tests.test_nn import MALFORMED_CHECKPOINTS, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +70,30 @@ BAD_ALGORITHM_VALUES = [
     ("hessian", {"n_probe_samples": 0}, "n_probe_samples"),
     ("hessian", {"n_batches": 1.0}, "n_batches"),
     ("hessian", {"seed": -1}, "seed"),
+]
+
+# (config key, value, the setting the error names): seeds are integers >= 0;
+# layer sizes, batch size, epochs and patience are integers, bools rejected.
+BAD_CONFIG_VALUES = [
+    ("seed_data", -1, "seed_data"),
+    ("seed_model", -1, "seed_model"),
+    ("seed_data", 1.5, "seed_data"),
+    ("seed_attack", True, "seed_attack"),
+    ("architecture", {"embed_dim": 2.5}, "embed_dim"),
+    ("architecture", {"embed_dim": True}, "embed_dim"),
+    ("architecture", {"ffn_hidden": [2.5, 3.9]}, "ffn_hidden"),
+    ("architecture", {"ffn_hidden": [True]}, "ffn_hidden"),
+    ("training", {"batch_size": 16.5}, "batch_size"),
+    ("training", {"max_epochs": 2.5}, "max_epochs"),
+    ("training", {"patience": 1.5}, "patience"),
+    ("training", {"patience": False}, "patience"),
+]
+
+# (architecture, algorithm, excluded layers): names the architecture lacks.
+BAD_EXCLUDED_LAYERS = [
+    ({}, "hif", ["kc_embb"]),
+    ({"arch": "neuralcdm"}, "fim", ["kc_emb"]),
+    ({"ffn_hidden": [4]}, "hessian", ["ffn_W_0", "ffn_W_2"]),
 ]
 
 
@@ -132,6 +159,25 @@ class TestConfig:
             config_from_dict(
                 {"responses_path": "r", "qmatrix_path": "q", "algorithms": {name: params}}
             )
+
+    @pytest.mark.parametrize("key, value, setting", BAD_CONFIG_VALUES)
+    def test_bad_setting_rejected_when_read(self, key, value, setting):
+        with pytest.raises(ConfigError, match=rf"{setting} .*must be .*integer"):
+            config_from_dict({"responses_path": "r", "qmatrix_path": "q", key: value})
+
+    @pytest.mark.parametrize("architecture, name, layers", BAD_EXCLUDED_LAYERS)
+    def test_excluded_layers_checked_against_the_architecture(self, architecture, name, layers):
+        raw = {"responses_path": "r", "qmatrix_path": "q", "architecture": architecture,
+               "algorithms": {name: {"excluded_layers": layers}}}
+        with pytest.raises(ConfigError, match=rf"algorithm '{name}': excluded_layers \['"):
+            config_from_dict(raw)
+
+    def test_excluded_layers_of_the_architecture_accepted(self):
+        raw = {"responses_path": "r", "qmatrix_path": "q", "architecture": {"arch": "neuralcdm"},
+               "algorithms": {"fim": {"excluded_layers": ["disc_emb", "ffn_b_2"]}}}
+        assert config_from_dict(raw).algorithms["fim"]["excluded_layers"] == [
+            "disc_emb", "ffn_b_2"
+        ]
 
 
 class TestDefaultGrids:
@@ -309,6 +355,17 @@ class TestSweep:
         with pytest.raises(ConfigError, match=rf"algorithm '{name}': {key} "):
             sweep(config, grids={name: [point]}, ctx=object.__new__(_FakeCtx))
 
+    @pytest.mark.parametrize("architecture, name, layers", BAD_EXCLUDED_LAYERS)
+    def test_excluded_layers_of_a_point_checked_against_the_architecture(
+        self, tiny_paths, architecture, name, layers
+    ):
+        config = _tiny_config(
+            tiny_paths, "sweep_layers", architecture=architecture, algorithms={name: {}}
+        )
+        with pytest.raises(ConfigError, match=rf"algorithm '{name}': excluded_layers \['"):
+            sweep(config, grids={name: [{"excluded_layers": layers}]},
+                  ctx=object.__new__(_FakeCtx))
+
 
 class _FakeCtx:
     """A context whose every field but ``config`` raises AttributeError."""
@@ -461,6 +518,18 @@ class TestCli:
         assert lines[0] == "beta,mse_naive,mse_adjusted,se_naive,se_adjusted"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--betas", "1.2"), ("--betas", "abc"), ("--means", "0,x"), ("--sigma", "0"),
+         ("--trials", "0"), ("--p", "0"), ("--p", "-1")],
+    )
+    def test_simulate_shrinkage_bad_input_exits_1(self, tmp_path, capsys, option, value):
+        out = tmp_path / "shrink.csv"
+        args = ["simulate-shrinkage", "--p", "2", "--trials", "5", option, value]
+        assert cli_main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: simulate-shrinkage: ")
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         bad = tmp_path / "bad.json"
@@ -490,6 +559,26 @@ class TestCli:
         assert f"algorithm {name!r}: {next(iter(params))} " in capsys.readouterr().err
         assert not out.exists()  # no checkpoint, not even the status file
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"seed_model": -1}, {"training": {"max_epochs": 2.5}},
+         {"algorithms": {"hif": {"excluded_layers": ["kc_embb"]}}}],
+        ids=["seed", "max_epochs", "excluded_layers"],
+    )
+    def test_bad_setting_exits_1_before_anything_is_written(
+        self, tiny_paths, tmp_path, capsys, overrides
+    ):
+        responses, qmatrix, _ = tiny_paths
+        out = tmp_path / "never"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"responses_path": responses, "qmatrix_path": qmatrix,
+                        "out_dir": str(out), **overrides})
+        )
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_checkpoint_exit_code(self, tmp_path, capsys):
         from cdunlearn.serialize import MAGIC
 
@@ -498,6 +587,20 @@ class TestCli:
         args = ["export-profiles", "--model", str(ckpt), "--students", "0"]
         assert cli_main([*args, "--out", str(tmp_path / "p.csv")]) == 1
         assert "truncated preamble" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit", [case[1] for case in MALFORMED_CHECKPOINTS],
+        ids=[case[0] for case in MALFORMED_CHECKPOINTS],
+    )
+    def test_malformed_checkpoint_header_or_meta_exit_code(
+        self, small_model, tmp_path, capsys, edit
+    ):
+        ckpt = str(tmp_path / "model.ckpt")
+        small_model.save(ckpt)
+        rewrite_header(ckpt, edit)
+        args = ["export-profiles", "--model", ckpt, "--students", "0"]
+        assert cli_main([*args, "--out", str(tmp_path / "p.csv")]) == 1
+        assert f"error: {ckpt}: " in capsys.readouterr().err
 
     def test_misspelled_grid_key_exit_code(self, tiny_paths, tmp_path, capsys):
         responses, qmatrix, _ = tiny_paths
@@ -588,3 +691,10 @@ class TestCli:
         for sub in ("train", "unlearn", "mia", "run", "sweep",
                     "simulate-shrinkage", "export-profiles"):
             assert sub in proc.stdout
+
+
+@pytest.mark.parametrize("module", [cdunlearn, data], ids=["cdunlearn", "cdunlearn.data"])
+def test_every_exported_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)

@@ -1,7 +1,9 @@
 """Numeric core: losses, optimizers, exact gradients, squared-gradient
 accumulation, and the checkpoint container."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,46 @@ import pytest
 from cdunlearn import data, importance, mia, model, nn, serialize, unlearn
 from cdunlearn.data import QMatrix, records_to_arrays
 from cdunlearn.model import CDArchConfig, CDModel, build_wiring
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the container at ``path`` in place."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    end = 12 + int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:end])
+    edit(header)
+    payload = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(blob[:8] + len(payload).to_bytes(4, "little") + payload + blob[end:])
+
+
+def _rename_array(header, old, new):
+    next(entry for entry in header["arrays"] if entry["name"] == old)["name"] = new
+
+
+# (id, header edit, the field the error names) for checkpoints whose header or
+# meta is malformed; each must raise ContainerError naming the path and field.
+MALFORMED_CHECKPOINTS = [
+    ("no-arrays", lambda h: h.pop("arrays"), "'arrays'"),
+    ("meta-not-an-object", lambda h: h.update(meta=None), "'meta'"),
+    ("shape-not-counts", lambda h: h["arrays"][0].update(shape=["x"]), "'shape'"),
+    ("array-without-name", lambda h: h["arrays"][0].pop("name"), "'name'"),
+    ("no-n_students", lambda h: h["meta"].pop("n_students"), "'n_students'"),
+    ("n_kcs-is-a-bool", lambda h: h["meta"].update(n_kcs=True), "'n_kcs'"),
+    ("no-layer_ids", lambda h: h["meta"].pop("layer_ids"), "'layer_ids'"),
+    ("no-qmatrix", lambda h: _rename_array(h, "qmatrix", "qmatrix_"), "'qmatrix'"),
+    (
+        "unknown-hyperparameter",
+        lambda h: h["meta"]["hyperparameters"].update(depth=3),
+        "'hyperparameters'",
+    ),
+    (
+        "unknown-arch",
+        lambda h: h["meta"]["hyperparameters"].update(arch="bogus"),
+        "'hyperparameters'",
+    ),
+]
 
 
 def _random_qmatrix(rng, n_items, n_kcs):
@@ -339,6 +381,18 @@ class TestCheckpointContainer:
         edit(arrays, meta)
         serialize.save_bundle(path, arrays, meta)
         with pytest.raises(serialize.ContainerError, match="do not match"):
+            CDModel.load(path)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [case[1:] for case in MALFORMED_CHECKPOINTS],
+        ids=[case[0] for case in MALFORMED_CHECKPOINTS],
+    )
+    def test_malformed_header_or_meta_rejected(self, small_model, tmp_path, edit, field):
+        path = str(tmp_path / "model.ckpt")
+        small_model.save(path)
+        rewrite_header(path, edit)
+        with pytest.raises(serialize.ContainerError, match=rf"{re.escape(path)}: .*{field}"):
             CDModel.load(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -7,57 +7,123 @@ import pytest
 from cdunlearn.importance import ImportanceMap
 from cdunlearn.shrinkage import (
     BetaRecommendation,
-    ShrinkageScenario,
     closed_form_mse,
     optimal_beta,
     recommend_beta,
     simulate_mse,
-    sweep_betas,
 )
 
 
-def _scenario(**overrides):
-    base = dict(
-        p=50,
-        true_means=np.zeros(50),
-        noise_std=1.0,
-        beta=0.5,
-        trials=4000,
-        seed=0,
-    )
+def _simulate(betas, **overrides):
+    base = dict(p=50, true_means=np.zeros(50), sigma=1.0, trials=4000, seed=0)
     base.update(overrides)
-    return ShrinkageScenario(**base)
+    return simulate_mse(betas=betas, **base)
+
+
+def _one(beta=0.5, **overrides):
+    (row,) = _simulate([beta], **overrides)
+    return row
+
+
+def one_beta_oracle(p, true_means, sigma, beta, trials, seed, layer_noise):
+    """The straightforward form simulate_mse replaced: a fresh draw from the
+    same seed for every beta. simulate_mse must give the same bits; this is
+    kept only as an oracle."""
+    mu = np.asarray(true_means, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal((trials, p)) * sigma
+    naive = mu + eps
+    if layer_noise == "shared":
+        target = naive.mean(axis=1, keepdims=True)
+    else:
+        bar_noise = rng.standard_normal((trials, 1)) * (sigma / np.sqrt(p))
+        target = mu.mean() + bar_noise
+    adjusted = (1.0 - beta) * naive + beta * target
+    err_naive = np.square(naive - mu).sum(axis=1)
+    err_adjusted = np.square(adjusted - mu).sum(axis=1)
+
+    def mean_se(errs):
+        if trials == 1:
+            return float(errs[0]), 0.0
+        return float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(trials))
+
+    (mse_naive, se_naive), (mse_adjusted, se_adjusted) = mean_se(err_naive), mean_se(err_adjusted)
+    return {
+        "beta": beta,
+        "mse_naive": mse_naive,
+        "mse_adjusted": mse_adjusted,
+        "se_naive": se_naive,
+        "se_adjusted": se_adjusted,
+    }
 
 
 class TestSimulate:
     def test_beta_zero_adjusted_equals_naive(self):
-        result = simulate_mse(_scenario(beta=0.0))
-        assert result.mse_adjusted == result.mse_naive
-        assert result.se_adjusted == result.se_naive
+        result = _one(beta=0.0)
+        assert result["mse_adjusted"] == result["mse_naive"]
+        assert result["se_adjusted"] == result["se_naive"]
 
     def test_naive_total_matches_p_sigma_sq(self):
         for p, sigma in ((50, 1.0), (10, 2.0)):
-            result = simulate_mse(
-                _scenario(p=p, true_means=np.linspace(-1, 1, p), noise_std=sigma)
-            )
-            assert abs(result.mse_naive - p * sigma**2) <= 4.0 * result.se_naive
+            result = _one(p=p, true_means=np.linspace(-1, 1, p), sigma=sigma)
+            assert abs(result["mse_naive"] - p * sigma**2) <= 4.0 * result["se_naive"]
 
     def test_deterministic_per_seed(self):
-        a = simulate_mse(_scenario(seed=5))
-        b = simulate_mse(_scenario(seed=5))
+        a = _one(seed=5)
+        b = _one(seed=5)
         assert a == b
-        c = simulate_mse(_scenario(seed=6))
+        c = _one(seed=6)
         assert a != c
 
     def test_invalid_scenarios_rejected(self):
         with pytest.raises(ValueError):
-            _scenario(noise_std=0.0)
+            _one(sigma=0.0)
         with pytest.raises(ValueError):
-            _scenario(beta=1.2)
+            _one(beta=1.2)
         with pytest.raises(ValueError):
-            _scenario(trials=0)
+            _one(trials=0)
         with pytest.raises(ValueError):
-            ShrinkageScenario(p=3, true_means=np.zeros(4), noise_std=1.0, beta=0.1, trials=1)
+            simulate_mse(p=3, true_means=np.zeros(4), sigma=1.0, betas=[0.1], trials=1)
+
+    @pytest.mark.parametrize("layer_noise", ["shared", "independent"])
+    @pytest.mark.parametrize(
+        "p, trials, seed", [(30, 400, 4), (1, 50, 2), (12, 1, 7), (1, 1, 0)],
+        ids=["p30", "p1", "one-trial", "p1-one-trial"],
+    )
+    def test_rows_match_one_draw_per_beta_bit_for_bit(self, layer_noise, p, trials, seed):
+        means = np.linspace(-0.5, 0.5, p)
+        betas = [round(0.05 * i, 2) for i in range(21)]
+        rows = simulate_mse(p, means, 1.5, betas, trials, seed, layer_noise)
+        expected = [
+            one_beta_oracle(p, means, 1.5, beta, trials, seed, layer_noise) for beta in betas
+        ]
+        assert rows == expected
+
+    def test_invalid_layer_noise_and_each_beta_checked(self):
+        with pytest.raises(ValueError, match="layer_noise"):
+            _simulate([0.1], layer_noise="coupled")
+        with pytest.raises(ValueError, match=r"\[-0\.1\]"):
+            _simulate([0.0, 0.5, -0.1, 1.0])
+
+    @pytest.mark.parametrize(
+        "layer_noise, shapes",
+        [("shared", [(10, 50)]), ("independent", [(10, 50), (10, 1)])],
+    )
+    def test_noise_drawn_once_per_call(self, monkeypatch, layer_noise, shapes):
+        draws = []
+        default_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                draws.append(size)
+                return self._rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        _simulate([0.0, 0.25, 0.5, 0.75, 1.0], trials=10, layer_noise=layer_noise)
+        assert draws == shapes
 
 
 class TestClosedForm:
@@ -75,19 +141,17 @@ class TestClosedForm:
     def test_matches_independent_target_simulation_across_beta_grid(self):
         p = 30
         means = np.linspace(-0.5, 0.5, p)
-        for beta in np.arange(0.0, 1.01, 0.1):
-            result = simulate_mse(
-                _scenario(
-                    p=p,
-                    true_means=means,
-                    beta=float(beta),
-                    trials=20_000,
-                    layer_noise="independent",
-                )
-            )
-            expected = closed_form_mse(p, means, 1.0, float(beta))
-            tolerance = 4.0 * max(result.se_adjusted, 1e-12)
-            assert abs(result.mse_adjusted - expected) <= tolerance
+        rows = _simulate(
+            np.arange(0.0, 1.01, 0.1),
+            p=p,
+            true_means=means,
+            trials=20_000,
+            layer_noise="independent",
+        )
+        for result in rows:
+            expected = closed_form_mse(p, means, 1.0, result["beta"])
+            tolerance = 4.0 * max(result["se_adjusted"], 1e-12)
+            assert abs(result["mse_adjusted"] - expected) <= tolerance
 
     def test_shared_target_bias_is_exactly_the_covariance_term(self):
         # Shrinking toward the empirical mean of the same noisy values couples
@@ -95,13 +159,12 @@ class TestClosedForm:
         # 2 * beta * (1 - beta) * sigma^2.
         p, sigma = 30, 1.0
         means = np.linspace(-0.5, 0.5, p)
-        for beta in (0.2, 0.5, 0.8):
-            result = simulate_mse(
-                _scenario(p=p, true_means=means, beta=beta, trials=20_000)
-            )
+        rows = _simulate((0.2, 0.5, 0.8), p=p, true_means=means, trials=20_000)
+        for result in rows:
+            beta = result["beta"]
             expected = closed_form_mse(p, means, sigma, beta) + 2 * beta * (1 - beta) * sigma**2
-            tolerance = 4.0 * max(result.se_adjusted, 1e-12)
-            assert abs(result.mse_adjusted - expected) <= tolerance
+            tolerance = 4.0 * max(result["se_adjusted"], 1e-12)
+            assert abs(result["mse_adjusted"] - expected) <= tolerance
 
     def test_minimized_at_optimal_beta(self):
         p = 20
@@ -137,12 +200,10 @@ class TestImprovementRange:
         means = np.linspace(-2, 2, p)
         sum_sq_dev = float(np.square(means - means.mean()).sum())
         best = optimal_beta(p, sum_sq_dev, 1.0)
-        for beta in (0.25 * best, best, min(1.75 * best, 1.0)):
-            result = simulate_mse(
-                _scenario(p=p, true_means=means, beta=float(beta), trials=20_000)
-            )
-            margin = 3.0 * np.hypot(result.se_naive, result.se_adjusted)
-            assert result.mse_adjusted < result.mse_naive - margin
+        betas = (0.25 * best, best, min(1.75 * best, 1.0))
+        for result in _simulate(betas, p=p, true_means=means, trials=20_000):
+            margin = 3.0 * np.hypot(result["se_naive"], result["se_adjusted"])
+            assert result["mse_adjusted"] < result["mse_naive"] - margin
 
     def test_inequality_reverses_far_outside_range(self):
         # heterogeneous layer: the optimal weight is tiny and beta = 0.5 hurts
@@ -151,10 +212,8 @@ class TestImprovementRange:
         sum_sq_dev = float(np.square(means - means.mean()).sum())
         best = optimal_beta(p, sum_sq_dev, 1.0)
         assert 0.5 > 2 * best
-        result = simulate_mse(
-            _scenario(p=p, true_means=means, beta=0.5, trials=5_000)
-        )
-        assert result.mse_adjusted > result.mse_naive
+        result = _one(beta=0.5, p=p, true_means=means, trials=5_000)
+        assert result["mse_adjusted"] > result["mse_naive"]
         assert closed_form_mse(p, means, 1.0, 0.5) > p * 1.0
 
 
@@ -162,11 +221,11 @@ class TestRecommendBeta:
     def test_small_layer_rejected(self):
         imp = ImportanceMap({"tiny": np.array([0.1, 0.2])})
         with pytest.raises(ValueError, match=">= 3"):
-            recommend_beta(imp, "tiny")
+            recommend_beta(imp, "tiny", sigma_sq=1.0)
 
     def test_constant_layer_is_degenerate(self):
         imp = ImportanceMap({"flat": np.full(10, 0.4)})
-        rec = recommend_beta(imp, "flat")
+        rec = recommend_beta(imp, "flat", sigma_sq=1.0)
         assert rec == BetaRecommendation(beta=1.0, degenerate=True)
 
     def test_planted_noise_recovers_optimal_weight(self):
@@ -186,8 +245,25 @@ class TestRecommendBeta:
         rec = recommend_beta(imp, "layer", sigma_sq=100.0)
         assert rec.beta == 1.0
 
+    def test_equal_sizes_different_spreads_give_different_weights(self):
+        rng = np.random.default_rng(10)
+        noise = rng.standard_normal(50)
+        imp = ImportanceMap({"tight": 10.0 + 0.5 * noise, "wide": 10.0 + 2.0 * noise})
+        tight = recommend_beta(imp, "tight", sigma_sq=0.1)
+        wide = recommend_beta(imp, "wide", sigma_sq=0.1)
+        assert 0.0 < wide.beta < tight.beta < 1.0
+        assert tight.beta == pytest.approx(16 * wide.beta)
+        with pytest.raises(TypeError):  # the layer's own spread is no noise estimate
+            recommend_beta(imp, "tight")
+
+    @pytest.mark.parametrize("sigma_sq", [0.0, -1.0, float("nan")])
+    def test_nonpositive_noise_variance_rejected(self, sigma_sq):
+        imp = ImportanceMap({"layer": np.linspace(0.0, 1.0, 10)})
+        with pytest.raises(ValueError, match="sigma_sq must be positive"):
+            recommend_beta(imp, "layer", sigma_sq=sigma_sq)
+
 
 def test_sweep_rows_share_common_draws():
-    rows = sweep_betas(10, np.zeros(10), 1.0, np.array([0.0, 0.5]), trials=500, seed=3)
+    rows = simulate_mse(10, np.zeros(10), 1.0, np.array([0.0, 0.5]), trials=500, seed=3)
     assert rows[0]["mse_naive"] == rows[1]["mse_naive"]
     assert rows[0]["beta"] == 0.0 and rows[1]["beta"] == 0.5
