@@ -340,9 +340,9 @@ def split_records(
     """
     if not dataset.records:
         raise DataValidationError("cannot split an empty dataset")
-    if any(r <= 0 for r in ratios):
+    if not all(r > 0 for r in ratios):  # NaN fails ``r > 0`` too
         raise DataValidationError(f"ratios must be positive, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise DataValidationError(f"ratios must sum to 1, got {ratios}")
     n = len(dataset.records)
     n_valid = _floor_share(n, ratios[1])

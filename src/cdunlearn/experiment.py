@@ -132,7 +132,7 @@ _VALUE_RULES = {
     "alpha": ("a number", _number),
     "lambda_": ("a number", _number),
     "beta": ("a number", _number),
-    "lr": ("a number >= 0", lambda v: _number(v) and v >= 0),
+    "lr": ("a finite number >= 0", lambda v: _number(v) and 0 <= v < float("inf")),
     "steps": ("an integer >= 0", lambda v: is_count(v, 0)),
     "n_probe_samples": ("an integer >= 1", lambda v: is_count(v, 1)),
     "n_batches": ("an integer >= 1", lambda v: is_count(v, 1)),

@@ -531,11 +531,11 @@ class CDModel:
                 f"{model.arch} layers for {model.n_students_} students, {model.n_items_} "
                 f"items and {model.n_kcs_} KCs"
             )
-        nonfinite = [name for name, _ in shapes if not np.isfinite(arrays[name]).all()]
-        if nonfinite:
-            raise serialize.ContainerError(f"{path}: non-finite values in layers {nonfinite}")
         ordered = {name: arrays[name] for name, _ in shapes}
         model.params_ = nn.ParamStore(ordered, rng_seed=meta["rng_seed"])
+        nonfinite = model.params_.nonfinite_layers()
+        if nonfinite:
+            raise serialize.ContainerError(f"{path}: non-finite values in layers {nonfinite}")
         return model
 
 

@@ -20,6 +20,7 @@ any example in the batch come back exactly zero.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 PROB_EPS = 1e-7  # probability clamp applied before logs
+PREDICT_ROWS = 512  # chunk alignment of _predict_all
 
 
 def is_count(value, minimum: int) -> bool:
@@ -128,6 +130,10 @@ class ArrayBundle:
     def require_congruent(self, other: "ArrayBundle") -> None:
         if not self.congruent_with(other):
             raise ValueError("bundles are not shape-congruent")
+
+    def nonfinite_layers(self) -> list[str]:
+        """Ids of the layers holding a NaN or an infinity, in layer order."""
+        return [k for k, v in self._arrays.items() if not np.isfinite(v).all()]
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([v.ravel() for v in self._arrays.values()])
@@ -316,8 +322,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
+        if not math.isfinite(self.min_delta):
+            raise ValueError(f"min_delta must be a finite number, got {self.min_delta!r}")
         for name, minimum in (("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
             if not is_count(value := getattr(self, name), minimum):
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
@@ -362,6 +370,11 @@ def fit_params(
             grads = wiring.backward(params, cache, dz, mode="sum")
             optimizer_step(params, grads, state)
             wiring.post_step(params)
+        nonfinite = params.nonfinite_layers()
+        if nonfinite:
+            raise ValueError(
+                f"training diverged: epoch {epoch} left non-finite values in layers {nonfinite}"
+            )
         value = monitor_fn(_predict_all(wiring, params, monitor_arrays), monitor_arrays[2])
         if value > best_value + cfg.min_delta:
             best_value = value
@@ -380,11 +393,20 @@ def _predict_all(
     wiring,
     params: ParamStore,
     arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-    chunk: int = 65536,
 ) -> np.ndarray:
+    """Dropout-free predictions for every row, in chunks of 512 to 1,023 rows.
+
+    Chunks start at multiples of :data:`PREDICT_ROWS` and the last one takes
+    the remainder, so no chunk is smaller than 512 rows unless the whole set
+    is. BLAS picks its kernel by row count, and chunks of a few rows gave bits
+    that differed from one ``forward`` over every row; aligned chunks of 512
+    rows or more gave the same bits. Small chunks also keep the temporaries
+    of a forward pass in memory that is reused from chunk to chunk.
+    """
     s, q, _ = arrays
-    out = np.empty(len(s), dtype=np.float64)
-    for start in range(0, len(s), chunk):
-        sl = slice(start, start + chunk)
-        out[sl], _ = wiring.forward(params, s[sl], q[sl], train=False)
+    n = len(s)
+    out = np.empty(n, dtype=np.float64)
+    edges = [0, *range(PREDICT_ROWS, n - PREDICT_ROWS + 1, PREDICT_ROWS), n]
+    for start, stop in zip(edges, edges[1:]):
+        out[start:stop], _ = wiring.forward(params, s[start:stop], q[start:stop], train=False)
     return out

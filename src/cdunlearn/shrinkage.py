@@ -10,11 +10,26 @@ error over the layer is strictly smaller than leaving the observations alone.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .importance import ImportanceMap
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _layer_means(true_means: np.ndarray, p: int) -> np.ndarray:
+    mu = np.asarray(true_means, dtype=np.float64)
+    if p < 1 or mu.shape != (p,):
+        raise ValueError("true_means must have shape (p,) with p >= 1")
+    if not np.isfinite(mu).all():
+        raise ValueError("true_means must be finite")
+    return mu
 
 
 def simulate_mse(
@@ -48,12 +63,9 @@ def simulate_mse(
       expectation exceeds it by ``2 * beta * (1 - beta) * sigma^2`` (the
       covariance term).
     """
-    mu = np.asarray(true_means, dtype=np.float64)
+    mu = _layer_means(true_means, p)
     betas = [float(beta) for beta in betas]
-    if p < 1 or mu.shape != (p,):
-        raise ValueError("true_means must have shape (p,) with p >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _require_positive("sigma", sigma)
     outside = [beta for beta in betas if not 0.0 <= beta <= 1.0]
     if outside:
         raise ValueError(f"each beta must be in [0, 1], got {outside}")
@@ -102,11 +114,8 @@ def closed_form_mse(p: int, true_means: np.ndarray, sigma: float, beta: float) -
     empirical mean of the same noisy values, the true expectation is larger by
     ``2 * beta * (1 - beta) * sigma^2``.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    mu = np.asarray(true_means, dtype=np.float64)
-    if mu.shape != (p,):
-        raise ValueError("true_means must have shape (p,)")
+    _require_positive("sigma", sigma)
+    mu = _layer_means(true_means, p)
     sum_sq_dev = float(np.square(mu.mean() - mu).sum())
     s2 = sigma * sigma
     return beta * beta * (sum_sq_dev + p * s2 + s2) - 2.0 * p * beta * s2 + p * s2
@@ -115,10 +124,9 @@ def closed_form_mse(p: int, true_means: np.ndarray, sigma: float, beta: float) -
 def optimal_beta(p: int, sum_sq_dev: float, sigma_sq: float) -> float:
     """Error-minimizing shrink weight  p sigma^2 / (sum_sq_dev + (p+1) sigma^2),
     clamped to [0, 1] so it stays usable as a smoothing factor."""
-    if sigma_sq <= 0:
-        raise ValueError("sigma_sq must be positive")
-    if p < 1 or sum_sq_dev < 0:
-        raise ValueError("p must be >= 1 and sum_sq_dev nonnegative")
+    _require_positive("sigma_sq", sigma_sq)
+    if p < 1 or not 0 <= sum_sq_dev < math.inf:
+        raise ValueError("p must be >= 1 and sum_sq_dev finite and nonnegative")
     beta = p * sigma_sq / (sum_sq_dev + p * sigma_sq + sigma_sq)
     return float(min(max(beta, 0.0), 1.0))
 
@@ -138,8 +146,7 @@ def recommend_beta(imp: ImportanceMap, layer_id: str, sigma_sq: float) -> BetaRe
     it: that gives ``(p - 2) / (p - 1)`` whatever the layer holds. Requires at
     least 3 parameters in the layer.
     """
-    if not sigma_sq > 0:
-        raise ValueError("sigma_sq must be positive")
+    _require_positive("sigma_sq", sigma_sq)
     values = imp[layer_id].ravel()
     p = values.size
     if p < 3:

@@ -245,6 +245,9 @@ def gradient_ascent_unlearn(
         grads = wiring.backward(params, cache, dz, mode="sum")
         for layer_id, values in params.items():
             values += lr * grads[layer_id]
+    nonfinite = params.nonfinite_layers()
+    if nonfinite:
+        raise ValueError(f"gradient ascent left non-finite values in layers {nonfinite}")
     wall = time.perf_counter() - t0
     modified = sum(
         int(np.count_nonzero(params[k] != v)) for k, v in model.params_.items()

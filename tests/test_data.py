@@ -143,6 +143,14 @@ class TestSplitRecords:
         with pytest.raises(DataValidationError):
             split_records(small_dataset, (0.6, 0.2, -0.2 + 1.4))
 
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_ratio_rejected(self, small_dataset, slot, value):
+        ratios = [0.6, 0.2, 0.2]
+        ratios[slot] = value
+        with pytest.raises(DataValidationError, match="ratios must"):
+            split_records(small_dataset, tuple(ratios))
+
     def test_empty_dataset(self):
         ds = Dataset(records=Records([], [], []), n_students=0, n_items=0)
         with pytest.raises(DataValidationError):

@@ -1,6 +1,7 @@
 """Pipeline orchestration: configs, reports, sweeps, profile export, CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +71,7 @@ BAD_ALGORITHM_VALUES = [
     ("hessian", {"n_probe_samples": 0}, "n_probe_samples"),
     ("hessian", {"n_batches": 1.0}, "n_batches"),
     ("hessian", {"seed": -1}, "seed"),
+    ("gradasc", {"lr": math.inf}, "lr"),
 ]
 
 # (config key, value, the setting the error names): seeds are integers >= 0;
@@ -87,6 +89,15 @@ BAD_CONFIG_VALUES = [
     ("training", {"max_epochs": 2.5}, "max_epochs"),
     ("training", {"patience": 1.5}, "patience"),
     ("training", {"patience": False}, "patience"),
+]
+
+# (config key, value, the setting the error names): NaN and infinities, which
+# Python's json reads from the literals NaN, Infinity and -Infinity.
+NONFINITE_CONFIG_VALUES = [
+    *(("training", {"lr": v}, "lr") for v in (math.nan, math.inf, -math.inf)),
+    *(("training", {"min_delta": v}, "min_delta") for v in (math.nan, math.inf, -math.inf)),
+    *(("split_ratios", r, "ratios") for r in ([math.nan, 0.2, 0.2], [0.6, math.inf, 0.2],
+                                              [0.6, 0.2, math.nan])),
 ]
 
 # (architecture, algorithm, excluded layers): names the architecture lacks.
@@ -521,7 +532,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "option, value",
         [("--betas", "1.2"), ("--betas", "abc"), ("--means", "0,x"), ("--sigma", "0"),
-         ("--trials", "0"), ("--p", "0"), ("--p", "-1")],
+         ("--trials", "0"), ("--p", "0"), ("--p", "-1"), ("--sigma", "inf"), ("--sigma", "nan"),
+         ("--means", "0,nan"), ("--means", "1,-inf")],
     )
     def test_simulate_shrinkage_bad_input_exits_1(self, tmp_path, capsys, option, value):
         out = tmp_path / "shrink.csv"
@@ -578,6 +590,21 @@ class TestCli:
         assert cli_main(["run", "--config", str(config_path)]) == 1
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, setting", NONFINITE_CONFIG_VALUES)
+    def test_nonfinite_setting_exits_1_before_training(
+        self, tiny_paths, tmp_path, capsys, key, value, setting
+    ):
+        responses, qmatrix, _ = tiny_paths
+        out = tmp_path / "never"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"responses_path": responses, "qmatrix_path": qmatrix,
+                        "out_dir": str(out), key: value})
+        )
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        assert setting in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
 
     def test_malformed_checkpoint_exit_code(self, tmp_path, capsys):
         from cdunlearn.serialize import MAGIC

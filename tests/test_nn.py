@@ -296,6 +296,33 @@ class TestTrainingLoop:
         with pytest.raises(ValueError):
             CDModel().fit([], small_dataset.qmatrix)
 
+    @pytest.mark.parametrize("name", ["lr", "min_delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_setting_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            nn.TrainConfig(**{name: value})
+
+    def test_epoch_leaving_nonfinite_parameters_names_the_layers(self, small_dataset, monkeypatch):
+        honest = nn.optimizer_step
+
+        def poisoned(params, grads, state):
+            honest(params, grads, state)
+            if state.step == 4:  # the last of epoch 2's two batches
+                params["kc_emb"][0, 0] = np.inf
+                params["ffn_b_0"][1] = np.nan
+            return params, state
+
+        monkeypatch.setattr(nn, "optimizer_step", poisoned)
+        model = CDModel(embed_dim=6, ffn_hidden=(8,), max_epochs=3, batch_size=512, seed=1)
+        with pytest.raises(ValueError, match=r"epoch 2 left non-finite values in layers "
+                                             r"\['kc_emb', 'ffn_b_0'\]"):
+            model.fit(small_dataset.records, small_dataset.qmatrix)
+
+    def test_diverged_training_rejected(self, small_dataset):
+        model = CDModel(arch="neuralcdm", embed_dim=6, lr=1e300, max_epochs=3, seed=1)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="training diverged"):
+            model.fit(small_dataset.records, small_dataset.qmatrix)
+
 
 class TestCheckpointContainer:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -599,3 +626,53 @@ def test_kernels_give_the_reference_bits_end_to_end(small_dataset, arch, referen
     for got_model, want_model in zip(got[:2], want[:2]):
         for k, values in want_model.params_.items():
             assert got_model.params_[k].tobytes() == values.tobytes()
+
+
+# -- chunked prediction ---------------------------------------------------
+
+PREDICT_SIZES = [1, 511, 512, 513, 1023, 1024, 1025, 1543, 6881, 65543, 70000]
+
+
+@pytest.fixture(scope="module", params=["decoupled", "neuralcdm"])
+def predict_setup(request):
+    """A wiring at a benchmark-like width with random parameters, plus 70,000
+    random (student, item) rows."""
+    rng = np.random.default_rng(12)
+    n_students, n_items = 3000, 100
+    cfg = CDArchConfig(arch=request.param, embed_dim=32, ffn_hidden=(64, 32), dropout=0.0)
+    wiring = build_wiring(cfg, n_students, n_items, _random_qmatrix(rng, n_items, 8))
+    params = wiring.init_params(np.random.default_rng(13), 0)
+    for _, values in params.items():
+        values[...] = rng.uniform(-0.8, 0.8, size=values.shape)
+    wiring.post_step(params)
+    n = max(PREDICT_SIZES)
+    students = rng.integers(0, n_students, size=n)
+    items = rng.integers(0, n_items, size=n)
+    return wiring, params, (students, items, np.zeros(n))
+
+
+class TestPredictAll:
+    @pytest.mark.parametrize("n", PREDICT_SIZES)
+    def test_chunks_give_the_bits_of_one_forward(self, predict_setup, n):
+        wiring, params, (s, q, y) = predict_setup
+        want, _ = wiring.forward(params, s[:n], q[:n], train=False)
+        assert_same_bits(nn._predict_all(wiring, params, (s[:n], q[:n], y[:n])), want)
+
+    @pytest.mark.parametrize("n", [0, *PREDICT_SIZES])
+    def test_chunks_are_aligned_and_hold_512_to_1023_rows(self, predict_setup, monkeypatch, n):
+        wiring, params, (s, q, y) = predict_setup
+        forward = wiring.forward
+        chunks = []
+
+        def recording_forward(params, students, items, train=False, rng=None):
+            chunks.append(students)
+            return forward(params, students, items, train=train, rng=rng)
+
+        monkeypatch.setattr(wiring, "forward", recording_forward)
+        nn._predict_all(wiring, params, (s[:n], q[:n], y[:n]))
+        assert np.array_equal(np.concatenate(chunks), s[:n])  # in order, each row once
+        sizes = [len(chunk) for chunk in chunks]
+        assert max(sizes) <= 1023
+        if n >= 512:
+            assert min(sizes) >= 512
+        assert all(start % 512 == 0 for start in np.cumsum([0, *sizes[:-1]]))

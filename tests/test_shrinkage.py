@@ -99,6 +99,17 @@ class TestSimulate:
         ]
         assert rows == expected
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [({"sigma": np.inf}, "sigma"), ({"sigma": np.nan}, "sigma"),
+         ({"true_means": np.r_[0.0, np.nan, np.zeros(48)]}, "true_means"),
+         ({"true_means": np.r_[np.zeros(49), -np.inf]}, "true_means")],
+        ids=["sigma-inf", "sigma-nan", "means-nan", "means-inf"],
+    )
+    def test_nonfinite_inputs_rejected(self, overrides, name):
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            _one(trials=5, **overrides)
+
     def test_invalid_layer_noise_and_each_beta_checked(self):
         with pytest.raises(ValueError, match="layer_noise"):
             _simulate([0.1], layer_noise="coupled")
@@ -166,6 +177,17 @@ class TestClosedForm:
             tolerance = 4.0 * max(result["se_adjusted"], 1e-12)
             assert abs(result["mse_adjusted"] - expected) <= tolerance
 
+    @pytest.mark.parametrize(
+        "means, sigma, name",
+        [(np.zeros(3), np.inf, "sigma"), (np.zeros(3), np.nan, "sigma"),
+         (np.array([0.0, np.nan, 1.0]), 1.0, "true_means"),
+         (np.array([np.inf, 0.0, 1.0]), 1.0, "true_means")],
+        ids=["sigma-inf", "sigma-nan", "means-nan", "means-inf"],
+    )
+    def test_nonfinite_inputs_rejected(self, means, sigma, name):
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            closed_form_mse(3, means, sigma, 0.5)
+
     def test_minimized_at_optimal_beta(self):
         p = 20
         means = np.linspace(0, 3, p)
@@ -192,6 +214,14 @@ class TestOptimalBeta:
             optimal_beta(3, 1.0, 0.0)
         with pytest.raises(ValueError):
             optimal_beta(3, -1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "sum_sq_dev, sigma_sq", [(1.0, np.inf), (1.0, np.nan), (np.nan, 1.0), (np.inf, 1.0)],
+        ids=["sigma_sq-inf", "sigma_sq-nan", "spread-nan", "spread-inf"],
+    )
+    def test_nonfinite_inputs_rejected(self, sum_sq_dev, sigma_sq):
+        with pytest.raises(ValueError, match="finite"):
+            optimal_beta(3, sum_sq_dev, sigma_sq)
 
 
 class TestImprovementRange:
@@ -256,7 +286,7 @@ class TestRecommendBeta:
         with pytest.raises(TypeError):  # the layer's own spread is no noise estimate
             recommend_beta(imp, "tight")
 
-    @pytest.mark.parametrize("sigma_sq", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("sigma_sq", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_noise_variance_rejected(self, sigma_sq):
         imp = ImportanceMap({"layer": np.linspace(0.0, 1.0, 10)})
         with pytest.raises(ValueError, match="sigma_sq must be positive"):

@@ -410,6 +410,13 @@ class TestGradientAscent:
         with pytest.raises(ValueError):
             gradient_ascent_unlearn(small_model, forget, lr=-1e-5, steps=1)
 
+    def test_nonfinite_result_names_the_layers(self, small_model, forget_retain):
+        forget, _ = forget_retain
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"gradient ascent left non-finite values in layers \['student_emb'"
+        ):
+            gradient_ascent_unlearn(small_model, forget, lr=float("inf"), steps=1)
+
 
 class TestHessianUnlearn:
     def test_lambda_zero_identity(self, small_model, forget_retain):
