@@ -33,7 +33,7 @@ from .importance import (
 from .metrics import acc, auc, rtrr
 from .mia import LogisticAttacker, MIAReport, evaluate_attack, extract_features, train_attacker
 from .model import CDArchConfig, CDModel, train
-from .nn import ParamStore, TrainConfig
+from .nn import TrainConfig
 from .shrinkage import (
     closed_form_mse,
     optimal_beta,
@@ -86,7 +86,6 @@ __all__ = [
     "CDArchConfig",
     "CDModel",
     "train",
-    "ParamStore",
     "TrainConfig",
     "closed_form_mse",
     "optimal_beta",

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import metrics, synth
-from .data import DataFormatError, DataValidationError
+from .data import DataFormatError, DataValidationError, Dataset
 from .experiment import (
     ALGORITHM_NAMES,
     ConfigError,
@@ -68,6 +68,21 @@ def _load_effective_config(args: argparse.Namespace) -> ExperimentConfig:
     return dataclasses.replace(config, **overrides)
 
 
+def _load_for(path: str, dataset: Dataset) -> CDModel:
+    """The checkpoint at ``path``; :class:`ConfigError` unless it was trained
+    on data of the config's student and item counts and Q-matrix."""
+    model = CDModel.load(path)
+    if (model.n_students_, model.n_items_) != (dataset.n_students, dataset.n_items):
+        raise ConfigError(
+            f"{path}: the model was trained on {model.n_students_} students and "
+            f"{model.n_items_} items, the config's data has {dataset.n_students} and "
+            f"{dataset.n_items}"
+        )
+    if not np.array_equal(model.qmatrix_.entries, dataset.qmatrix.entries):
+        raise ConfigError(f"{path}: the model's Q-matrix differs from the config's")
+    return model
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_effective_config(args)
     dataset, split, _, _ = prepare_data(config)
@@ -98,8 +113,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_unlearn(args: argparse.Namespace) -> int:
     config = _load_effective_config(args)
-    _, _, _, mia_splits = prepare_data(config)
-    model = CDModel.load(args.model)
+    dataset, _, _, mia_splits = prepare_data(config)
+    model = _load_for(args.model, dataset)
     os.makedirs(config.out_dir, exist_ok=True)
     results = {}
     for name, params in config.algorithms.items():
@@ -117,9 +132,9 @@ def _cmd_unlearn(args: argparse.Namespace) -> int:
 
 def _cmd_mia(args: argparse.Namespace) -> int:
     config = _load_effective_config(args)
-    _, _, _, mia_splits = prepare_data(config)
-    orig = CDModel.load(args.orig_model)
-    target = CDModel.load(args.model)
+    dataset, _, _, mia_splits = prepare_data(config)
+    orig = _load_for(args.orig_model, dataset)
+    target = _load_for(args.model, dataset)
     attacker = fit_attacker(orig, mia_splits, config.seed_attack)
     report = evaluate_attack(attacker, target, mia_splits.forget_test, mia_splits.nm_eval_test)
     payload = {
@@ -204,14 +219,17 @@ def _cmd_export_profiles(args: argparse.Namespace) -> int:
 
 
 def _cmd_make_synthetic(args: argparse.Namespace) -> int:
-    dataset = synth.generate_dataset(
-        n_students=args.students,
-        n_items=args.items,
-        n_kcs=args.kcs,
-        seed=args.seed,
-        student_scale=args.student_scale,
-        item_scale=args.item_scale,
-    )
+    try:
+        dataset = synth.generate_dataset(
+            n_students=args.students,
+            n_items=args.items,
+            n_kcs=args.kcs,
+            seed=args.seed,
+            student_scale=args.student_scale,
+            item_scale=args.item_scale,
+        )
+    except ValueError as exc:  # a count, scale or seed out of range
+        raise ConfigError(f"make-synthetic: {exc}") from None
     responses = os.path.join(args.out, "responses.csv")
     qmatrix = os.path.join(args.out, "qmatrix.csv")
     os.makedirs(args.out, exist_ok=True)

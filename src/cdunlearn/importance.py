@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import nn, serialize
+from . import nn
 from .data import Records, ResponseRecord, records_to_arrays
 from .model import CDModel
 
@@ -40,27 +40,10 @@ class ImportanceMap(nn.ArrayBundle):
             if kind == KIND_FIM and values.size and values.min() < 0:
                 raise ValueError(f"negative Fisher importance in layer {name!r}")
 
-    def copy(self) -> "ImportanceMap":
-        return ImportanceMap(self.copy_arrays(), source=self.source, kind=self.kind)
-
     def abs(self) -> "ImportanceMap":
         return ImportanceMap(
             {k: np.abs(v) for k, v in self.items()}, source=self.source, kind=self.kind
         )
-
-    def save(self, path: str) -> None:
-        serialize.save_bundle(
-            path,
-            dict(self.items()),
-            {"kind": "importance", "estimator": self.kind, "source": self.source},
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "ImportanceMap":
-        arrays, meta = serialize.load_bundle(path)
-        if meta.get("kind") != "importance":
-            raise serialize.ContainerError(f"{path} is not an importance map")
-        return cls(arrays, source=meta.get("source", ""), kind=meta.get("estimator", KIND_FIM))
 
 
 def fim_diag(
@@ -85,14 +68,14 @@ def fim_diag(
 
 # One entry per model: (digest of its parameters and of the record multiset,
 # sum of squared per-example gradients over that multiset).
-_WHOLE_SET_SUMS: "weakref.WeakKeyDictionary[CDModel, tuple[bytes, nn.GradientBuffer]]" = (
+_WHOLE_SET_SUMS: "weakref.WeakKeyDictionary[CDModel, tuple[bytes, nn.ArrayBundle]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def whole_set_sq_grads(
     model: CDModel, students: np.ndarray, items: np.ndarray, scores: np.ndarray
-) -> nn.GradientBuffer:
+) -> nn.ArrayBundle:
     """Sum of squared per-example loss gradients over the records given as
     columns, memoized per model.
 

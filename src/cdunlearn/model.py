@@ -76,7 +76,7 @@ class _Wiring:
         self.dropout = float(config.dropout)
         self.qrows = np.asarray(qmatrix.entries, dtype=np.float64)
 
-    def init_params(self, rng: np.random.Generator, seed: int) -> nn.ParamStore:
+    def init_params(self, rng: np.random.Generator) -> nn.ArrayBundle:
         """Biases start at zero, every other layer uniform in +-1/sqrt(fan_in)."""
         arrays = {}
         for name, shape in self.layer_shapes():
@@ -84,11 +84,11 @@ class _Wiring:
                 arrays[name] = np.zeros(shape)
             else:
                 arrays[name] = _init_uniform(rng, shape)
-        params = nn.ParamStore(arrays, rng_seed=seed)
+        params = nn.ArrayBundle(arrays)
         self.post_step(params)
         return params
 
-    def post_step(self, params: nn.ParamStore) -> None:
+    def post_step(self, params: nn.ArrayBundle) -> None:
         pass
 
     def _indices(self, students, items) -> tuple[np.ndarray, np.ndarray]:
@@ -107,8 +107,8 @@ class _Wiring:
             raise ValueError(f"unknown mode {mode!r}")
         return mode == "sq_sum"
 
-    def _ordered(self, grads: dict[str, np.ndarray]) -> nn.GradientBuffer:
-        return nn.GradientBuffer({name: grads[name] for name, _ in self.layer_shapes()})
+    def _ordered(self, grads: dict[str, np.ndarray]) -> nn.ArrayBundle:
+        return nn.ArrayBundle({name: grads[name] for name, _ in self.layer_shapes()})
 
     def _ffn_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         shapes = []
@@ -183,11 +183,11 @@ class DecoupledWiring(_Wiring):
             *self._ffn_shapes(),
         ]
 
-    def proficiency_from(self, params: nn.ParamStore, students: np.ndarray) -> np.ndarray:
+    def proficiency_from(self, params: nn.ArrayBundle, students: np.ndarray) -> np.ndarray:
         return self._over_kcs(params, params["student_emb"][students], "prof_bias")
 
     @staticmethod
-    def _over_kcs(params: nn.ParamStore, rows: np.ndarray, bias: str) -> np.ndarray:
+    def _over_kcs(params: nn.ArrayBundle, rows: np.ndarray, bias: str) -> np.ndarray:
         """sigmoid(rows @ E_C.T + bias): per-KC proficiency or difficulty."""
         return nn.sigmoid(rows @ params["kc_emb"].T + params[bias])
 
@@ -262,12 +262,12 @@ class MonotonicCdmWiring(_Wiring):
             *self._ffn_shapes(),
         ]
 
-    def post_step(self, params: nn.ParamStore) -> None:
+    def post_step(self, params: nn.ArrayBundle) -> None:
         # Monotonicity: dense weights stay nonnegative (from initialization on).
         for l in range(len(self.dims) - 1):
             np.maximum(params[f"ffn_W_{l}"], 0.0, out=params[f"ffn_W_{l}"])
 
-    def proficiency_from(self, params: nn.ParamStore, students: np.ndarray) -> np.ndarray:
+    def proficiency_from(self, params: nn.ArrayBundle, students: np.ndarray) -> np.ndarray:
         return nn.sigmoid(params["student_emb"][students])
 
     def forward(self, params, students, items, train=False, rng=None):
@@ -451,7 +451,7 @@ class CDModel:
         )[0]
 
     # -- copies and persistence -------------------------------------------
-    def with_params(self, params: nn.ParamStore) -> "CDModel":
+    def with_params(self, params: nn.ArrayBundle) -> "CDModel":
         """A fitted copy of this model using ``params`` (shapes must match)."""
         self._require_fitted()
         self.params_.require_congruent(params)
@@ -478,7 +478,7 @@ class CDModel:
             "arch": self.arch,
             "hyperparameters": self.get_params(),
             "layer_ids": list(self.params_.layer_ids),
-            "rng_seed": self.params_.rng_seed,
+            "rng_seed": self.seed,
             "n_students": self.n_students_,
             "n_items": self.n_items_,
             "n_kcs": self.n_kcs_,
@@ -489,8 +489,9 @@ class CDModel:
     def load(cls, path: str) -> "CDModel":
         """Read a checkpoint written by :meth:`save`; raises
         :class:`serialize.ContainerError` when a meta field is missing or
-        malformed, or its arrays are not exactly the Q-matrix and the layers
-        its architecture and counts call for, or hold NaN or ±inf."""
+        malformed or ``rng_seed`` is not the integer ``seed``, or its arrays
+        are not exactly the Q-matrix and the layers its architecture and
+        counts call for, or hold NaN or ±inf."""
         arrays, meta = serialize.load_bundle(path)
         if meta.get("kind") != "cd_model":
             raise serialize.ContainerError(f"{path} is not a model checkpoint")
@@ -508,6 +509,10 @@ class CDModel:
             raise serialize.ContainerError(
                 f"{path}: meta field 'hyperparameters': {exc}"
             ) from None
+        if not (nn.is_count(model.seed, 0) and model.seed == meta["rng_seed"]):
+            raise serialize.ContainerError(
+                f"{path}: meta field 'rng_seed' {meta['rng_seed']} is not the seed {model.seed!r}"
+            )
         if "qmatrix" not in arrays:
             raise serialize.ContainerError(f"{path}: no 'qmatrix' array")
         try:
@@ -532,7 +537,7 @@ class CDModel:
                 f"items and {model.n_kcs_} KCs"
             )
         ordered = {name: arrays[name] for name, _ in shapes}
-        model.params_ = nn.ParamStore(ordered, rng_seed=meta["rng_seed"])
+        model.params_ = nn.ArrayBundle(ordered)
         nonfinite = model.params_.nonfinite_layers()
         if nonfinite:
             raise serialize.ContainerError(f"{path}: non-finite values in layers {nonfinite}")

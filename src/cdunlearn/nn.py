@@ -6,9 +6,9 @@ Backward passes themselves are written per architecture (see ``model``); a
 "wiring" object is anything exposing::
 
     layer_shapes() -> list[(layer_id, shape)]
-    init_params(rng, seed) -> ParamStore
+    init_params(rng) -> ArrayBundle
     forward(params, students, items, train=False, rng=None) -> (probs, cache)
-    backward(params, cache, dz, mode) -> GradientBuffer   # mode: "sum" | "sq_sum"
+    backward(params, cache, dz, mode) -> ArrayBundle      # mode: "sum" | "sq_sum"
     post_step(params) -> None                             # optional projection
 
 where ``dz`` holds per-example values of d(loss)/d(final pre-activation).
@@ -83,39 +83,18 @@ def bce_loss(p: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float
 
 
 class ArrayBundle:
-    """An ordered mapping of layer id -> float64 array with flat-vector views."""
+    """An ordered mapping of layer id -> float64 array with flat-vector views:
+    parameters, gradients, Adam's moments and importance maps."""
 
     def __init__(self, arrays: Mapping[str, np.ndarray]):
-        items = list(arrays.items())
-        ids = [k for k, _ in items]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate layer ids")
-        self._arrays: dict[str, np.ndarray] = {
-            k: np.asarray(v, dtype=np.float64) for k, v in items
-        }
+        self._arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
 
     @property
     def layer_ids(self) -> tuple[str, ...]:
         return tuple(self._arrays)
 
-    def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {k: v.shape for k, v in self._arrays.items()}
-
     def __getitem__(self, layer_id: str) -> np.ndarray:
         return self._arrays[layer_id]
-
-    def __setitem__(self, layer_id: str, value: np.ndarray) -> None:
-        if layer_id not in self._arrays:
-            raise KeyError(layer_id)
-        if value.shape != self._arrays[layer_id].shape:
-            raise ValueError(
-                f"shape mismatch for {layer_id}: {value.shape} vs "
-                f"{self._arrays[layer_id].shape}"
-            )
-        self._arrays[layer_id] = np.asarray(value, dtype=np.float64)
-
-    def __contains__(self, layer_id: str) -> bool:
-        return layer_id in self._arrays
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(self._arrays.items())
@@ -124,11 +103,9 @@ class ArrayBundle:
     def total_size(self) -> int:
         return sum(v.size for v in self._arrays.values())
 
-    def congruent_with(self, other: "ArrayBundle") -> bool:
-        return self.shapes() == other.shapes()
-
     def require_congruent(self, other: "ArrayBundle") -> None:
-        if not self.congruent_with(other):
+        """Raise ValueError unless ``other`` has the same ids and shapes, in any order."""
+        if {k: v.shape for k, v in self.items()} != {k: v.shape for k, v in other.items()}:
             raise ValueError("bundles are not shape-congruent")
 
     def nonfinite_layers(self) -> list[str]:
@@ -138,22 +115,15 @@ class ArrayBundle:
     def to_vector(self) -> np.ndarray:
         return np.concatenate([v.ravel() for v in self._arrays.values()])
 
-    def copy_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self._arrays.items()}
+    def copy(self) -> "ArrayBundle":
+        return ArrayBundle({k: v.copy() for k, v in self.items()})
 
+    def zeros(self) -> "ArrayBundle":
+        """A bundle of the same layout holding zeros."""
+        return ArrayBundle({k: np.zeros_like(v) for k, v in self.items()})
 
-class ParamStore(ArrayBundle):
-    """Model parameters grouped by named layer, plus the seed they grew from."""
-
-    def __init__(self, arrays: Mapping[str, np.ndarray], rng_seed: int = 0):
-        super().__init__(arrays)
-        self.rng_seed = int(rng_seed)
-
-    def copy(self) -> "ParamStore":
-        return ParamStore(self.copy_arrays(), rng_seed=self.rng_seed)
-
-    def with_vector(self, vec: np.ndarray) -> "ParamStore":
-        """A new store with the same layout and values taken from a flat vector."""
+    def with_vector(self, vec: np.ndarray) -> "ArrayBundle":
+        """A new bundle with the same layout and values taken from a flat vector."""
         if vec.size != self.total_size:
             raise ValueError(f"vector has {vec.size} values, need {self.total_size}")
         arrays = {}
@@ -161,26 +131,18 @@ class ParamStore(ArrayBundle):
         for k, v in self.items():
             arrays[k] = vec[offset : offset + v.size].reshape(v.shape).copy()
             offset += v.size
-        return ParamStore(arrays, rng_seed=self.rng_seed)
+        return ArrayBundle(arrays)
 
-
-class GradientBuffer(ArrayBundle):
-    """Per-parameter reals laid out identically to a :class:`ParamStore`."""
-
-    @classmethod
-    def zeros_like(cls, template: ArrayBundle) -> "GradientBuffer":
-        return cls({k: np.zeros_like(v) for k, v in template.items()})
-
-    def add_(self, other: "GradientBuffer") -> "GradientBuffer":
-        self.require_congruent(other)
-        for k, v in self.items():
-            v += other[k]
-        return self
-
-    def scale_(self, factor: float) -> "GradientBuffer":
+    def scale_(self, factor: float) -> "ArrayBundle":
         for _, v in self.items():
             v *= factor
         return self
+
+
+# Adam's moment decays and denominator guard; no caller varies them.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -189,43 +151,31 @@ class OptimizerState:
 
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
-    m: GradientBuffer | None = None
-    v: GradientBuffer | None = None
+    m: ArrayBundle | None = None
+    v: ArrayBundle | None = None
 
 
-def make_optimizer(
-    kind: str,
-    lr: float,
-    params: ParamStore,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> OptimizerState:
+def make_optimizer(kind: str, lr: float, params: ArrayBundle) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
-    state = OptimizerState(kind=kind, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    state = OptimizerState(kind=kind, lr=lr)
     if kind == "adam":
-        state.m = GradientBuffer.zeros_like(params)
-        state.v = GradientBuffer.zeros_like(params)
+        state.m = params.zeros()
+        state.v = params.zeros()
     return state
 
 
-def optimizer_step(
-    params: ParamStore, grads: GradientBuffer, state: OptimizerState
-) -> tuple[ParamStore, OptimizerState]:
-    """Apply one in-place update; returns the same objects for chaining."""
+def optimizer_step(params: ArrayBundle, grads: ArrayBundle, state: OptimizerState) -> None:
+    """Apply one in-place update to ``params`` and ``state``."""
     params.require_congruent(grads)
     if state.kind == "sgd":
         for k, p in params.items():
             p -= state.lr * grads[k]
-        return params, state
+        return
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     assert state.m is not None and state.v is not None
     # In place, with the operations of
     #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g**2
@@ -235,24 +185,23 @@ def optimizer_step(
         g = grads[k]
         m = state.m[k]
         v = state.v[k]
-        t = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
+        t = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += t
         np.square(g, out=t)
-        t *= 1.0 - state.beta2
-        v *= state.beta2
+        t *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += t
         np.divide(v, bc2, out=t)
         np.sqrt(t, out=t)
-        t += state.eps
+        t += ADAM_EPS
         u = np.divide(m, bc1)
         u *= state.lr
         u /= t
         p -= u
-    return params, state
 
 
-def example_gradient(wiring, params: ParamStore, student: int, item: int, score: float) -> GradientBuffer:
+def example_gradient(wiring, params: ArrayBundle, student: int, item: int, score: float) -> ArrayBundle:
     """Exact loss gradient for a single example; untouched parameters are 0."""
     s = np.asarray([student], dtype=np.int64)
     q = np.asarray([item], dtype=np.int64)
@@ -263,12 +212,12 @@ def example_gradient(wiring, params: ParamStore, student: int, item: int, score:
 
 def sum_sq_grads(
     wiring,
-    params: ParamStore,
+    params: ArrayBundle,
     students: np.ndarray,
     items: np.ndarray,
     scores: np.ndarray,
     batch_size: int = 4096,
-) -> GradientBuffer:
+) -> ArrayBundle:
     """Sum over the dataset of squared per-example loss gradients.
 
     Batches are processed in dataset order and each batch reduces in a fixed
@@ -277,23 +226,25 @@ def sum_sq_grads(
     n = len(scores)
     if n == 0:
         raise ValueError("dataset is empty")
-    total = GradientBuffer.zeros_like(params)
+    total = params.zeros()
     for start in range(0, n, batch_size):
         sl = slice(start, start + batch_size)
         p, cache = wiring.forward(params, students[sl], items[sl], train=False)
         dz = p - scores[sl]
-        total.add_(wiring.backward(params, cache, dz, mode="sq_sum"))
+        batch = wiring.backward(params, cache, dz, mode="sq_sum")
+        for k, v in total.items():
+            v += batch[k]
     return total
 
 
 def accumulate_sq_grads(
     wiring,
-    params: ParamStore,
+    params: ArrayBundle,
     students: np.ndarray,
     items: np.ndarray,
     scores: np.ndarray,
     batch_size: int = 4096,
-) -> GradientBuffer:
+) -> ArrayBundle:
     """Mean over the dataset of squared per-example loss gradients: the
     :func:`sum_sq_grads` times ``1 / n``."""
     total = sum_sq_grads(wiring, params, students, items, scores, batch_size)
@@ -338,7 +289,7 @@ def fit_params(
     cfg: TrainConfig,
     seed: int,
     monitor_fn: Callable[[np.ndarray, np.ndarray], float],
-) -> tuple[ParamStore, FitResult]:
+) -> tuple[ArrayBundle, FitResult]:
     """Mini-batch training with early stopping on a monitor score.
 
     The monitor score (higher is better) is evaluated once per epoch on
@@ -352,7 +303,7 @@ def fit_params(
     if n == 0:
         raise ValueError("training set is empty")
     rng = np.random.default_rng(seed)
-    params = wiring.init_params(rng, seed)
+    params = wiring.init_params(rng)
     state = make_optimizer(cfg.optimizer, cfg.lr, params)
 
     best_value = -np.inf
@@ -391,7 +342,7 @@ def fit_params(
 
 def _predict_all(
     wiring,
-    params: ParamStore,
+    params: ArrayBundle,
     arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Dropout-free predictions for every row, in chunks of 512 to 1,023 rows.

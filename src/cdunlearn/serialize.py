@@ -1,5 +1,4 @@
-"""Versioned binary container for named float64 arrays (model checkpoints,
-importance maps).
+"""Versioned binary container for named float64 arrays (model checkpoints).
 
 Layout, all little-endian:
 

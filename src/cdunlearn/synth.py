@@ -10,11 +10,13 @@ shipping any real student data.
 from __future__ import annotations
 
 import csv
+import math
 import os
 
 import numpy as np
 
 from .data import Dataset, QMatrix, Records, records_to_arrays
+from .nn import is_count
 
 
 def generate_qmatrix(
@@ -54,8 +56,17 @@ def generate_dataset(
     that only knows the items. With ``complete=True`` every student answers
     every item (n_students * n_items records), matching the shape of classic
     assessment matrices; otherwise each pair is kept with probability
-    ``density``.
+    ``density``. Counts must be integers >= 1, the scales finite and the
+    density in (0, 1]; otherwise :class:`ValueError`.
     """
+    for name, count in (("n_students", n_students), ("n_items", n_items), ("n_kcs", n_kcs)):
+        if not is_count(count, 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    for name, scale in (("student_scale", student_scale), ("item_scale", item_scale)):
+        if not math.isfinite(scale):
+            raise ValueError(f"{name} must be a finite number, got {scale!r}")
+    if not 0 < density <= 1:
+        raise ValueError(f"density must be in (0, 1], got {density!r}")
     rng = np.random.default_rng(seed)
     qmatrix = generate_qmatrix(n_items, n_kcs, rng)
     mastery = rng.standard_normal((n_students, n_kcs))

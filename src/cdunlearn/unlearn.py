@@ -14,6 +14,7 @@ cost a deployer actually pays.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -44,8 +45,8 @@ class HIFConfig:
     excluded_layers: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha}")
         if not (0.0 <= self.lambda_ <= 1.0):
             raise ValueError(f"lambda_ must be in [0, 1], got {self.lambda_}")
         if not (0.0 <= self.beta <= 1.0):
@@ -70,13 +71,13 @@ class UnlearnReport:
 
 
 def select_and_attenuate(
-    params: nn.ParamStore,
+    params: nn.ArrayBundle,
     imp_forget: nn.ArrayBundle,
     imp_retain: nn.ArrayBundle,
     alpha: float,
     lambda_: float,
     excluded_layers: frozenset[str] = frozenset(),
-) -> tuple[nn.ParamStore, int]:
+) -> tuple[nn.ArrayBundle, int]:
     """Core attenuation rule, applied layer by layer.
 
     A parameter is selected when forget-importance > alpha * retain-importance
@@ -229,8 +230,8 @@ def gradient_ascent_unlearn(
     keep their exact values.
     """
     model._require_fitted()
-    if lr < 0:
-        raise ValueError("lr must be nonnegative")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"lr must be a finite number >= 0, got {lr}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if len(forget_records) == 0:

@@ -62,7 +62,7 @@ def test_c02_fisher_diagonal_matches_per_example_oracle():
     model.fit(ds.records, ds.qmatrix)
     records = ds.records[:200]
     fast = fim_diag(model, records, batch_size=64)
-    brute = nn.GradientBuffer.zeros_like(model.params_)
+    brute = model.params_.zeros()
     for rec in records:
         g = nn.example_gradient(
             model.wiring_, model.params_, rec.student_id, rec.item_id, rec.score
@@ -108,7 +108,7 @@ def test_c04_attenuation_unit_vectors_and_fim_hif_equivalence(frcsub_ctx):
 
     def single(theta, imp_f, imp_r, alpha, lambda_):
         out, n = select_and_attenuate(
-            nn.ParamStore({"w": np.array([theta])}),
+            nn.ArrayBundle({"w": np.array([theta])}),
             ImportanceMap({"w": np.array([imp_f])}),
             ImportanceMap({"w": np.array([imp_r])}),
             alpha,

@@ -370,6 +370,17 @@ def test_write_dataset_csv_without_qmatrix_writes_nothing(tmp_path):
     assert not responses.exists() and not qmatrix.exists()
 
 
+@pytest.mark.parametrize(
+    "setting, value",
+    [("n_students", 0), ("n_students", -3), ("n_students", 2.5), ("n_items", 0),
+     ("n_kcs", 0), ("n_kcs", True), ("student_scale", math.nan), ("item_scale", math.inf),
+     ("item_scale", -math.inf), ("density", 0.0), ("density", 1.5), ("density", math.nan)],
+)
+def test_generate_dataset_rejects_out_of_range_settings(setting, value):
+    with pytest.raises(ValueError, match=f"{setting} must be"):
+        synth.generate_dataset(**{"n_students": 5, "n_items": 3, "n_kcs": 2, setting: value})
+
+
 # -- reference implementations: the tuple-of-records pipeline ---------------
 def ref_generate_records(n_students, n_items, n_kcs, seed, student_scale=4.4,
                          item_scale=2.6, complete=True, density=1.0):

@@ -26,6 +26,7 @@ from cdunlearn.experiment import (
     sweep,
     write_profiles_csv,
 )
+from cdunlearn.model import CDModel
 
 from tests.test_nn import MALFORMED_CHECKPOINTS, rewrite_header
 
@@ -38,6 +39,29 @@ def tiny_paths(tmp_path_factory):
     qmatrix = root / "qmatrix.csv"
     synth.write_dataset_csv(ds, str(responses), str(qmatrix))
     return str(responses), str(qmatrix), str(root)
+
+
+@pytest.fixture(scope="module")
+def other_data_ckpts(tmp_path_factory, tiny_paths):
+    """A checkpoint trained on the tiny data (120x12x5, seed 3) and, per kind
+    of mismatch, the CSV paths of other data with a checkpoint trained on it:
+    "qmatrix" is same-shape data from seed 4, "students" has 150 students."""
+    root = tmp_path_factory.mktemp("other")
+
+    def trained(dataset, name):
+        path = str(root / f"{name}.ckpt")
+        model = CDModel(embed_dim=4, ffn_hidden=(4,), max_epochs=1, seed=0)
+        model.fit(dataset.records, dataset.qmatrix).save(path)
+        return path
+
+    others = {}
+    for kind, dataset in (("qmatrix", synth.generate_dataset(120, 12, 5, seed=4)),
+                          ("students", synth.generate_dataset(150, 12, 5, seed=3))):
+        paths = (str(root / f"{kind}_responses.csv"), str(root / f"{kind}_qmatrix.csv"))
+        synth.write_dataset_csv(dataset, *paths)
+        others[kind] = (paths, trained(dataset, kind))
+    tiny = data.load_responses(tiny_paths[0]).with_qmatrix(data.load_qmatrix(tiny_paths[1]))
+    return trained(tiny, "tiny"), others
 
 
 def _tiny_config(tiny_paths, out_name, **overrides):
@@ -72,6 +96,9 @@ BAD_ALGORITHM_VALUES = [
     ("hessian", {"n_batches": 1.0}, "n_batches"),
     ("hessian", {"seed": -1}, "seed"),
     ("gradasc", {"lr": math.inf}, "lr"),
+    ("hif", {"alpha": math.inf}, "alpha"),
+    ("fim", {"alpha": math.inf}, "alpha"),
+    ("hessian", {"alpha": math.inf}, "alpha"),
 ]
 
 # (config key, value, the setting the error names): seeds are integers >= 0;
@@ -542,6 +569,47 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: simulate-shrinkage: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--students", "0"), ("--students", "-3"), ("--items", "0"), ("--kcs", "0"),
+         ("--student-scale", "nan"), ("--item-scale", "inf")],
+    )
+    def test_make_synthetic_bad_input_exits_1(self, tmp_path, capsys, option, value):
+        out = tmp_path / "data"
+        assert cli_main(["make-synthetic", option, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: make-synthetic: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("other", ["qmatrix", "students"])
+    @pytest.mark.parametrize("command", ["unlearn", "mia-orig", "mia-target"])
+    def test_checkpoint_of_other_data_exits_1(
+        self, tiny_paths, other_data_ckpts, tmp_path, capsys, command, other
+    ):
+        responses, qmatrix, _ = tiny_paths
+        tiny_ckpt, others = other_data_ckpts
+        other_paths, other_ckpt = others[other]
+        if command == "mia-target":  # the config's data is the attacker's
+            config, orig, target = (responses, qmatrix), tiny_ckpt, other_ckpt
+        else:
+            config, orig, target = other_paths, tiny_ckpt, tiny_ckpt
+        out = tmp_path / "never"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"responses_path": config[0], "qmatrix_path": config[1],
+                        "out_dir": str(out), "algorithms": {"hif": {}}})
+        )
+        args = ["--config", str(config_path), "--out", str(out)]
+        if command == "unlearn":
+            args = ["unlearn", *args, "--model", orig]
+        else:
+            args = ["mia", *args, "--orig-model", orig, "--model", target]
+        assert cli_main(args) == 1
+        rejected = target if command == "mia-target" else orig
+        mismatch = "Q-matrix differs" if other == "qmatrix" else "students and 12 items"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rejected}: ") and mismatch in err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         bad = tmp_path / "bad.json"
@@ -549,7 +617,8 @@ class TestCli:
         assert cli_main(["run", "--config", str(bad)]) == 1
 
     @pytest.mark.parametrize(
-        "name, params", [("hif", {"lambda_": 1.5}), ("gradasc", {"steps": -1})]
+        "name, params",
+        [("hif", {"lambda_": 1.5}), ("gradasc", {"steps": -1}), ("hif", {"alpha": math.inf})],
     )
     def test_bad_algorithm_value_exits_1_before_training(
         self, tiny_paths, tmp_path, capsys, name, params

@@ -113,10 +113,7 @@ class TestProtocolGuards:
         # training data of either baseline model, so their embedding rows must
         # still equal their initialization.
         wiring = frcsub_ctx.m_orig.wiring_
-        fresh = wiring.init_params(
-            np.random.default_rng(frcsub_ctx.config.seed_model),
-            frcsub_ctx.config.seed_model,
-        )
+        fresh = wiring.init_params(np.random.default_rng(frcsub_ctx.config.seed_model))
         nm_rows = sorted(frcsub_ctx.partition.nm_train | frcsub_ctx.partition.nm_eval)
         for model in (frcsub_ctx.m_orig, frcsub_ctx.m_retrain):
             assert np.array_equal(
@@ -125,10 +122,7 @@ class TestProtocolGuards:
 
     def test_single_exposure_forget_rows_trained_only_into_original(self, frcsub_ctx):
         wiring = frcsub_ctx.m_orig.wiring_
-        fresh = wiring.init_params(
-            np.random.default_rng(frcsub_ctx.config.seed_model),
-            frcsub_ctx.config.seed_model,
-        )
+        fresh = wiring.init_params(np.random.default_rng(frcsub_ctx.config.seed_model))
         forget_rows = sorted(frcsub_ctx.partition.forget)
         assert not np.array_equal(
             frcsub_ctx.m_orig.params_["student_emb"][forget_rows],

@@ -31,7 +31,7 @@ class TestDecoupledPredict:
     def test_equal_proficiency_and_difficulty_collapse(self, small_dataset):
         cfg = CDArchConfig(embed_dim=4, ffn_hidden=(6,), dropout=0.0)
         wiring = build_wiring(cfg, 12, small_dataset.n_items, small_dataset.qmatrix)
-        params = wiring.init_params(np.random.default_rng(0), 0)
+        params = wiring.init_params(np.random.default_rng(0))
         # identical embedding vector for every student and exercise, shared
         # biases: proficiency == difficulty, so the masked gap is zero and the
         # output depends only on the feed-forward net.
@@ -91,7 +91,7 @@ class TestProficiency:
     def test_zero_parameters_give_half(self, small_dataset):
         cfg = CDArchConfig(embed_dim=4, ffn_hidden=(), dropout=0.0)
         wiring = build_wiring(cfg, 5, small_dataset.n_items, small_dataset.qmatrix)
-        params = wiring.init_params(np.random.default_rng(0), 0)
+        params = wiring.init_params(np.random.default_rng(0))
         params["student_emb"][...] = 0.0
         params["prof_bias"][...] = 0.0
         prof = wiring.proficiency_from(params, np.array([0]))
@@ -175,7 +175,7 @@ class TestMonotonicVariant:
     def test_zero_tables_give_ffn_of_zero(self, small_dataset):
         cfg = CDArchConfig(arch="neuralcdm", ffn_hidden=(6,), dropout=0.0)
         wiring = build_wiring(cfg, 8, small_dataset.n_items, small_dataset.qmatrix)
-        params = wiring.init_params(np.random.default_rng(5), 5)
+        params = wiring.init_params(np.random.default_rng(5))
         params["student_emb"][...] = 0.0
         params["diff_emb"][...] = 0.0
         # mastery == difficulty == 0.5 -> interaction input is exactly zero

@@ -50,6 +50,13 @@ MALFORMED_CHECKPOINTS = [
         lambda h: h["meta"]["hyperparameters"].update(arch="bogus"),
         "'hyperparameters'",
     ),
+    ("rng_seed-not-seed", lambda h: h["meta"].update(rng_seed=h["meta"]["rng_seed"] + 1),
+     "'rng_seed'"),
+    (
+        "seed-a-float",
+        lambda h: h["meta"]["hyperparameters"].update(seed=float(h["meta"]["rng_seed"])),
+        "'rng_seed'",
+    ),
 ]
 
 
@@ -70,7 +77,7 @@ def _random_wiring(rng, arch, n_students=6, n_items=5, n_kcs=3):
         dropout=0.0,
     )
     wiring = build_wiring(cfg, n_students, n_items, _random_qmatrix(rng, n_items, n_kcs))
-    params = wiring.init_params(np.random.default_rng(int(rng.integers(0, 2**31))), 0)
+    params = wiring.init_params(np.random.default_rng(int(rng.integers(0, 2**31))))
     for _, values in params.items():
         values[...] = rng.uniform(-0.8, 0.8, size=values.shape)
     wiring.post_step(params)
@@ -84,7 +91,7 @@ def _loss_at(wiring, params, s, q, y):
 
 def finite_difference_gradient(wiring, params, s, q, y, h=1e-5):
     """Central differences of the single-example loss for every parameter."""
-    fd = nn.GradientBuffer.zeros_like(params)
+    fd = params.zeros()
     for name, values in params.items():
         flat = values.ravel()
         out = fd[name].ravel()
@@ -99,7 +106,7 @@ def finite_difference_gradient(wiring, params, s, q, y, h=1e-5):
     return fd
 
 
-def max_relative_error(a: nn.GradientBuffer, b: nn.GradientBuffer) -> float:
+def max_relative_error(a: nn.ArrayBundle, b: nn.ArrayBundle) -> float:
     worst = 0.0
     for name, av in a.items():
         bv = b[name]
@@ -139,7 +146,7 @@ class TestForward:
     def test_all_zero_parameters_give_half(self, small_dataset):
         cfg = CDArchConfig(embed_dim=4, ffn_hidden=(6,), dropout=0.0)
         wiring = build_wiring(cfg, 10, small_dataset.n_items, small_dataset.qmatrix)
-        params = wiring.init_params(np.random.default_rng(0), 0)
+        params = wiring.init_params(np.random.default_rng(0))
         for _, values in params.items():
             values[...] = 0.0
         s = np.arange(5)
@@ -194,15 +201,15 @@ class TestBackward:
 
 class TestOptimizers:
     def test_sgd_step(self):
-        params = nn.ParamStore({"w": np.array([1.0])})
-        grads = nn.GradientBuffer({"w": np.array([2.0])})
+        params = nn.ArrayBundle({"w": np.array([1.0])})
+        grads = nn.ArrayBundle({"w": np.array([2.0])})
         state = nn.make_optimizer("sgd", 0.1, params)
         nn.optimizer_step(params, grads, state)
         assert params["w"][0] == pytest.approx(0.8, abs=1e-15)
 
     def test_adam_first_step_magnitude(self):
-        params = nn.ParamStore({"w": np.array([0.0])})
-        grads = nn.GradientBuffer({"w": np.array([1.0])})
+        params = nn.ArrayBundle({"w": np.array([0.0])})
+        grads = nn.ArrayBundle({"w": np.array([1.0])})
         state = nn.make_optimizer("adam", 0.01, params)
         nn.optimizer_step(params, grads, state)
         # bias-corrected first step: lr * 1 / (1 + eps)
@@ -210,15 +217,15 @@ class TestOptimizers:
         assert state.step == 1
 
     def test_zero_gradient_keeps_parameters(self):
-        params = nn.ParamStore({"w": np.array([0.7, -0.3])})
-        grads = nn.GradientBuffer({"w": np.zeros(2)})
+        params = nn.ArrayBundle({"w": np.array([0.7, -0.3])})
+        grads = nn.ArrayBundle({"w": np.zeros(2)})
         state = nn.make_optimizer("sgd", 0.5, params)
         nn.optimizer_step(params, grads, state)
         assert np.array_equal(params["w"], np.array([0.7, -0.3]))
 
     def test_shape_mismatch_rejected(self):
-        params = nn.ParamStore({"w": np.zeros(2)})
-        grads = nn.GradientBuffer({"w": np.zeros(3)})
+        params = nn.ArrayBundle({"w": np.zeros(2)})
+        grads = nn.ArrayBundle({"w": np.zeros(3)})
         with pytest.raises(ValueError):
             nn.optimizer_step(params, grads, nn.make_optimizer("sgd", 0.1, params))
 
@@ -242,7 +249,7 @@ class TestSquaredGradientAccumulation:
         fast = nn.accumulate_sq_grads(
             small_model.wiring_, small_model.params_, s, q, y, batch_size=64
         )
-        brute = nn.GradientBuffer.zeros_like(small_model.params_)
+        brute = small_model.params_.zeros()
         for rec in records:
             g = nn.example_gradient(
                 small_model.wiring_, small_model.params_, rec.student_id, rec.item_id, rec.score
@@ -443,7 +450,7 @@ class TestCheckpointContainer:
         )
         for name, values in small_model.params_.items():
             assert np.array_equal(values, loaded.params_[name])
-        assert loaded.params_.rng_seed == small_model.params_.rng_seed
+        assert loaded.seed == small_model.seed
 
 
 # -- reference kernels --------------------------------------------------
@@ -474,15 +481,15 @@ def ref_optimizer_step(params, grads, state):
             p -= state.lr * grads[k]
         return params, state
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - nn.ADAM_BETA1**state.step
+    bc2 = 1.0 - nn.ADAM_BETA2**state.step
     for k, p in params.items():
         g, m, v = grads[k], state.m[k], state.v[k]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= nn.ADAM_BETA1
+        m += (1.0 - nn.ADAM_BETA1) * g
+        v *= nn.ADAM_BETA2
+        v += (1.0 - nn.ADAM_BETA2) * np.square(g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + nn.ADAM_EPS)
     return params, state
 
 
@@ -566,7 +573,7 @@ class TestFusedAdam:
 
     def _run(self, kind, step_fn, steps=7):
         rng = np.random.default_rng(5)
-        params = nn.ParamStore({k: rng.normal(size=s) for k, s in self.SHAPES.items()})
+        params = nn.ArrayBundle({k: rng.normal(size=s) for k, s in self.SHAPES.items()})
         state = nn.make_optimizer(kind, 0.01, params)
         for _ in range(steps):
             grads = {}
@@ -575,7 +582,7 @@ class TestFusedAdam:
                 # row-sparse: most rows untouched in a batch, like embeddings
                 g[rng.random(shape[0]) < 0.8] = 0.0
                 grads[k] = g
-            step_fn(params, nn.GradientBuffer(grads), state)
+            step_fn(params, nn.ArrayBundle(grads), state)
         return params, state
 
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
@@ -641,7 +648,7 @@ def predict_setup(request):
     n_students, n_items = 3000, 100
     cfg = CDArchConfig(arch=request.param, embed_dim=32, ffn_hidden=(64, 32), dropout=0.0)
     wiring = build_wiring(cfg, n_students, n_items, _random_qmatrix(rng, n_items, 8))
-    params = wiring.init_params(np.random.default_rng(13), 0)
+    params = wiring.init_params(np.random.default_rng(13))
     for _, values in params.items():
         values[...] = rng.uniform(-0.8, 0.8, size=values.shape)
     wiring.post_step(params)

@@ -26,7 +26,7 @@ from cdunlearn.unlearn import (
 
 
 def _single(theta, imp_f, imp_r, alpha, lambda_):
-    params = nn.ParamStore({"w": np.array([theta])})
+    params = nn.ArrayBundle({"w": np.array([theta])})
     out, n = select_and_attenuate(
         params,
         ImportanceMap({"w": np.array([imp_f])}),
@@ -71,7 +71,7 @@ class TestSelectAndAttenuate:
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(50)
         theta[7] = 0.0
-        params = nn.ParamStore({"w": theta.copy()})
+        params = nn.ArrayBundle({"w": theta.copy()})
         out, _ = select_and_attenuate(
             params,
             ImportanceMap({"w": rng.random(50)}),
@@ -92,7 +92,7 @@ class TestSelectAndAttenuate:
         previous = None
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
             out, _ = select_and_attenuate(
-                nn.ParamStore({"w": theta.copy()}), imp_f, imp_r, 1.3, lam
+                nn.ArrayBundle({"w": theta.copy()}), imp_f, imp_r, 1.3, lam
             )
             magnitude = np.abs(out["w"])
             if previous is not None:
@@ -100,7 +100,7 @@ class TestSelectAndAttenuate:
             previous = magnitude
 
     def test_unknown_excluded_layer_rejected(self):
-        params = nn.ParamStore({"w": np.ones(3)})
+        params = nn.ArrayBundle({"w": np.ones(3)})
         imp = ImportanceMap({"w": np.ones(3)})
         with pytest.raises(ValueError, match="excluded"):
             select_and_attenuate(params, imp, imp, 1.0, 0.5, frozenset({"nope"}))
@@ -120,6 +120,11 @@ class TestHIFConfig:
             HIFConfig(alpha=1.0, lambda_=1.5, beta=0.1)
         with pytest.raises(ValueError):
             HIFConfig(alpha=1.0, lambda_=0.5, beta=-0.1)
+
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan, -np.inf])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            HIFConfig(alpha=alpha, lambda_=0.5, beta=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -410,12 +415,28 @@ class TestGradientAscent:
         with pytest.raises(ValueError):
             gradient_ascent_unlearn(small_model, forget, lr=-1e-5, steps=1)
 
-    def test_nonfinite_result_names_the_layers(self, small_model, forget_retain):
+    @pytest.mark.parametrize("steps", [0, 1])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_lr_rejected_before_any_step(self, small_model, forget_retain, lr, steps):
         forget, _ = forget_retain
+        with pytest.raises(ValueError, match="lr must be a finite number"):
+            gradient_ascent_unlearn(small_model, forget, lr=lr, steps=steps)
+
+    def test_nonfinite_result_names_the_layers(self, small_model, forget_retain, monkeypatch):
+        # No finite lr overflows this model: saturated sigmoids make the
+        # gradients vanish. So the backward pass is made to return NaN.
+        forget, _ = forget_retain
+        wiring = type(small_model.wiring_)
+        backward = wiring.backward
+
+        def nan_backward(*args, **kwargs):
+            return backward(*args, **kwargs).scale_(np.nan)
+
+        monkeypatch.setattr(wiring, "backward", nan_backward)
         with np.errstate(all="ignore"), pytest.raises(
             ValueError, match=r"gradient ascent left non-finite values in layers \['student_emb'"
         ):
-            gradient_ascent_unlearn(small_model, forget, lr=float("inf"), steps=1)
+            gradient_ascent_unlearn(small_model, forget, lr=1e-4, steps=1)
 
 
 class TestHessianUnlearn:
