@@ -203,7 +203,7 @@ def hutchinson_hessian_diag(
         params = template.with_vector(vec)
         probs, cache = wiring.forward(params, s, q, train=False)
         dz = (probs - y) / len(y)
-        return wiring.backward(params, cache, dz, mode="sum").to_vector()
+        return wiring.backward(params, cache, dz, mode="sum").dense().to_vector()
 
     estimate = hutchinson_diag(grad_fn, template.to_vector(), n_probe_samples, rng)
     return ImportanceMap(

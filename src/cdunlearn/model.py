@@ -243,8 +243,8 @@ class DecoupledWiring(_Wiring):
             grads["prof_bias"] = d_ap.sum(axis=0)
             grads["diff_bias"] = d_ad.sum(axis=0)
             grads["kc_emb"] = d_ap.T @ e_s + d_ad.T @ e_q
-        grads["student_emb"] = nn.scatter_rows(self.n_students, cache["students"], d_rows_s)
-        grads["exercise_emb"] = nn.scatter_rows(self.n_items, cache["items"], d_rows_q)
+        [grads["student_emb"]] = nn.row_grads(self.n_students, cache["students"], d_rows_s)
+        [grads["exercise_emb"]] = nn.row_grads(self.n_items, cache["items"], d_rows_q)
         return self._ordered(grads)
 
 
@@ -308,9 +308,8 @@ class MonotonicCdmWiring(_Wiring):
         if squared:
             d_ms, d_md, d_mc = np.square(d_ms), np.square(d_md), np.square(d_mc)
         students, items = cache["students"], cache["items"]
-        grads["student_emb"] = nn.scatter_rows(self.n_students, students, d_ms)
-        grads["diff_emb"] = nn.scatter_rows(self.n_items, items, d_md)
-        grads["disc_emb"] = nn.scatter_rows(self.n_items, items, d_mc)
+        [grads["student_emb"]] = nn.row_grads(self.n_students, students, d_ms)
+        grads["diff_emb"], grads["disc_emb"] = nn.row_grads(self.n_items, items, d_md, d_mc)
         return self._ordered(grads)
 
 

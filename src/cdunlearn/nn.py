@@ -15,7 +15,10 @@ where ``dz`` holds per-example values of d(loss)/d(final pre-activation).
 With ``mode="sum"`` the returned buffer is the sum over the batch of
 per-example gradients scaled by ``dz``; with ``mode="sq_sum"`` it is the sum of
 elementwise squares of the per-example gradients. Parameters not touched by
-any example in the batch come back exactly zero.
+any example in the batch are exactly zero. A row-indexed table that is large
+next to the batch may come back as a :class:`RowGrad`, which holds only the
+rows the batch touched (see :func:`row_grads`); ``ArrayBundle.dense`` turns
+such a buffer into plain tables.
 """
 
 from __future__ import annotations
@@ -30,6 +33,12 @@ import numpy as np
 
 PROB_EPS = 1e-7  # probability clamp applied before logs
 PREDICT_ROWS = 512  # chunk alignment of _predict_all
+# row_grads gives a table its gradient as a RowGrad when it holds at least this
+# many entries per record of the batch, and the dense scatter_rows table
+# otherwise. Per-batch training-step times at batch 256 (2-vCPU x86-64 VM)
+# crossed over at 250-310 entries per record with 32 columns (decoupled) and
+# at 250-375 with 8 (neuralcdm): about 8 and 32 rows per record.
+ROW_GRAD_MIN_ENTRIES_PER_RECORD = 256
 
 
 def is_count(value, minimum: int) -> bool:
@@ -69,6 +78,48 @@ def scatter_rows(n_rows: int, index: np.ndarray, rows: np.ndarray) -> np.ndarray
     return table.astype(np.float64, copy=False).reshape(n_rows, d)
 
 
+@dataclass
+class RowGrad:
+    """The gradient of a row-indexed table, held as the rows a batch touched.
+
+    ``rows`` holds sorted unique row ids and ``values[i]`` the gradient of row
+    ``rows[i]``; every other row of the ``n_rows``-row table is exactly zero.
+    """
+
+    n_rows: int
+    rows: np.ndarray
+    values: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n_rows, self.values.shape[1])
+
+    def dense(self) -> np.ndarray:
+        table = np.zeros(self.shape)
+        table[self.rows] = self.values
+        return table
+
+
+def row_grads(
+    n_rows: int, index: np.ndarray, *per_record: np.ndarray
+) -> list[np.ndarray | RowGrad]:
+    """For each ``(batch, d)`` array of ``per_record``, the gradient of an
+    ``n_rows``-row table to whose row ``index[b]`` record ``b`` adds its row.
+
+    When the tables hold at least :data:`ROW_GRAD_MIN_ENTRIES_PER_RECORD`
+    entries, all together, per record of the batch, each comes back as a
+    :class:`RowGrad`, whose cost follows the batch and not the table, and
+    otherwise as the dense :func:`scatter_rows` table. The row form runs
+    ``scatter_rows`` over the batch's unique rows, so each row sums the same
+    values in the same order and ``RowGrad.dense()`` gives the dense bits.
+    """
+    entries = n_rows * sum(values.shape[1] for values in per_record)
+    if entries < ROW_GRAD_MIN_ENTRIES_PER_RECORD * len(index):
+        return [scatter_rows(n_rows, index, values) for values in per_record]
+    rows, inverse = np.unique(index, return_inverse=True)
+    return [RowGrad(n_rows, rows, scatter_rows(len(rows), inverse, v)) for v in per_record]
+
+
 def bce_loss(p: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float:
     """Binary cross-entropy with ``p`` clamped to [PROB_EPS, 1 - PROB_EPS].
 
@@ -84,10 +135,17 @@ def bce_loss(p: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float
 
 class ArrayBundle:
     """An ordered mapping of layer id -> float64 array with flat-vector views:
-    parameters, gradients, Adam's moments and importance maps."""
+    parameters, gradients, Adam's moments and importance maps.
 
-    def __init__(self, arrays: Mapping[str, np.ndarray]):
-        self._arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+    A gradient from a wiring's ``backward`` may hold :class:`RowGrad` layers,
+    which only ``optimizer_step``, ``sum_sq_grads`` and :meth:`dense` read.
+    """
+
+    def __init__(self, arrays: Mapping[str, np.ndarray | RowGrad]):
+        self._arrays = {
+            k: v if isinstance(v, RowGrad) else np.asarray(v, dtype=np.float64)
+            for k, v in arrays.items()
+        }
 
     @property
     def layer_ids(self) -> tuple[str, ...]:
@@ -118,6 +176,12 @@ class ArrayBundle:
     def copy(self) -> "ArrayBundle":
         return ArrayBundle({k: v.copy() for k, v in self.items()})
 
+    def dense(self) -> "ArrayBundle":
+        """This bundle with every :class:`RowGrad` layer as a plain table."""
+        return ArrayBundle(
+            {k: v.dense() if isinstance(v, RowGrad) else v for k, v in self.items()}
+        )
+
     def zeros(self) -> "ArrayBundle":
         """A bundle of the same layout holding zeros."""
         return ArrayBundle({k: np.zeros_like(v) for k, v in self.items()})
@@ -147,13 +211,15 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; moment buffers are congruent with the parameters."""
+    """SGD or Adam state. Adam's moments ``m``, ``v`` and its two scratch
+    bundles are congruent with the parameters."""
 
     kind: str
     lr: float
     step: int = 0
     m: ArrayBundle | None = None
     v: ArrayBundle | None = None
+    scratch: tuple[ArrayBundle, ArrayBundle] | None = None
 
 
 def make_optimizer(kind: str, lr: float, params: ArrayBundle) -> OptimizerState:
@@ -163,39 +229,61 @@ def make_optimizer(kind: str, lr: float, params: ArrayBundle) -> OptimizerState:
     if kind == "adam":
         state.m = params.zeros()
         state.v = params.zeros()
+        state.scratch = (params.zeros(), params.zeros())
     return state
 
 
 def optimizer_step(params: ArrayBundle, grads: ArrayBundle, state: OptimizerState) -> None:
-    """Apply one in-place update to ``params`` and ``state``."""
+    """Apply one in-place update to ``params`` and ``state``.
+
+    A :class:`RowGrad` layer is applied to its rows alone, with the bits of
+    its dense table (see the comment in the Adam loop).
+    """
     params.require_congruent(grads)
     if state.kind == "sgd":
         for k, p in params.items():
-            p -= state.lr * grads[k]
+            g = grads[k]
+            if isinstance(g, RowGrad):
+                p[g.rows] -= state.lr * g.values  # p - 0.0 == p, also for p == -0.0
+            else:
+                p -= state.lr * g
         return
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
-    assert state.m is not None and state.v is not None
+    assert state.m is not None and state.v is not None and state.scratch is not None
     # In place, with the operations of
     #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g**2
     #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-    # in that order, through two temporaries per layer.
+    # in that order, through the two scratch arrays t and u of each layer.
+    #
+    # A RowGrad's untouched rows have g == +0.0, so the dense form adds +0.0
+    # to beta1*m and beta2*v there; the row form skips that add, which keeps
+    # the bits: x + 0.0 == x for every x but -0.0. beta1*m is -0.0 only when
+    # m is (0.9 times one ulp still rounds to one ulp), and a sum is -0.0
+    # only when both addends are, so moments that start at +0.0 never become
+    # -0.0; v is never negative at all. The decay and the update read every
+    # row and stay dense.
+    t_bundle, u_bundle = state.scratch
     for k, p in params.items():
         g = grads[k]
-        m = state.m[k]
-        v = state.v[k]
-        t = np.multiply(g, 1.0 - ADAM_BETA1)
+        m, v = state.m[k], state.v[k]
+        t, u = t_bundle[k], u_bundle[k]
         m *= ADAM_BETA1
-        m += t
-        np.square(g, out=t)
-        t *= 1.0 - ADAM_BETA2
         v *= ADAM_BETA2
-        v += t
+        if isinstance(g, RowGrad):
+            m[g.rows] += g.values * (1.0 - ADAM_BETA1)
+            v[g.rows] += np.square(g.values) * (1.0 - ADAM_BETA2)
+        else:
+            np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+            m += t
+            np.square(g, out=t)
+            t *= 1.0 - ADAM_BETA2
+            v += t
         np.divide(v, bc2, out=t)
         np.sqrt(t, out=t)
         t += ADAM_EPS
-        u = np.divide(m, bc1)
+        np.divide(m, bc1, out=u)
         u *= state.lr
         u /= t
         p -= u
@@ -207,7 +295,7 @@ def example_gradient(wiring, params: ArrayBundle, student: int, item: int, score
     q = np.asarray([item], dtype=np.int64)
     p, cache = wiring.forward(params, s, q, train=False)
     dz = p - np.asarray([score], dtype=np.float64)
-    return wiring.backward(params, cache, dz, mode="sum")
+    return wiring.backward(params, cache, dz, mode="sum").dense()
 
 
 def sum_sq_grads(
@@ -233,7 +321,11 @@ def sum_sq_grads(
         dz = p - scores[sl]
         batch = wiring.backward(params, cache, dz, mode="sq_sum")
         for k, v in total.items():
-            v += batch[k]
+            g = batch[k]
+            if isinstance(g, RowGrad):  # exact: v + 0.0 == v, as v >= 0
+                v[g.rows] += g.values
+            else:
+                v += g
     return total
 
 

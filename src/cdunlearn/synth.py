@@ -56,12 +56,13 @@ def generate_dataset(
     that only knows the items. With ``complete=True`` every student answers
     every item (n_students * n_items records), matching the shape of classic
     assessment matrices; otherwise each pair is kept with probability
-    ``density``. Counts must be integers >= 1, the scales finite and the
-    density in (0, 1]; otherwise :class:`ValueError`.
+    ``density``. Counts must be integers >= 1, the seed an integer >= 0, the
+    scales finite and the density in (0, 1]; otherwise :class:`ValueError`.
     """
-    for name, count in (("n_students", n_students), ("n_items", n_items), ("n_kcs", n_kcs)):
-        if not is_count(count, 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    for name, count, minimum in (("n_students", n_students, 1), ("n_items", n_items, 1),
+                                 ("n_kcs", n_kcs, 1), ("seed", seed, 0)):
+        if not is_count(count, minimum):
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {count!r}")
     for name, scale in (("student_scale", student_scale), ("item_scale", item_scale)):
         if not math.isfinite(scale):
             raise ValueError(f"{name} must be a finite number, got {scale!r}")

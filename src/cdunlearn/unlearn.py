@@ -243,7 +243,7 @@ def gradient_ascent_unlearn(
     for _ in range(steps):
         probs, cache = wiring.forward(params, s, q, train=False)
         dz = (probs - y) / len(y)
-        grads = wiring.backward(params, cache, dz, mode="sum")
+        grads = wiring.backward(params, cache, dz, mode="sum").dense()
         for layer_id, values in params.items():
             values += lr * grads[layer_id]
     nonfinite = params.nonfinite_layers()

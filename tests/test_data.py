@@ -374,7 +374,8 @@ def test_write_dataset_csv_without_qmatrix_writes_nothing(tmp_path):
     "setting, value",
     [("n_students", 0), ("n_students", -3), ("n_students", 2.5), ("n_items", 0),
      ("n_kcs", 0), ("n_kcs", True), ("student_scale", math.nan), ("item_scale", math.inf),
-     ("item_scale", -math.inf), ("density", 0.0), ("density", 1.5), ("density", math.nan)],
+     ("item_scale", -math.inf), ("density", 0.0), ("density", 1.5), ("density", math.nan),
+     ("seed", -1), ("seed", 1.5), ("seed", None)],
 )
 def test_generate_dataset_rejects_out_of_range_settings(setting, value):
     with pytest.raises(ValueError, match=f"{setting} must be"):

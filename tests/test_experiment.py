@@ -572,7 +572,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "option, value",
         [("--students", "0"), ("--students", "-3"), ("--items", "0"), ("--kcs", "0"),
-         ("--student-scale", "nan"), ("--item-scale", "inf")],
+         ("--student-scale", "nan"), ("--item-scale", "inf"), ("--seed", "-1")],
     )
     def test_make_synthetic_bad_input_exits_1(self, tmp_path, capsys, option, value):
         out = tmp_path / "data"

@@ -260,6 +260,16 @@ class TestSquaredGradientAccumulation:
         for name, values in fast.items():
             assert np.allclose(values, brute[name], rtol=1e-10, atol=1e-300)
 
+    def test_row_form_gives_the_dense_bits(self, small_model, small_dataset, monkeypatch):
+        # batch 2 puts the 80x8 student table on the row side of row_grads
+        s, q, y = records_to_arrays(small_dataset.records[:150])
+        args = (small_model.wiring_, small_model.params_, s, q, y, 2)
+        rows = nn.sum_sq_grads(*args)
+        monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", np.inf)  # always dense
+        dense = nn.sum_sq_grads(*args)
+        for name, values in dense.items():
+            assert_same_bits(rows[name], values)
+
     def test_unused_parameter_importance_is_zero(self, small_model, small_dataset):
         # only records of students 0..9: rows 10.. must come out exactly 0
         records = [r for r in small_dataset.records if r.student_id < 10]
@@ -476,6 +486,7 @@ def ref_scatter_rows(n_rows, index, rows):
 
 def ref_optimizer_step(params, grads, state):
     params.require_congruent(grads)
+    grads = grads.dense()
     if state.kind == "sgd":
         for k, p in params.items():
             p -= state.lr * grads[k]
@@ -567,6 +578,44 @@ class TestScatterRows:
         rows = np.array([[-0.0], [-0.0], [-0.0]])
         assert_same_bits(nn.scatter_rows(3, index, rows), ref_scatter_rows(3, index, rows))
 
+    @pytest.mark.parametrize("case", ["duplicates", "negative-zero", "zero-sum", "empty"])
+    def test_row_form_dense_matches_add_at(self, case, monkeypatch):
+        monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)  # always the row form
+        rng = np.random.default_rng(6)
+        index = {"duplicates": rng.integers(0, 7, size=200), "negative-zero": np.array([4, 4, 0]),
+                 "zero-sum": np.array([2, 5, 2]), "empty": np.empty(0, dtype=np.int64)}[case]
+        rows = rng.normal(size=(len(index), 3)) * 10.0 ** rng.integers(-8, 8, size=(len(index), 1))
+        if case == "negative-zero":
+            rows[:] = -0.0
+        if case == "zero-sum":
+            rows[2] = -rows[0]
+        [got] = nn.row_grads(9, index, rows)
+        assert isinstance(got, nn.RowGrad) and got.shape == (9, 3)
+        assert np.array_equal(got.rows, np.unique(index)) and got.rows.dtype == np.int64
+        assert_same_bits(got.dense(), ref_scatter_rows(9, index, rows))
+
+
+class TestRowGradSelection:
+    """row_grads picks the row form from the tables' entries per record."""
+
+    @pytest.mark.parametrize("widths", [(4,), (3, 1)])  # one table; two sharing an index
+    def test_form_flips_at_the_threshold(self, widths):
+        batch = 5
+        n_rows = nn.ROW_GRAD_MIN_ENTRIES_PER_RECORD * batch // sum(widths)
+        index = np.arange(batch) * 3
+        per_record = [np.ones((batch, w)) for w in widths]
+        assert all(isinstance(g, nn.RowGrad) for g in nn.row_grads(n_rows, index, *per_record))
+        below = nn.row_grads(n_rows - 1, index, *per_record)
+        assert all(type(g) is np.ndarray and g.shape == (n_rows - 1, w)
+                   for g, w in zip(below, widths))
+
+    def test_benchmark_shapes_fall_on_either_side(self):
+        # decoupled, embed_dim 32, batch 256: 536 students stay dense, 10,000 get rows
+        index = np.arange(256)
+        rows = np.zeros((256, 32))
+        assert type(nn.row_grads(536, index, rows)[0]) is np.ndarray
+        assert isinstance(nn.row_grads(10_000, index, rows)[0], nn.RowGrad)
+
 
 class TestFusedAdam:
     SHAPES = {"emb": (40, 6), "w": (5, 6), "b": (5,)}
@@ -596,6 +645,46 @@ class TestFusedAdam:
                 assert_same_bits(got_state.m[k], want_state.m[k])
                 assert_same_bits(got_state.v[k], want_state.v[k])
 
+    ROW_CASES = {
+        "duplicates": np.array([3, 3, 7, 3, 12, 7]),
+        "zero-sum": np.array([5, 9, 5]),  # row 5's two values cancel exactly
+        "first-and-last": np.array([0, 39, 0]),
+        "every-row": np.concatenate([np.arange(40)[::-1], [0, 17, 39]]),
+    }
+
+    def _run_rows(self, kind, step_fn, case, steps=7):
+        """Steps whose "emb" gradient is a RowGrad: the case's rows on even
+        steps, other rows on odd ones. Row 20 holds -0.0 and only "every-row"
+        touches it."""
+        rng = np.random.default_rng(8)
+        params = nn.ArrayBundle({k: rng.normal(size=s) for k, s in self.SHAPES.items()})
+        params["emb"][20] = -0.0
+        state = nn.make_optimizer(kind, 0.01, params)
+        for step in range(steps):
+            index = self.ROW_CASES[case] if step % 2 == 0 else rng.choice(20, size=4) * 2 + 1
+            values = rng.normal(size=(len(index), 6))
+            if case == "zero-sum":
+                values[2] = -values[0]
+            [emb] = nn.row_grads(40, index, values)
+            grads = {k: rng.normal(size=s) for k, s in self.SHAPES.items() if k != "emb"}
+            step_fn(params, nn.ArrayBundle({"emb": emb, **grads}), state)
+        return params, state
+
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_row_grads_match_reference_on_dense_form(self, kind, case, monkeypatch):
+        monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)  # always the row form
+        got, got_state = self._run_rows(kind, nn.optimizer_step, case)
+        want, want_state = self._run_rows(kind, ref_optimizer_step, case)
+        assert got_state.step == want_state.step
+        for k, values in want.items():
+            assert_same_bits(got[k], values)
+            if kind == "adam":
+                assert_same_bits(got_state.m[k], want_state.m[k])
+                assert_same_bits(got_state.v[k], want_state.v[k])
+        if case != "every-row":
+            assert_same_bits(got["emb"][20], np.full(6, -0.0))
+
 
 RTA_OWNERS = (data, model, importance, mia, unlearn)
 
@@ -611,10 +700,10 @@ def reference_kernels(monkeypatch):
     return monkeypatch
 
 
-def _fit_and_unlearn(dataset, arch):
+def _fit_and_unlearn(dataset, arch, batch_size):
     fitted = CDModel(
         arch=arch, embed_dim=6, ffn_hidden=(8,), dropout=0.2,
-        max_epochs=4, batch_size=32, seed=3,
+        max_epochs=4, batch_size=batch_size, seed=3,
     ).fit(dataset.records, dataset.qmatrix)
     forget = [r for r in dataset.records if r.student_id < 8]
     retain = [r for r in dataset.records if r.student_id >= 8]
@@ -623,11 +712,23 @@ def _fit_and_unlearn(dataset, arch):
     return fitted, forgotten, report
 
 
-@pytest.mark.parametrize("arch", ["decoupled", "neuralcdm"])
-def test_kernels_give_the_reference_bits_end_to_end(small_dataset, arch, reference_kernels):
-    want = _fit_and_unlearn(small_dataset, arch)
+# The 80-row student table (embed_dim 6, or 4 KCs) gets dense gradients at
+# batch 32 and row gradients at batch 1.
+@pytest.mark.parametrize(
+    "arch, batch_size, form",
+    [("decoupled", 32, np.ndarray), ("neuralcdm", 32, np.ndarray),
+     ("decoupled", 1, nn.RowGrad), ("neuralcdm", 1, nn.RowGrad)],
+    ids=["decoupled", "neuralcdm", "decoupled-rows", "neuralcdm-rows"],
+)
+def test_kernels_give_the_reference_bits_end_to_end(
+    small_dataset, arch, batch_size, form, reference_kernels
+):
+    want = _fit_and_unlearn(small_dataset, arch, batch_size)
     reference_kernels.undo()
-    got = _fit_and_unlearn(small_dataset, arch)
+    got = _fit_and_unlearn(small_dataset, arch, batch_size)
+    wiring, params = got[0].wiring_, got[0].params_
+    probs, cache = wiring.forward(params, np.arange(batch_size), np.zeros(batch_size, np.int64))
+    assert type(wiring.backward(params, cache, probs, mode="sum")["student_emb"]) is form
     assert nn.sigmoid is not ref_sigmoid and model.records_to_arrays is data.records_to_arrays
     assert got[2].parameters_modified == want[2].parameters_modified > 0
     for got_model, want_model in zip(got[:2], want[:2]):
