@@ -28,9 +28,11 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative")
-    order = np.argsort(s, kind="mergesort")
+    order = np.argsort(s)
     sorted_s = s[order]
-    # Average rank within each tie group (1-based ranks).
+    # Average rank within each tie group (1-based ranks). Every member of a
+    # group gets the same rank, so the order the sort leaves inside a group
+    # (it need not be stable) never reaches the result.
     boundaries = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
     group_sizes = np.diff(np.r_[boundaries, len(s)])
     group_mean_rank = boundaries + (group_sizes + 1) / 2.0  # boundaries are 0-based

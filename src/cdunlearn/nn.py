@@ -9,7 +9,7 @@ Backward passes themselves are written per architecture (see ``model``); a
     init_params(rng) -> ArrayBundle
     forward(params, students, items, train=False, rng=None) -> (probs, cache)
     backward(params, cache, dz, mode) -> ArrayBundle      # mode: "sum" | "sq_sum"
-    post_step(params) -> None                             # optional projection
+    post_step(params) -> None                             # optional in-place projection
 
 where ``dz`` holds per-example values of d(loss)/d(final pre-activation).
 With ``mode="sum"`` the returned buffer is the sum over the batch of
@@ -19,6 +19,11 @@ any example in the batch are exactly zero. A row-indexed table that is large
 next to the batch may come back as a :class:`RowGrad`, which holds only the
 rows the batch touched (see :func:`row_grads`); ``ArrayBundle.dense`` turns
 such a buffer into plain tables.
+
+The optimizers step one vector: ``make_optimizer`` moves the parameters into
+one contiguous vector of which every layer is a view, and ``optimizer_step``
+updates it, and Adam's moments, with a few whole-vector array operations
+rather than a loop over layers.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -50,8 +56,11 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function.
 
     ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` otherwise,
-    computed in one pass: ``exp(-|x|)`` is ``exp(-x)`` or ``exp(x)`` exactly,
-    so both branches share one exponential and one division per element.
+    computed in one pass: ``e = exp(-|x|)`` is ``exp(-x)`` or ``exp(x)`` exactly,
+    so both branches share one exponential and one division per element. The
+    numerator ``max(e, [x >= 0])`` needs no branch: ``e`` lies in [0, 1] and is
+    1.0 at ``x = ±0``, so it is exactly 1.0 for x >= 0 and ``e`` otherwise,
+    also where ``e`` rounds to 1.0 or 0.0; a NaN comes through from ``e``.
     """
     x = np.asarray(x, dtype=np.float64)
     if not x.ndim:
@@ -59,7 +68,7 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.maximum(e, x >= 0)
     e += 1.0
     out /= e
     return out
@@ -139,6 +148,7 @@ class ArrayBundle:
 
     A gradient from a wiring's ``backward`` may hold :class:`RowGrad` layers,
     which only ``optimizer_step``, ``sum_sq_grads`` and :meth:`dense` read.
+    After :meth:`flatten_`, every layer is a view of one vector, ``vector``.
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray | RowGrad]):
@@ -146,6 +156,7 @@ class ArrayBundle:
             k: v if isinstance(v, RowGrad) else np.asarray(v, dtype=np.float64)
             for k, v in arrays.items()
         }
+        self.vector: np.ndarray | None = None
 
     @property
     def layer_ids(self) -> tuple[str, ...]:
@@ -173,6 +184,24 @@ class ArrayBundle:
     def to_vector(self) -> np.ndarray:
         return np.concatenate([v.ravel() for v in self._arrays.values()])
 
+    def flatten_(self) -> "ArrayBundle":
+        """Move every layer, with its bits, into one new C-contiguous vector in
+        layer order, and make each layer a view of its slice of it."""
+        self.vector = self.to_vector()
+        self._arrays = self._views(self.vector)
+        return self
+
+    def _views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """This layout's layers as views of consecutive slices of ``vec``."""
+        if vec.size != self.total_size:
+            raise ValueError(f"vector has {vec.size} values, need {self.total_size}")
+        arrays = {}
+        offset = 0
+        for k, v in self.items():
+            arrays[k] = vec[offset : offset + v.size].reshape(v.shape)
+            offset += v.size
+        return arrays
+
     def copy(self) -> "ArrayBundle":
         return ArrayBundle({k: v.copy() for k, v in self.items()})
 
@@ -187,15 +216,8 @@ class ArrayBundle:
         return ArrayBundle({k: np.zeros_like(v) for k, v in self.items()})
 
     def with_vector(self, vec: np.ndarray) -> "ArrayBundle":
-        """A new bundle with the same layout and values taken from a flat vector."""
-        if vec.size != self.total_size:
-            raise ValueError(f"vector has {vec.size} values, need {self.total_size}")
-        arrays = {}
-        offset = 0
-        for k, v in self.items():
-            arrays[k] = vec[offset : offset + v.size].reshape(v.shape).copy()
-            offset += v.size
-        return ArrayBundle(arrays)
+        """A new bundle with the same layout and values copied from a flat vector."""
+        return ArrayBundle(self._views(np.array(vec, dtype=np.float64)))
 
     def scale_(self, factor: float) -> "ArrayBundle":
         for _, v in self.items():
@@ -211,51 +233,95 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state. Adam's moments ``m``, ``v`` and its two scratch
-    bundles are congruent with the parameters."""
+    """SGD or Adam state for the parameters given to :func:`make_optimizer`.
+
+    Adam's moments ``m`` and ``v`` are bundles flattened like the parameters,
+    so ``m[k]`` is layer ``k``'s view of ``m.vector``. ``scratch`` holds two
+    vectors of the parameters' size: one step gathers the dense gradient into
+    the first and computes its terms in both.
+    """
 
     kind: str
     lr: float
+    scratch: tuple[np.ndarray, np.ndarray]
     step: int = 0
     m: ArrayBundle | None = None
     v: ArrayBundle | None = None
-    scratch: tuple[ArrayBundle, ArrayBundle] | None = None
 
 
 def make_optimizer(kind: str, lr: float, params: ArrayBundle) -> OptimizerState:
+    """A fresh SGD or Adam state for ``params``.
+
+    ``params`` is re-homed: its layers move, with their bits, into one
+    C-contiguous vector (``params.vector``, see :meth:`ArrayBundle.flatten_`)
+    and become views of it, so that a step runs over that vector. Arrays taken
+    from ``params`` before this call no longer alias it; writes through
+    ``params[k]`` after it are seen by the next step.
+    """
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
-    state = OptimizerState(kind=kind, lr=lr)
+    n = params.flatten_().total_size
+    state = OptimizerState(kind=kind, lr=lr, scratch=(np.empty(n), np.empty(n)))
     if kind == "adam":
-        state.m = params.zeros()
-        state.v = params.zeros()
-        state.scratch = (params.zeros(), params.zeros())
+        state.m = params.zeros().flatten_()
+        state.v = params.zeros().flatten_()
     return state
+
+
+def _gather_dense(
+    params: ArrayBundle, grads: ArrayBundle, out: np.ndarray
+) -> tuple[list[slice], list[tuple[str, RowGrad]]]:
+    """Copy each run of adjacent dense layers of ``grads`` into ``out``, at the
+    offsets those layers have in ``params.vector``, with one ``concatenate``
+    per run. Returns the runs' slices and the :class:`RowGrad` layers."""
+    slices, row_layers = [], []
+    offset = 0
+    for is_rows, run in groupby(params.items(), lambda kv: isinstance(grads[kv[0]], RowGrad)):
+        ids = [k for k, _ in run]
+        size = sum(params[k].size for k in ids)
+        if is_rows:
+            row_layers += [(k, grads[k]) for k in ids]
+        else:
+            sl = slice(offset, offset + size)
+            np.concatenate([grads[k].ravel() for k in ids], out=out[sl])
+            slices.append(sl)
+        offset += size
+    return slices, row_layers
 
 
 def optimizer_step(params: ArrayBundle, grads: ArrayBundle, state: OptimizerState) -> None:
     """Apply one in-place update to ``params`` and ``state``.
 
-    A :class:`RowGrad` layer is applied to its rows alone, with the bits of
-    its dense table (see the comment in the Adam loop).
+    ``params`` must be the bundle given to :func:`make_optimizer`. The step
+    runs over its one vector: the dense gradient layers are gathered run by
+    run into a scratch vector, and a :class:`RowGrad` layer is applied to its
+    rows alone, with the bits of its dense table (see the comment in the Adam
+    branch).
     """
     params.require_congruent(grads)
+    if params.vector is None:
+        raise ValueError("params were not passed to make_optimizer")
+    p = params.vector
+    u, t = state.scratch
+    slices, row_layers = _gather_dense(params, grads, u)
     if state.kind == "sgd":
-        for k, p in params.items():
-            g = grads[k]
-            if isinstance(g, RowGrad):
-                p[g.rows] -= state.lr * g.values  # p - 0.0 == p, also for p == -0.0
-            else:
-                p -= state.lr * g
+        for sl in slices:
+            g, ps = u[sl], p[sl]
+            g *= state.lr
+            ps -= g
+        for k, g in row_layers:
+            params[k][g.rows] -= state.lr * g.values  # p - 0.0 == p, also for p == -0.0
         return
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
-    assert state.m is not None and state.v is not None and state.scratch is not None
+    assert state.m is not None and state.v is not None
+    m, v = state.m.vector, state.v.vector
     # In place, with the operations of
     #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g**2
     #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-    # in that order, through the two scratch arrays t and u of each layer.
+    # in that order for every element, through the two scratch vectors u
+    # (which holds g for the dense runs) and t.
     #
     # A RowGrad's untouched rows have g == +0.0, so the dense form adds +0.0
     # to beta1*m and beta2*v there; the row form skips that add, which keeps
@@ -263,30 +329,26 @@ def optimizer_step(params: ArrayBundle, grads: ArrayBundle, state: OptimizerStat
     # m is (0.9 times one ulp still rounds to one ulp), and a sum is -0.0
     # only when both addends are, so moments that start at +0.0 never become
     # -0.0; v is never negative at all. The decay and the update read every
-    # row and stay dense.
-    t_bundle, u_bundle = state.scratch
-    for k, p in params.items():
-        g = grads[k]
-        m, v = state.m[k], state.v[k]
-        t, u = t_bundle[k], u_bundle[k]
-        m *= ADAM_BETA1
-        v *= ADAM_BETA2
-        if isinstance(g, RowGrad):
-            m[g.rows] += g.values * (1.0 - ADAM_BETA1)
-            v[g.rows] += np.square(g.values) * (1.0 - ADAM_BETA2)
-        else:
-            np.multiply(g, 1.0 - ADAM_BETA1, out=t)
-            m += t
-            np.square(g, out=t)
-            t *= 1.0 - ADAM_BETA2
-            v += t
-        np.divide(v, bc2, out=t)
-        np.sqrt(t, out=t)
-        t += ADAM_EPS
-        np.divide(m, bc1, out=u)
-        u *= state.lr
-        u /= t
-        p -= u
+    # entry and stay dense.
+    m *= ADAM_BETA1
+    v *= ADAM_BETA2
+    for sl in slices:
+        g, ts, ms, vs = u[sl], t[sl], m[sl], v[sl]
+        np.multiply(g, 1.0 - ADAM_BETA1, out=ts)
+        ms += ts
+        np.square(g, out=ts)
+        ts *= 1.0 - ADAM_BETA2
+        vs += ts
+    for k, g in row_layers:
+        state.m[k][g.rows] += g.values * (1.0 - ADAM_BETA1)
+        state.v[k][g.rows] += np.square(g.values) * (1.0 - ADAM_BETA2)
+    np.divide(v, bc2, out=t)
+    np.sqrt(t, out=t)
+    t += ADAM_EPS
+    np.divide(m, bc1, out=u)
+    u *= state.lr
+    u /= t
+    p -= u
 
 
 def example_gradient(wiring, params: ArrayBundle, student: int, item: int, score: float) -> ArrayBundle:

@@ -17,6 +17,21 @@ def pairwise_auc(scores, labels):
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def stable_sort_auc(scores, labels):
+    """The average-rank AUC over a stable sort, which ``auc`` used before it
+    took NumPy's default sort."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n_pos = int(y.sum())
+    order = np.argsort(s, kind="mergesort")
+    sorted_s = s[order]
+    boundaries = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    group_sizes = np.diff(np.r_[boundaries, len(s)])
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(boundaries + (group_sizes + 1) / 2.0, group_sizes)
+    return float((ranks[y == 1.0].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (len(y) - n_pos)))
+
+
 class TestAuc:
     def test_perfect_separation(self):
         assert auc([0.9, 0.1], [1, 0]) == 1.0
@@ -34,6 +49,19 @@ class TestAuc:
             # coarse grid of scores forces plenty of ties
             scores = rng.integers(0, 12, size=n) / 11.0
             assert abs(auc(scores, labels) - pairwise_auc(scores, labels)) <= 1e-12
+
+    def test_matches_stable_sort_bits_on_ties_and_signed_zeros(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 400))
+            labels = rng.integers(0, 2, size=n)
+            labels[0], labels[1] = 0, 1
+            scores = rng.integers(-3, 4, size=n) / 3.0
+            zeros = scores == 0.0
+            scores[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+            got = np.float64(auc(scores, labels))
+            want = np.float64(stable_sort_auc(scores, labels))
+            assert got.view(np.int64) == want.view(np.int64)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)

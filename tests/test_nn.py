@@ -518,9 +518,21 @@ def assert_same_bits(a, b):
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def assert_same_state(kind, got, want):
+    """Bit equality of two (params, optimizer state) pairs."""
+    (params, state), (ref_params, ref_state) = got, want
+    assert state.step == ref_state.step
+    for k, values in ref_params.items():
+        assert_same_bits(params[k], values)
+        if kind == "adam":
+            assert_same_bits(state.m[k], ref_state.m[k])
+            assert_same_bits(state.v[k], ref_state.v[k])
+
+
 class TestSigmoidKernel:
     SPECIAL = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf,
-               36.7, -36.7, 709.8, -709.8, 5e-324, -5e-324]
+               36.7, -36.7, 709.8, -709.8, 5e-324, -5e-324,
+               1e-17, -1e-17, 1e-300, -1e-300]  # exp(-|x|) rounds to 1.0
 
     def test_special_values_bit_exact(self):
         x = np.array(self.SPECIAL)
@@ -548,6 +560,15 @@ class TestSigmoidKernel:
         assert np.isnan(got[[0, 2]]).all()
         assert_same_bits(got[[1, 3]], ref_sigmoid(x[[1, 3]]))
         assert math.isnan(nn.sigmoid(float("nan")))
+
+    def test_nan_comes_through_quiet_with_its_sign_bit_set(self):
+        # The README's one exception to the oracle's bits: NaN in, NaN out,
+        # payload kept and sign bit set, as exp(-|x|) leaves it.
+        bits = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                         0x7FF8000000000123, 0xFFFC00000000ABCD], dtype=np.uint64)
+        got = nn.sigmoid(np.concatenate([bits.view(np.float64), [1.0, -2.0]]))
+        assert np.array_equal(got[:4].view(np.uint64), bits | np.uint64(1 << 63))
+        assert_same_bits(got[4:], ref_sigmoid(np.array([1.0, -2.0])))
 
     def test_input_not_mutated(self):
         x = np.random.default_rng(2).normal(size=(8, 5))
@@ -636,14 +657,8 @@ class TestFusedAdam:
 
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
     def test_matches_reference_over_steps(self, kind):
-        got, got_state = self._run(kind, nn.optimizer_step)
-        want, want_state = self._run(kind, ref_optimizer_step)
-        assert got_state.step == want_state.step
-        for k, values in want.items():
-            assert_same_bits(got[k], values)
-            if kind == "adam":
-                assert_same_bits(got_state.m[k], want_state.m[k])
-                assert_same_bits(got_state.v[k], want_state.v[k])
+        assert_same_state(kind, self._run(kind, nn.optimizer_step),
+                          self._run(kind, ref_optimizer_step))
 
     ROW_CASES = {
         "duplicates": np.array([3, 3, 7, 3, 12, 7]),
@@ -674,16 +689,66 @@ class TestFusedAdam:
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
     def test_row_grads_match_reference_on_dense_form(self, kind, case, monkeypatch):
         monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)  # always the row form
-        got, got_state = self._run_rows(kind, nn.optimizer_step, case)
-        want, want_state = self._run_rows(kind, ref_optimizer_step, case)
-        assert got_state.step == want_state.step
-        for k, values in want.items():
-            assert_same_bits(got[k], values)
-            if kind == "adam":
-                assert_same_bits(got_state.m[k], want_state.m[k])
-                assert_same_bits(got_state.v[k], want_state.v[k])
+        got = self._run_rows(kind, nn.optimizer_step, case)
+        assert_same_state(kind, got, self._run_rows(kind, ref_optimizer_step, case))
         if case != "every-row":
-            assert_same_bits(got["emb"][20], np.full(6, -0.0))
+            assert_same_bits(got[0]["emb"][20], np.full(6, -0.0))
+
+    # Layer order as in the parameters; "rows" layers get RowGrad gradients
+    # that share one index, like neuralcdm's diff_emb and disc_emb.
+    LAYOUTS = {
+        "rows-between-dense": [("w", (5, 6), False), ("emb", (40, 6), True), ("b", (5,), False)],
+        "adjacent-rows": [("w", (5, 6), False), ("diff", (40, 6), True),
+                          ("disc", (40, 1), True), ("b", (5,), False), ("w2", (3, 5), False)],
+    }
+
+    def _run_layout(self, kind, step_fn, layout, between_steps=None, steps=7):
+        rng = np.random.default_rng(9)
+        params = nn.ArrayBundle({k: rng.normal(size=shape) for k, shape, _ in layout})
+        state = nn.make_optimizer(kind, 0.01, params)
+        for _ in range(steps):
+            index = rng.integers(0, 40, size=6)
+            row_ids = [k for k, _, rows in layout if rows]
+            values = [rng.normal(size=(len(index), shape[1])) for _, shape, rows in layout if rows]
+            grads = dict(zip(row_ids, nn.row_grads(40, index, *values)))
+            grads.update({k: rng.normal(size=shape) for k, shape, rows in layout if not rows})
+            step_fn(params, nn.ArrayBundle(grads), state)
+            if between_steps is not None:
+                between_steps(params)
+        return params, state
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_row_layouts_match_reference(self, kind, layout, monkeypatch):
+        monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)  # always the row form
+        layout = self.LAYOUTS[layout]
+        assert_same_state(kind, self._run_layout(kind, nn.optimizer_step, layout),
+                          self._run_layout(kind, ref_optimizer_step, layout))
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_make_optimizer_rehomes_params_with_their_bits(self, kind):
+        rng = np.random.default_rng(10)
+        params = nn.ArrayBundle({"w": rng.normal(size=(5, 6)).T, "b": np.array([-0.0, np.nan])})
+        before = params.copy()
+        nn.make_optimizer(kind, 0.01, params)
+        assert params.vector.flags.c_contiguous and params.vector.size == params.total_size
+        for k, values in before.items():
+            assert_same_bits(params[k], values)
+            assert np.shares_memory(params[k], params.vector)
+        with pytest.raises(ValueError, match="make_optimizer"):
+            nn.optimizer_step(before, before.zeros(), nn.make_optimizer(kind, 0.01, params))
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_writes_through_params_reach_the_next_step(self, kind, monkeypatch):
+        monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)  # always the row form
+
+        def write(params):  # a projection like neuralcdm's post_step, and a store
+            np.maximum(params["w"], 0.0, out=params["w"])
+            params["emb"][3] = 2.5
+
+        layout = self.LAYOUTS["rows-between-dense"]
+        got = self._run_layout(kind, nn.optimizer_step, layout, write)
+        assert_same_state(kind, got, self._run_layout(kind, ref_optimizer_step, layout, write))
 
 
 RTA_OWNERS = (data, model, importance, mia, unlearn)
