@@ -68,9 +68,9 @@ def _load_effective_config(args: argparse.Namespace) -> ExperimentConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _load_for(path: str, dataset: Dataset) -> CDModel:
+def _load_for(path: str, dataset: Dataset, config: ExperimentConfig) -> CDModel:
     """The checkpoint at ``path``; :class:`ConfigError` unless it was trained
-    on data of the config's student and item counts and Q-matrix."""
+    on the config's student and item counts, Q-matrix and data partition."""
     model = CDModel.load(path)
     if (model.n_students_, model.n_items_) != (dataset.n_students, dataset.n_items):
         raise ConfigError(
@@ -80,6 +80,11 @@ def _load_for(path: str, dataset: Dataset) -> CDModel:
         )
     if not np.array_equal(model.qmatrix_.entries, dataset.qmatrix.entries):
         raise ConfigError(f"{path}: the model's Q-matrix differs from the config's")
+    if model.data_ != config.data_record():  # None when the checkpoint records none
+        raise ConfigError(
+            f"{path}: the checkpoint records the data partition {model.data_}, the config's "
+            f"is {config.data_record()}"
+        )
     return model
 
 
@@ -105,7 +110,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "train_seconds": seconds,
     }
     os.makedirs(config.out_dir, exist_ok=True)
-    model.save(os.path.join(config.out_dir, "trained_model.ckpt"))
+    model.save(os.path.join(config.out_dir, "trained_model.ckpt"), config.data_record())
     _write_json(os.path.join(config.out_dir, "train_summary.json"), summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -114,12 +119,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_unlearn(args: argparse.Namespace) -> int:
     config = _load_effective_config(args)
     dataset, _, _, mia_splits = prepare_data(config)
-    model = _load_for(args.model, dataset)
+    model = _load_for(args.model, dataset, config)
     os.makedirs(config.out_dir, exist_ok=True)
     results = {}
     for name, params in config.algorithms.items():
         unlearned, report = run_algorithm(model, mia_splits, name, params, config.seed_model)
-        unlearned.save(os.path.join(config.out_dir, f"{name}.ckpt"))
+        unlearned.save(os.path.join(config.out_dir, f"{name}.ckpt"), config.data_record())
         results[name] = {
             "parameters_modified": report.parameters_modified,
             "wall_time_seconds": report.wall_time_seconds,
@@ -133,8 +138,8 @@ def _cmd_unlearn(args: argparse.Namespace) -> int:
 def _cmd_mia(args: argparse.Namespace) -> int:
     config = _load_effective_config(args)
     dataset, _, _, mia_splits = prepare_data(config)
-    orig = _load_for(args.orig_model, dataset)
-    target = _load_for(args.model, dataset)
+    orig = _load_for(args.orig_model, dataset, config)
+    target = _load_for(args.model, dataset, config)
     attacker = fit_attacker(orig, mia_splits, config.seed_attack)
     report = evaluate_attack(attacker, target, mia_splits.forget_test, mia_splits.nm_eval_test)
     payload = {

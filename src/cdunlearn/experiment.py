@@ -217,6 +217,11 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def data_record(self) -> dict:
+        """The settings that fix the data partition, as checkpoints record them."""
+        return {"seed_data": self.seed_data, "split_ratios": list(self.split_ratios),
+                "unlearn_ratio": self.unlearn_ratio}
+
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build a validated config from parsed JSON; paths resolve against base_dir."""
@@ -498,15 +503,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     try:
         ctx = build_context(config)
         entries = [ctx.orig_entry, ctx.retrain_entry]
-        ctx.m_orig.save(os.path.join(config.out_dir, "m_orig.ckpt"))
-        ctx.m_retrain.save(os.path.join(config.out_dir, "m_retrain.ckpt"))
+        data = config.data_record()
+        ctx.m_orig.save(os.path.join(config.out_dir, "m_orig.ckpt"), data)
+        ctx.m_retrain.save(os.path.join(config.out_dir, "m_retrain.ckpt"), data)
         for name, params in config.algorithms.items():
             with _stage(f"unlearn-{name}"):
                 model, ureport = apply_algorithm(ctx, name, params)
             ctx.stages.append(f"unlearn-{name}")
             with _stage(f"evaluate-{name}"):
                 entries.append(ctx.entry_for(name, model, ureport))
-                model.save(os.path.join(config.out_dir, f"{name}.ckpt"))
+                model.save(os.path.join(config.out_dir, f"{name}.ckpt"), data)
             ctx.stages.append(f"evaluate-{name}")
         report = ExperimentReport(
             config=config.to_dict(),
@@ -582,10 +588,12 @@ def sweep(
     end to confirm its metrics and measure honest wall time; like any
     request on the same model and records, the re-run reuses the memoized
     whole-set Fisher sum (see :func:`fisher_pair`). A point is feasible
-    when its utility AUC is within ``epsilon_utility`` of the
+    when its utility AUC is within ``epsilon_utility`` (not NaN) of the
     original model's; among feasible points the winner minimizes the distance
     of its attack AUC from the retrained model's.
     """
+    if not _number(epsilon_utility) or np.isnan(epsilon_utility):
+        raise ConfigError(f"epsilon_utility must be a number, got {epsilon_utility!r}")
     grids = {} if grids is None else grids
     if not isinstance(grids, dict) or not all(
         isinstance(grid, list) and all(isinstance(point, dict) for point in grid)

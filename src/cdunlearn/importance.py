@@ -34,16 +34,15 @@ class ImportanceMap(nn.ArrayBundle):
         super().__init__(arrays)
         self.source = source
         self.kind = kind
-        for name, values in self.items():
-            if not np.isfinite(values).all():
-                raise ValueError(f"non-finite importance in layer {name!r}")
-            if kind == KIND_FIM and values.size and values.min() < 0:
-                raise ValueError(f"negative Fisher importance in layer {name!r}")
+        nonfinite = self.nonfinite_layers()
+        if nonfinite:
+            raise ValueError(f"non-finite importance in layer {nonfinite[0]!r}")
+        if kind == KIND_FIM and self.total_size and self.vector.min() < 0:
+            name = next(k for k, v in self.items() if v.size and v.min() < 0)
+            raise ValueError(f"negative Fisher importance in layer {name!r}")
 
     def abs(self) -> "ImportanceMap":
-        return ImportanceMap(
-            {k: np.abs(v) for k, v in self.items()}, source=self.source, kind=self.kind
-        )
+        return ImportanceMap(self.with_vector(np.abs(self.vector)), self.source, self.kind)
 
 
 def fim_diag(
@@ -63,7 +62,7 @@ def fim_diag(
     if len(y) == 0:
         raise ValueError("importance needs a nonempty dataset")
     sq = nn.accumulate_sq_grads(model.wiring_, model.params_, s, q, y, batch_size)
-    return ImportanceMap(dict(sq.items()), source=source, kind=KIND_FIM)
+    return ImportanceMap(sq, source=source, kind=KIND_FIM)
 
 
 # One entry per model: (digest of its parameters and of the record multiset,
@@ -95,9 +94,8 @@ def whole_set_sq_grads(
         raise ValueError("scores must be 0 or 1")
     keys = np.sort((s * wiring.n_items + q) * 2 + scores.astype(np.int64))
     digest = hashlib.sha256(wiring.qrows.tobytes())
-    for name, values in model.params_.items():
-        digest.update(f"{name}{values.shape}".encode())
-        digest.update(np.ascontiguousarray(values).data)
+    digest.update(repr(model.params_.layout).encode())
+    digest.update(model.params_.vector.data)
     digest.update(keys.data)
     key = digest.digest()
     cached = _WHOLE_SET_SUMS.get(model)
@@ -107,6 +105,7 @@ def whole_set_sq_grads(
             wiring, model.params_, pairs // wiring.n_items, pairs % wiring.n_items,
             (keys & 1).astype(np.float64),
         )
+        total.vector.setflags(write=False)
         for _, values in total.items():
             values.setflags(write=False)
         cached = _WHOLE_SET_SUMS[model] = (key, total)
@@ -129,14 +128,13 @@ def smooth_importance(
     """
     if not (0.0 <= beta <= 1.0):
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    missing = [name for name, _ in imp.items() if name not in layer_means]
+    missing = [name for name, _ in imp.layout if name not in layer_means]
     if missing:
         raise ValueError(f"layer means missing for {missing}")
-    arrays = {
-        name: (1.0 - beta) * values + beta * layer_means[name]
-        for name, values in imp.items()
-    }
-    return ImportanceMap(arrays, source=imp.source, kind=imp.kind)
+    sizes = [values.size for _, values in imp.items()]
+    smoothed = (1.0 - beta) * imp.vector
+    smoothed += np.repeat([beta * layer_means[name] for name, _ in imp.layout], sizes)
+    return ImportanceMap(imp.with_vector(smoothed), source=imp.source, kind=imp.kind)
 
 
 def hutchinson_diag(
@@ -203,9 +201,7 @@ def hutchinson_hessian_diag(
         params = template.with_vector(vec)
         probs, cache = wiring.forward(params, s, q, train=False)
         dz = (probs - y) / len(y)
-        return wiring.backward(params, cache, dz, mode="sum").dense().to_vector()
+        return nn.dense(wiring.backward(params, cache, dz, mode="sum")).vector
 
-    estimate = hutchinson_diag(grad_fn, template.to_vector(), n_probe_samples, rng)
-    return ImportanceMap(
-        dict(template.with_vector(estimate).items()), source=source, kind=KIND_HESSIAN
-    )
+    estimate = hutchinson_diag(grad_fn, template.vector, n_probe_samples, rng)
+    return ImportanceMap(template.with_vector(estimate), source=source, kind=KIND_HESSIAN)

@@ -107,8 +107,8 @@ class _Wiring:
             raise ValueError(f"unknown mode {mode!r}")
         return mode == "sq_sum"
 
-    def _ordered(self, grads: dict[str, np.ndarray]) -> nn.ArrayBundle:
-        return nn.ArrayBundle({name: grads[name] for name, _ in self.layer_shapes()})
+    def _ordered(self, grads: dict) -> nn.GradMap:
+        return {name: grads[name] for name, _ in self.layer_shapes()}
 
     def _ffn_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         shapes = []
@@ -457,7 +457,7 @@ class CDModel:
         clone = CDModel(**self.get_params())
         for attr in ("n_students_", "n_items_", "n_kcs_", "qmatrix_", "wiring_"):
             setattr(clone, attr, getattr(self, attr))
-        for attr in ("fit_seconds_", "epochs_run_", "best_epoch_", "monitor_value_"):
+        for attr in ("fit_seconds_", "epochs_run_", "best_epoch_", "monitor_value_", "data_"):
             if hasattr(self, attr):
                 setattr(clone, attr, getattr(self, attr))
         clone.params_ = params
@@ -467,21 +467,24 @@ class CDModel:
         self._require_fitted()
         return self.with_params(self.params_.copy())
 
-    def save(self, path: str) -> None:
-        """Write a checkpoint; round trip is bit-exact (see ``serialize``)."""
+    def save(self, path: str, data: dict | None = None) -> None:
+        """Write a checkpoint; round trip is bit-exact (see ``serialize``). The data
+        partition ``data`` (``ExperimentConfig.data_record()``) goes under meta key "data"."""
         self._require_fitted()
-        arrays = {name: arr for name, arr in self.params_.items()}
+        arrays = dict(self.params_.items())
         arrays["qmatrix"] = self.qmatrix_.entries
         meta = {
             "kind": "cd_model",
             "arch": self.arch,
             "hyperparameters": self.get_params(),
-            "layer_ids": list(self.params_.layer_ids),
+            "layer_ids": [name for name, _ in self.params_.layout],
             "rng_seed": self.seed,
             "n_students": self.n_students_,
             "n_items": self.n_items_,
             "n_kcs": self.n_kcs_,
         }
+        if data is not None:
+            meta["data"] = data
         serialize.save_bundle(path, arrays, meta)
 
     @classmethod
@@ -490,7 +493,7 @@ class CDModel:
         :class:`serialize.ContainerError` when a meta field is missing or
         malformed or ``rng_seed`` is not the integer ``seed``, or its arrays
         are not exactly the Q-matrix and the layers its architecture and
-        counts call for, or hold NaN or ±inf."""
+        counts call for, or hold NaN or ±inf. ``data_`` is the recorded data partition or None."""
         arrays, meta = serialize.load_bundle(path)
         if meta.get("kind") != "cd_model":
             raise serialize.ContainerError(f"{path} is not a model checkpoint")
@@ -518,6 +521,14 @@ class CDModel:
             qmatrix = QMatrix(arrays.pop("qmatrix"))
         except ValueError as exc:
             raise serialize.ContainerError(f"{path}: array 'qmatrix': {exc}") from None
+        data = meta.get("data")
+        if "data" in meta and not (
+            type(data) is dict and sorted(data) == ["seed_data", "split_ratios", "unlearn_ratio"]
+            and type(data["seed_data"]) is int and type(data["split_ratios"]) is list
+            and [type(r) for r in (*data["split_ratios"], data["unlearn_ratio"])] == [float] * 4
+        ):
+            raise serialize.ContainerError(f"{path}: meta field 'data' is not a data partition")
+        model.data_ = data
         model.n_students_ = meta["n_students"]
         model.n_items_ = meta["n_items"]
         model.n_kcs_ = meta["n_kcs"]
@@ -535,8 +546,7 @@ class CDModel:
                 f"{model.arch} layers for {model.n_students_} students, {model.n_items_} "
                 f"items and {model.n_kcs_} KCs"
             )
-        ordered = {name: arrays[name] for name, _ in shapes}
-        model.params_ = nn.ArrayBundle(ordered)
+        model.params_ = nn.ArrayBundle({name: arrays[name] for name, _ in shapes})
         nonfinite = model.params_.nonfinite_layers()
         if nonfinite:
             raise serialize.ContainerError(f"{path}: non-finite values in layers {nonfinite}")

@@ -8,22 +8,21 @@ Backward passes themselves are written per architecture (see ``model``); a
     layer_shapes() -> list[(layer_id, shape)]
     init_params(rng) -> ArrayBundle
     forward(params, students, items, train=False, rng=None) -> (probs, cache)
-    backward(params, cache, dz, mode) -> ArrayBundle      # mode: "sum" | "sq_sum"
+    backward(params, cache, dz, mode) -> dict             # mode: "sum" | "sq_sum"
     post_step(params) -> None                             # optional in-place projection
 
 where ``dz`` holds per-example values of d(loss)/d(final pre-activation).
-With ``mode="sum"`` the returned buffer is the sum over the batch of
-per-example gradients scaled by ``dz``; with ``mode="sq_sum"`` it is the sum of
-elementwise squares of the per-example gradients. Parameters not touched by
-any example in the batch are exactly zero. A row-indexed table that is large
-next to the batch may come back as a :class:`RowGrad`, which holds only the
-rows the batch touched (see :func:`row_grads`); ``ArrayBundle.dense`` turns
-such a buffer into plain tables.
+``backward`` returns a plain dict of layer id -> gradient, in layer order:
+with ``mode="sum"`` the sum over the batch of per-example gradients scaled by
+``dz``, with ``mode="sq_sum"`` the sum of their elementwise squares.
+Parameters not touched by any example in the batch are exactly zero. A
+row-indexed table that is large next to the batch may come back as a
+:class:`RowGrad`, which holds only the rows the batch touched (see
+:func:`row_grads`); :func:`dense` turns such a map into a bundle.
 
-The optimizers step one vector: ``make_optimizer`` moves the parameters into
-one contiguous vector of which every layer is a view, and ``optimizer_step``
-updates it, and Adam's moments, with a few whole-vector array operations
-rather than a loop over layers.
+An :class:`ArrayBundle` is flat: its layers are views of one contiguous
+vector from construction on. ``optimizer_step`` updates that vector, and
+Adam's moments, with a few whole-vector operations.
 """
 
 from __future__ import annotations
@@ -109,6 +108,10 @@ class RowGrad:
         return table
 
 
+# A wiring's ``backward`` result: layer id -> dense array or RowGrad, in layer order.
+GradMap = Mapping[str, "np.ndarray | RowGrad"]
+
+
 def row_grads(
     n_rows: int, index: np.ndarray, *per_record: np.ndarray
 ) -> list[np.ndarray | RowGrad]:
@@ -143,24 +146,31 @@ def bce_loss(p: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float
 
 
 class ArrayBundle:
-    """An ordered mapping of layer id -> float64 array with flat-vector views:
-    parameters, gradients, Adam's moments and importance maps.
+    """An ordered mapping of layer id -> float64 array (parameters, Adam's
+    moments, importance maps) held in one C-contiguous vector, ``vector``, in
+    layer order, of which each layer is a view; elementwise math runs on the
+    vector. Construction copies the given arrays, with their bits."""
 
-    A gradient from a wiring's ``backward`` may hold :class:`RowGrad` layers,
-    which only ``optimizer_step``, ``sum_sq_grads`` and :meth:`dense` read.
-    After :meth:`flatten_`, every layer is a view of one vector, ``vector``.
-    """
+    def __init__(self, arrays: Mapping[str, np.ndarray]):
+        layout = [(k, np.shape(v)) for k, v in arrays.items()]
+        self._place(np.empty(sum(math.prod(shape) for _, shape in layout)), layout)
+        for k, v in self.items():
+            v[...] = arrays[k]
 
-    def __init__(self, arrays: Mapping[str, np.ndarray | RowGrad]):
-        self._arrays = {
-            k: v if isinstance(v, RowGrad) else np.asarray(v, dtype=np.float64)
-            for k, v in arrays.items()
-        }
-        self.vector: np.ndarray | None = None
+    def _place(self, vec: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]) -> None:
+        """Make ``vec`` the vector and each layer of ``layout`` a view of its slice."""
+        self.vector = vec
+        self._arrays = {}
+        offset = 0
+        for k, shape in layout:
+            size = math.prod(shape)
+            self._arrays[k] = vec[offset : offset + size].reshape(shape)
+            offset += size
 
     @property
-    def layer_ids(self) -> tuple[str, ...]:
-        return tuple(self._arrays)
+    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        """The layers' ids and shapes, in layer order."""
+        return [(k, v.shape) for k, v in self._arrays.items()]
 
     def __getitem__(self, layer_id: str) -> np.ndarray:
         return self._arrays[layer_id]
@@ -170,59 +180,49 @@ class ArrayBundle:
 
     @property
     def total_size(self) -> int:
-        return sum(v.size for v in self._arrays.values())
+        return self.vector.size
 
-    def require_congruent(self, other: "ArrayBundle") -> None:
+    def require_congruent(self, other: GradMap) -> None:
         """Raise ValueError unless ``other`` has the same ids and shapes, in any order."""
-        if {k: v.shape for k, v in self.items()} != {k: v.shape for k, v in other.items()}:
+        if dict(self.layout) != {k: v.shape for k, v in other.items()}:
             raise ValueError("bundles are not shape-congruent")
+
+    def require_same_layout(self, other: "ArrayBundle") -> None:
+        """Raise ValueError unless the two vectors line up entry by entry."""
+        if self.layout != other.layout:
+            raise ValueError("bundles do not share one layout")
 
     def nonfinite_layers(self) -> list[str]:
         """Ids of the layers holding a NaN or an infinity, in layer order."""
-        return [k for k, v in self._arrays.items() if not np.isfinite(v).all()]
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self._arrays.values()])
-
-    def flatten_(self) -> "ArrayBundle":
-        """Move every layer, with its bits, into one new C-contiguous vector in
-        layer order, and make each layer a view of its slice of it."""
-        self.vector = self.to_vector()
-        self._arrays = self._views(self.vector)
-        return self
-
-    def _views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """This layout's layers as views of consecutive slices of ``vec``."""
-        if vec.size != self.total_size:
-            raise ValueError(f"vector has {vec.size} values, need {self.total_size}")
-        arrays = {}
-        offset = 0
-        for k, v in self.items():
-            arrays[k] = vec[offset : offset + v.size].reshape(v.shape)
-            offset += v.size
-        return arrays
+        if np.isfinite(self.vector).all():
+            return []
+        return [k for k, v in self.items() if not np.isfinite(v).all()]
 
     def copy(self) -> "ArrayBundle":
-        return ArrayBundle({k: v.copy() for k, v in self.items()})
-
-    def dense(self) -> "ArrayBundle":
-        """This bundle with every :class:`RowGrad` layer as a plain table."""
-        return ArrayBundle(
-            {k: v.dense() if isinstance(v, RowGrad) else v for k, v in self.items()}
-        )
+        return self.with_vector(self.vector.copy())
 
     def zeros(self) -> "ArrayBundle":
         """A bundle of the same layout holding zeros."""
-        return ArrayBundle({k: np.zeros_like(v) for k, v in self.items()})
+        return self.with_vector(np.zeros(self.total_size))
 
     def with_vector(self, vec: np.ndarray) -> "ArrayBundle":
-        """A new bundle with the same layout and values copied from a flat vector."""
-        return ArrayBundle(self._views(np.array(vec, dtype=np.float64)))
+        """A bundle of this layout over the flat vector ``vec``, which it does
+        not copy when ``vec`` is already C-contiguous float64."""
+        if np.shape(vec) != (self.total_size,):
+            raise ValueError(f"vector has shape {np.shape(vec)}, need ({self.total_size},)")
+        bundle = ArrayBundle.__new__(ArrayBundle)
+        bundle._place(np.ascontiguousarray(vec, dtype=np.float64), self.layout)
+        return bundle
 
     def scale_(self, factor: float) -> "ArrayBundle":
-        for _, v in self.items():
-            v *= factor
+        self.vector *= factor
         return self
+
+
+def dense(grads: GradMap) -> ArrayBundle:
+    """A gradient map from a wiring's ``backward`` as a bundle, with every
+    :class:`RowGrad` layer as its dense table."""
+    return ArrayBundle({k: g.dense() if isinstance(g, RowGrad) else g for k, g in grads.items()})
 
 
 # Adam's moment decays and denominator guard; no caller varies them.
@@ -235,10 +235,9 @@ ADAM_EPS = 1e-8
 class OptimizerState:
     """SGD or Adam state for the parameters given to :func:`make_optimizer`.
 
-    Adam's moments ``m`` and ``v`` are bundles flattened like the parameters,
-    so ``m[k]`` is layer ``k``'s view of ``m.vector``. ``scratch`` holds two
-    vectors of the parameters' size: one step gathers the dense gradient into
-    the first and computes its terms in both.
+    Adam's moments ``m`` and ``v`` are bundles of the parameters' layout.
+    ``scratch`` holds two vectors of the parameters' size: one step gathers
+    the dense gradient into the first and computes its terms in both.
     """
 
     kind: str
@@ -250,26 +249,18 @@ class OptimizerState:
 
 
 def make_optimizer(kind: str, lr: float, params: ArrayBundle) -> OptimizerState:
-    """A fresh SGD or Adam state for ``params``.
-
-    ``params`` is re-homed: its layers move, with their bits, into one
-    C-contiguous vector (``params.vector``, see :meth:`ArrayBundle.flatten_`)
-    and become views of it, so that a step runs over that vector. Arrays taken
-    from ``params`` before this call no longer alias it; writes through
-    ``params[k]`` after it are seen by the next step.
-    """
+    """A fresh SGD or Adam state for ``params``, which it leaves as it is."""
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
-    n = params.flatten_().total_size
+    n = params.total_size
     state = OptimizerState(kind=kind, lr=lr, scratch=(np.empty(n), np.empty(n)))
     if kind == "adam":
-        state.m = params.zeros().flatten_()
-        state.v = params.zeros().flatten_()
+        state.m, state.v = params.zeros(), params.zeros()
     return state
 
 
 def _gather_dense(
-    params: ArrayBundle, grads: ArrayBundle, out: np.ndarray
+    params: ArrayBundle, grads: GradMap, out: np.ndarray
 ) -> tuple[list[slice], list[tuple[str, RowGrad]]]:
     """Copy each run of adjacent dense layers of ``grads`` into ``out``, at the
     offsets those layers have in ``params.vector``, with one ``concatenate``
@@ -289,18 +280,16 @@ def _gather_dense(
     return slices, row_layers
 
 
-def optimizer_step(params: ArrayBundle, grads: ArrayBundle, state: OptimizerState) -> None:
+def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -> None:
     """Apply one in-place update to ``params`` and ``state``.
 
-    ``params`` must be the bundle given to :func:`make_optimizer`. The step
-    runs over its one vector: the dense gradient layers are gathered run by
-    run into a scratch vector, and a :class:`RowGrad` layer is applied to its
-    rows alone, with the bits of its dense table (see the comment in the Adam
+    ``grads`` is a gradient map from a wiring's ``backward``. The step runs
+    over ``params.vector``: the dense gradient layers are gathered run by run
+    into a scratch vector, and a :class:`RowGrad` layer is applied to its rows
+    alone, with the bits of its dense table (see the comment in the Adam
     branch).
     """
     params.require_congruent(grads)
-    if params.vector is None:
-        raise ValueError("params were not passed to make_optimizer")
     p = params.vector
     u, t = state.scratch
     slices, row_layers = _gather_dense(params, grads, u)
@@ -357,7 +346,7 @@ def example_gradient(wiring, params: ArrayBundle, student: int, item: int, score
     q = np.asarray([item], dtype=np.int64)
     p, cache = wiring.forward(params, s, q, train=False)
     dz = p - np.asarray([score], dtype=np.float64)
-    return wiring.backward(params, cache, dz, mode="sum").dense()
+    return dense(wiring.backward(params, cache, dz, mode="sum"))
 
 
 def sum_sq_grads(

@@ -78,34 +78,28 @@ def select_and_attenuate(
     lambda_: float,
     excluded_layers: frozenset[str] = frozenset(),
 ) -> tuple[nn.ArrayBundle, int]:
-    """Core attenuation rule, applied layer by layer.
+    """Core attenuation rule, applied over the vectors of three bundles of one layout.
 
     A parameter is selected when forget-importance > alpha * retain-importance
     (never when both are zero) and is then scaled by
     ``1 - lambda_ * min(forget / retain, 1)``; a zero retain-importance counts
-    as an infinite ratio, so the cap at 1 applies. Unselected parameters are
-    returned bit-unchanged.
+    as an infinite ratio, so the cap at 1 applies. Unselected parameters and
+    ``excluded_layers`` are returned bit-unchanged.
     """
-    params.require_congruent(imp_forget)
-    params.require_congruent(imp_retain)
-    unknown = excluded_layers - set(params.layer_ids)
+    params.require_same_layout(imp_forget)
+    params.require_same_layout(imp_retain)
+    unknown = excluded_layers - {layer_id for layer_id, _ in params.layout}
     if unknown:
         raise ValueError(f"excluded layers not in model: {sorted(unknown)}")
+    f, r = imp_forget.vector, imp_retain.vector
+    sizes = [values.size for _, values in params.items()]
+    selected = f > alpha * r
+    selected &= np.repeat([k not in excluded_layers for k, _ in params.layout], sizes)
     out = params.copy()
-    n_selected = 0
-    for layer_id, values in out.items():
-        if layer_id in excluded_layers:
-            continue
-        f = imp_forget[layer_id]
-        r = imp_retain[layer_id]
-        selected = f > alpha * r
-        if not selected.any():
-            continue
-        ratio = np.divide(f, r, out=np.full_like(f, np.inf), where=r > 0)
-        factor = 1.0 - lambda_ * np.minimum(ratio, 1.0)
-        values[selected] *= factor[selected]
-        n_selected += int(selected.sum())
-    return out, n_selected
+    f, r = f[selected], r[selected]
+    ratio = np.divide(f, r, out=np.full_like(f, np.inf), where=r > 0)
+    out.vector[selected] *= 1.0 - lambda_ * np.minimum(ratio, 1.0)
+    return out, len(f)
 
 
 def attenuate(
@@ -152,12 +146,12 @@ def fisher_pair(
     union = [np.concatenate(pair) for pair in zip(forget, retain)]
     total = imp_mod.whole_set_sq_grads(model, *union)
     n_f, n_r = len(forget[2]), len(retain[2])
-    arrays = {}
-    for name, values in total.items():
-        retained = values - n_f * imp_f[name]
-        np.maximum(retained, 0.0, out=retained)
-        retained *= 1.0 / n_r
-        arrays[name] = retained
+    total.require_same_layout(imp_f)
+    retained = n_f * imp_f.vector
+    np.subtract(total.vector, retained, out=retained)
+    np.maximum(retained, 0.0, out=retained)
+    retained *= 1.0 / n_r
+    arrays = total.with_vector(retained)
     indexed = {"students": retain[0], "items": retain[1]}
     for name, index in model.wiring_.row_index.items():
         rows = arrays[name]
@@ -243,16 +237,14 @@ def gradient_ascent_unlearn(
     for _ in range(steps):
         probs, cache = wiring.forward(params, s, q, train=False)
         dz = (probs - y) / len(y)
-        grads = wiring.backward(params, cache, dz, mode="sum").dense()
-        for layer_id, values in params.items():
-            values += lr * grads[layer_id]
+        grads = nn.dense(wiring.backward(params, cache, dz, mode="sum"))
+        params.require_same_layout(grads)
+        params.vector += lr * grads.vector
     nonfinite = params.nonfinite_layers()
     if nonfinite:
         raise ValueError(f"gradient ascent left non-finite values in layers {nonfinite}")
     wall = time.perf_counter() - t0
-    modified = sum(
-        int(np.count_nonzero(params[k] != v)) for k, v in model.params_.items()
-    )
+    modified = int(np.count_nonzero(params.vector != model.params_.vector))
     report = UnlearnReport(
         algorithm="gradasc",
         parameters_modified=modified,
@@ -295,12 +287,8 @@ def hessian_unlearn(
         )
         return imp_f.abs(), imp_r.abs()
 
-    report_config = {
-        "alpha": alpha,
-        "lambda_": lambda_,
-        "n_probe_samples": n_probe_samples,
-        "n_batches": n_batches,
-        "seed": seed,
+    report_config = {k: v for k, v in config.to_dict().items() if k != "beta"} | {
+        "n_probe_samples": n_probe_samples, "n_batches": n_batches, "seed": seed
     }
     return _estimate_and_attenuate(
         "hessian", model, forget_records, retain_records, config, report_config, hessian_pair

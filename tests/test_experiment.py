@@ -45,13 +45,15 @@ def tiny_paths(tmp_path_factory):
 def other_data_ckpts(tmp_path_factory, tiny_paths):
     """A checkpoint trained on the tiny data (120x12x5, seed 3) and, per kind
     of mismatch, the CSV paths of other data with a checkpoint trained on it:
-    "qmatrix" is same-shape data from seed 4, "students" has 150 students."""
+    "qmatrix" is same-shape data from seed 4, "students" has 150 students.
+    Each records the default config's data partition."""
     root = tmp_path_factory.mktemp("other")
+    partition = ExperimentConfig("responses.csv", "qmatrix.csv").data_record()
 
     def trained(dataset, name):
         path = str(root / f"{name}.ckpt")
         model = CDModel(embed_dim=4, ffn_hidden=(4,), max_epochs=1, seed=0)
-        model.fit(dataset.records, dataset.qmatrix).save(path)
+        model.fit(dataset.records, dataset.qmatrix).save(path, partition)
         return path
 
     others = {}
@@ -382,6 +384,11 @@ class TestSweep:
         with pytest.raises(ConfigError, match=r"\['fim'\]"):
             sweep(config, grids={"fim": [{}]}, ctx=object.__new__(_FakeCtx))
 
+    def test_nan_epsilon_utility_rejected(self, tiny_paths):
+        config = _tiny_config(tiny_paths, "sweep_nan")
+        with pytest.raises(ConfigError, match="epsilon_utility"):
+            sweep(config, epsilon_utility=float("nan"), ctx=object.__new__(_FakeCtx))
+
     def test_empty_grid_rejected(self, tiny_paths):
         config = _tiny_config(tiny_paths, "sweep_empty")
         with pytest.raises(ConfigError, match="empty grid"):
@@ -610,6 +617,38 @@ class TestCli:
         assert err.startswith(f"error: {rejected}: ") and mismatch in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["unlearn", "mia-orig", "mia-target"])
+    @pytest.mark.parametrize("recorded", ["other-seed", "missing"])
+    def test_checkpoint_of_another_partition_exits_1(
+        self, tiny_paths, other_data_ckpts, tmp_path, capsys, command, recorded
+    ):
+        responses, qmatrix, _ = tiny_paths
+        tiny_ckpt, _ = other_data_ckpts
+        bad = str(tmp_path / "bad.ckpt")
+        args = ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "never")]
+        if recorded == "missing":
+            CDModel.load(tiny_ckpt).save(bad)
+        else:  # trained at seed_data 0, applied with --seed-data 1
+            bad = tiny_ckpt
+            args += ["--seed-data", "1"]
+        (tmp_path / "config.json").write_text(
+            json.dumps({"responses_path": responses, "qmatrix_path": qmatrix,
+                        "algorithms": {"hif": {}}})
+        )
+        if command == "unlearn":
+            args = ["unlearn", *args, "--model", bad]
+        else:
+            orig, target = (bad, tiny_ckpt) if command == "mia-orig" else (tiny_ckpt, bad)
+            if recorded == "other-seed":
+                orig = target = bad
+            args = ["mia", *args, "--orig-model", orig, "--model", target]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert ("records the data partition None" if recorded == "missing"
+                else "'seed_data': 0") in err
+        assert not (tmp_path / "never").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         bad = tmp_path / "bad.json"
@@ -722,6 +761,16 @@ class TestCli:
         grid.write_text(grid_text)
         args = ["sweep", "--config", str(config_path), "--grid", str(grid)]
         return cli_main([*args, "--out", str(tmp_path / "sweep")])
+
+    def test_nan_epsilon_utility_exit_code(self, tiny_paths, tmp_path, capsys):
+        responses, qmatrix, _ = tiny_paths
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"responses_path": responses, "qmatrix_path": qmatrix}))
+        out = tmp_path / "sweep"
+        args = ["sweep", "--config", str(config_path), "--epsilon-utility", "nan"]
+        assert cli_main([*args, "--out", str(out)]) == 1
+        assert "epsilon_utility must be a number, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_not_json_exit_code(self, tiny_paths, tmp_path, capsys):
         assert self._sweep_with_grid(tiny_paths, tmp_path, '{"hif": [') == 1

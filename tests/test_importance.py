@@ -203,8 +203,8 @@ class TestHutchinson:
         hess = hutchinson_hessian_diag(
             model, small_dataset.records, 40, n_batches=4, batch_size=256, seed=1
         ).abs()
-        f = fisher.to_vector()
-        h = hess.to_vector()
+        f = fisher.vector
+        h = hess.vector
         f_top = set(np.argsort(f)[-100:].tolist())
         h_top = set(np.argsort(h)[-100:].tolist())
         jaccard = len(f_top & h_top) / len(f_top | h_top)

@@ -57,6 +57,21 @@ MALFORMED_CHECKPOINTS = [
         lambda h: h["meta"]["hyperparameters"].update(seed=float(h["meta"]["rng_seed"])),
         "'rng_seed'",
     ),
+    ("data-not-an-object", lambda h: h["meta"].update(data=[0, [0.6, 0.2, 0.2], 0.1]), "'data'"),
+    (
+        "data-seed-a-float",
+        lambda h: h["meta"].update(
+            data={"seed_data": 0.0, "split_ratios": [0.6, 0.2, 0.2], "unlearn_ratio": 0.1}
+        ),
+        "'data'",
+    ),
+    (
+        "data-two-split-ratios",
+        lambda h: h["meta"].update(
+            data={"seed_data": 0, "split_ratios": [0.8, 0.2], "unlearn_ratio": 0.1}
+        ),
+        "'data'",
+    ),
 ]
 
 
@@ -199,17 +214,91 @@ class TestBackward:
             assert np.allclose(2.0 * values, g2[name], rtol=1e-14, atol=0.0)
 
 
+def _bundle_with_odd_bits():
+    """Layers from a transposed (non-contiguous) array, -0.0 and NaN, a scalar
+    and an empty layer."""
+    rng = np.random.default_rng(10)
+    return {"w": rng.normal(size=(5, 6)).T, "b": np.array([-0.0, np.nan]),
+            "s": np.float64(3.5), "e": np.zeros((0, 4))}
+
+
+def _saved_and_loaded(small_model, tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    small_model.save(path)
+    return CDModel.load(path).params_
+
+
+# Each makes a bundle by one of the routes that create them.
+BUNDLE_ROUTES = {
+    "constructor": lambda m, tmp: nn.ArrayBundle(_bundle_with_odd_bits()),
+    "copy": lambda m, tmp: nn.ArrayBundle(_bundle_with_odd_bits()).copy(),
+    "zeros": lambda m, tmp: nn.ArrayBundle(_bundle_with_odd_bits()).zeros(),
+    "with_vector": lambda m, tmp: m.params_.with_vector(np.arange(m.params_.total_size)[::-1]),
+    "ImportanceMap": lambda m, tmp: importance.ImportanceMap(m.params_.zeros()),
+    "init_params": lambda m, tmp: m.wiring_.init_params(np.random.default_rng(0)),
+    "CDModel.load": _saved_and_loaded,
+    "fit": lambda m, tmp: m.params_,
+}
+
+
+class TestArrayBundleLayout:
+    """Every layer is a view of one C-contiguous float64 vector, in layer order."""
+
+    @pytest.mark.parametrize("route", sorted(BUNDLE_ROUTES))
+    def test_layers_view_one_vector_in_layer_order(self, small_model, tmp_path, route):
+        bundle = BUNDLE_ROUTES[route](small_model, tmp_path)
+        vector = bundle.vector
+        assert vector.dtype == np.float64 and vector.ndim == 1 and vector.flags.c_contiguous
+        start = vector.__array_interface__["data"][0]
+        offset = 0
+        for _, values in bundle.items():
+            if values.size:  # an empty view need not point into the vector
+                assert values.flags.c_contiguous and np.shares_memory(values, vector)
+                assert values.__array_interface__["data"][0] == start + 8 * offset
+            offset += values.size
+        assert offset == vector.size == bundle.total_size
+
+    def test_construction_copies_the_bits(self):
+        given = _bundle_with_odd_bits()
+        bundle = nn.ArrayBundle(given)
+        assert bundle.layout == [(k, np.shape(v)) for k, v in given.items()]
+        for k, values in given.items():
+            assert_same_bits(bundle[k], values)
+            assert not np.shares_memory(bundle[k], values)
+
+    def test_vector_operations_keep_the_bits(self):
+        bundle = nn.ArrayBundle(_bundle_with_odd_bits())
+        assert_same_bits(bundle.copy().vector, bundle.vector)
+        assert not np.shares_memory(bundle.copy().vector, bundle.vector)
+        assert bundle.with_vector(bundle.vector).vector is bundle.vector  # not copied
+        reversed_ = bundle.vector[::-1]
+        assert_same_bits(bundle.with_vector(reversed_).vector, reversed_)
+        assert_same_bits(bundle.zeros().vector, np.zeros(bundle.total_size))
+        scaled = bundle.copy().scale_(0.5)
+        assert_same_bits(scaled.vector, bundle.vector * 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            bundle.with_vector(np.zeros(bundle.total_size + 1))
+
+    def test_layout_check_needs_one_order(self):
+        a = nn.ArrayBundle({"w": np.ones(3), "b": np.ones(2)})
+        a.require_same_layout(a.zeros())
+        a.require_congruent({"b": np.ones(2), "w": np.ones(3)})  # a gradient map, any order
+        for other in ({"b": np.ones(2), "w": np.ones(3)}, {"w": np.ones(3), "b": np.ones(3)}):
+            with pytest.raises(ValueError, match="layout"):
+                a.require_same_layout(nn.ArrayBundle(other))
+
+
 class TestOptimizers:
     def test_sgd_step(self):
         params = nn.ArrayBundle({"w": np.array([1.0])})
-        grads = nn.ArrayBundle({"w": np.array([2.0])})
+        grads = {"w": np.array([2.0])}
         state = nn.make_optimizer("sgd", 0.1, params)
         nn.optimizer_step(params, grads, state)
         assert params["w"][0] == pytest.approx(0.8, abs=1e-15)
 
     def test_adam_first_step_magnitude(self):
         params = nn.ArrayBundle({"w": np.array([0.0])})
-        grads = nn.ArrayBundle({"w": np.array([1.0])})
+        grads = {"w": np.array([1.0])}
         state = nn.make_optimizer("adam", 0.01, params)
         nn.optimizer_step(params, grads, state)
         # bias-corrected first step: lr * 1 / (1 + eps)
@@ -218,14 +307,14 @@ class TestOptimizers:
 
     def test_zero_gradient_keeps_parameters(self):
         params = nn.ArrayBundle({"w": np.array([0.7, -0.3])})
-        grads = nn.ArrayBundle({"w": np.zeros(2)})
+        grads = {"w": np.zeros(2)}
         state = nn.make_optimizer("sgd", 0.5, params)
         nn.optimizer_step(params, grads, state)
         assert np.array_equal(params["w"], np.array([0.7, -0.3]))
 
     def test_shape_mismatch_rejected(self):
         params = nn.ArrayBundle({"w": np.zeros(2)})
-        grads = nn.ArrayBundle({"w": np.zeros(3)})
+        grads = {"w": np.zeros(3)}
         with pytest.raises(ValueError):
             nn.optimizer_step(params, grads, nn.make_optimizer("sgd", 0.1, params))
 
@@ -462,6 +551,14 @@ class TestCheckpointContainer:
             assert np.array_equal(values, loaded.params_[name])
         assert loaded.seed == small_model.seed
 
+    def test_data_partition_roundtrip(self, small_model, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        small_model.save(path)
+        assert CDModel.load(path).data_ is None
+        partition = {"seed_data": 4, "split_ratios": [0.7, 0.2, 0.1], "unlearn_ratio": 0.05}
+        small_model.save(path, partition)
+        assert CDModel.load(path).data_ == partition
+
 
 # -- reference kernels --------------------------------------------------
 # The straightforward forms the library's kernels replaced. The kernels must
@@ -486,7 +583,7 @@ def ref_scatter_rows(n_rows, index, rows):
 
 def ref_optimizer_step(params, grads, state):
     params.require_congruent(grads)
-    grads = grads.dense()
+    grads = nn.dense(grads)
     if state.kind == "sgd":
         for k, p in params.items():
             p -= state.lr * grads[k]
@@ -652,7 +749,7 @@ class TestFusedAdam:
                 # row-sparse: most rows untouched in a batch, like embeddings
                 g[rng.random(shape[0]) < 0.8] = 0.0
                 grads[k] = g
-            step_fn(params, nn.ArrayBundle(grads), state)
+            step_fn(params, grads, state)
         return params, state
 
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
@@ -682,7 +779,7 @@ class TestFusedAdam:
                 values[2] = -values[0]
             [emb] = nn.row_grads(40, index, values)
             grads = {k: rng.normal(size=s) for k, s in self.SHAPES.items() if k != "emb"}
-            step_fn(params, nn.ArrayBundle({"emb": emb, **grads}), state)
+            step_fn(params, {"emb": emb, **grads}, state)
         return params, state
 
     @pytest.mark.parametrize("case", sorted(ROW_CASES))
@@ -712,7 +809,7 @@ class TestFusedAdam:
             values = [rng.normal(size=(len(index), shape[1])) for _, shape, rows in layout if rows]
             grads = dict(zip(row_ids, nn.row_grads(40, index, *values)))
             grads.update({k: rng.normal(size=shape) for k, shape, rows in layout if not rows})
-            step_fn(params, nn.ArrayBundle(grads), state)
+            step_fn(params, grads, state)
             if between_steps is not None:
                 between_steps(params)
         return params, state
@@ -726,17 +823,14 @@ class TestFusedAdam:
                           self._run_layout(kind, ref_optimizer_step, layout))
 
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
-    def test_make_optimizer_rehomes_params_with_their_bits(self, kind):
-        rng = np.random.default_rng(10)
-        params = nn.ArrayBundle({"w": rng.normal(size=(5, 6)).T, "b": np.array([-0.0, np.nan])})
-        before = params.copy()
-        nn.make_optimizer(kind, 0.01, params)
-        assert params.vector.flags.c_contiguous and params.vector.size == params.total_size
-        for k, values in before.items():
-            assert_same_bits(params[k], values)
-            assert np.shares_memory(params[k], params.vector)
-        with pytest.raises(ValueError, match="make_optimizer"):
-            nn.optimizer_step(before, before.zeros(), nn.make_optimizer(kind, 0.01, params))
+    def test_arrays_taken_before_make_optimizer_keep_aliasing_params(self, kind):
+        params = nn.ArrayBundle({k: np.ones(s) for k, s in self.SHAPES.items()})
+        vector, w = params.vector, params["w"]
+        state = nn.make_optimizer(kind, 0.01, params)
+        nn.optimizer_step(params, {k: np.ones(s) for k, s in self.SHAPES.items()}, state)
+        assert params.vector is vector and np.shares_memory(w, vector)
+        assert_same_bits(w, params["w"])
+        assert (w < 1.0).all()
 
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
     def test_writes_through_params_reach_the_next_step(self, kind, monkeypatch):

@@ -99,6 +99,23 @@ class TestSelectAndAttenuate:
                 assert np.all(magnitude <= previous + 1e-15)
             previous = magnitude
 
+    def test_importance_in_another_layer_order_rejected(self):
+        params = nn.ArrayBundle({"w": np.ones(3), "b": np.ones(2)})
+        imp = ImportanceMap({"w": np.ones(3), "b": np.ones(2)})
+        swapped = ImportanceMap({"b": np.ones(2), "w": np.ones(3)})
+        for imp_f, imp_r in ((swapped, imp), (imp, swapped)):
+            with pytest.raises(ValueError, match="layout"):
+                select_and_attenuate(params, imp_f, imp_r, 1.0, 0.5)
+
+    def test_excluded_layer_keeps_its_bits(self):
+        params = nn.ArrayBundle({"a": np.ones(3), "w": -np.ones(2), "b": np.ones(4)})
+        imp_f = ImportanceMap({"a": np.ones(3), "w": np.ones(2), "b": np.ones(4)})
+        imp_r = ImportanceMap(imp_f.zeros())
+        out, n = select_and_attenuate(params, imp_f, imp_r, 1.0, 0.5, frozenset({"w"}))
+        assert n == 7
+        assert out["a"].tolist() == [0.5] * 3 and out["b"].tolist() == [0.5] * 4
+        assert out["w"].tolist() == [-1.0, -1.0]
+
     def test_unknown_excluded_layer_rejected(self):
         params = nn.ArrayBundle({"w": np.ones(3)})
         imp = ImportanceMap({"w": np.ones(3)})
@@ -430,7 +447,7 @@ class TestGradientAscent:
         backward = wiring.backward
 
         def nan_backward(*args, **kwargs):
-            return backward(*args, **kwargs).scale_(np.nan)
+            return nn.dense(backward(*args, **kwargs)).scale_(np.nan)
 
         monkeypatch.setattr(wiring, "backward", nan_backward)
         with np.errstate(all="ignore"), pytest.raises(
@@ -486,8 +503,8 @@ class TestHessianUnlearn:
         fisher_r = fim_diag(model, retain)
         hess_f = hutchinson_hessian_diag(model, forget, 40, 2, seed=0).abs()
         hess_r = hutchinson_hessian_diag(model, retain, 40, 2, seed=1).abs()
-        sel_fim = fisher_f.to_vector() > alpha * fisher_r.to_vector()
-        sel_hess = hess_f.to_vector() > alpha * hess_r.to_vector()
+        sel_fim = fisher_f.vector > alpha * fisher_r.vector
+        sel_hess = hess_f.vector > alpha * hess_r.vector
         union = np.logical_or(sel_fim, sel_hess).sum()
         jaccard = np.logical_and(sel_fim, sel_hess).sum() / max(union, 1)
         print(f"fisher/hessian selection jaccard at alpha={alpha}: {jaccard:.3f}")
@@ -509,12 +526,24 @@ class TestEfficiency:
 
 def test_reports_carry_config_and_counts(small_model, forget_retain):
     forget, retain = forget_retain
-    _, report = hif_unlearn(
-        small_model, forget, retain,
-        HIFConfig(alpha=2.0, lambda_=0.3, beta=0.05, excluded_layers=frozenset({"kc_emb"})),
-    )
-    assert report.algorithm == "hif"
-    assert report.config["alpha"] == 2.0
-    assert report.config["excluded_layers"] == ["kc_emb"]
-    assert 0 <= report.parameters_modified <= small_model.params_.total_size
-    assert report.wall_time_seconds > 0
+    excluded = frozenset({"kc_emb"})
+    runs = {
+        "hif": lambda: hif_unlearn(
+            small_model, forget, retain,
+            HIFConfig(alpha=2.0, lambda_=0.3, beta=0.05, excluded_layers=excluded),
+        ),
+        "fim": lambda: fim_unlearn(
+            small_model, forget, retain, alpha=2.0, lambda_=0.3, excluded_layers=excluded
+        ),
+        "hessian": lambda: hessian_unlearn(
+            small_model, forget, retain, alpha=2.0, lambda_=0.3, n_probe_samples=2,
+            excluded_layers=excluded,
+        ),
+    }
+    for algorithm, run in runs.items():
+        _, report = run()
+        assert report.algorithm == algorithm
+        assert report.config["alpha"] == 2.0
+        assert report.config["excluded_layers"] == ["kc_emb"]
+        assert 0 <= report.parameters_modified <= small_model.params_.total_size
+        assert report.wall_time_seconds > 0
