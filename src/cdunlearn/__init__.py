@@ -24,7 +24,6 @@ from .experiment import (
     sweep,
 )
 from .importance import (
-    ImportanceMap,
     fim_diag,
     hutchinson_hessian_diag,
     layer_importance,
@@ -70,7 +69,6 @@ __all__ = [
     "load_config",
     "run_experiment",
     "sweep",
-    "ImportanceMap",
     "fim_diag",
     "hutchinson_hessian_diag",
     "layer_importance",

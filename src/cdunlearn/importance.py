@@ -1,21 +1,22 @@
 """Parameter-importance estimation.
 
-Two estimators share the :class:`ImportanceMap` container:
+Two estimators each return an :class:`nn.ArrayBundle` of the model's layout:
 
 * the diagonal of the empirical Fisher information — the mean over a dataset
   of squared per-example loss gradients (always nonnegative), and
 * a randomized Hessian-diagonal estimate (Hutchinson probes with
   finite-difference Hessian-vector products), which may be negative.
 
-On top of the Fisher values sit per-layer means and a convex smoothing step
-that shrinks each parameter's importance toward its layer mean.
+Both reject an estimate holding NaN or ±inf (:func:`require_finite`). On top
+of the Fisher values sit per-layer means and a convex smoothing step that
+shrinks each parameter's importance toward its layer mean.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,34 +24,23 @@ from . import nn
 from .data import Records, ResponseRecord, records_to_arrays
 from .model import CDModel
 
-KIND_FIM = "fim"
-KIND_HESSIAN = "hessian"
+# Records per batch of the Hutchinson gradient evaluations.
+HUTCHINSON_BATCH_SIZE = 256
 
 
-class ImportanceMap(nn.ArrayBundle):
-    """Per-parameter importance values congruent with a model's parameters."""
-
-    def __init__(self, arrays: Mapping[str, np.ndarray], source: str = "", kind: str = KIND_FIM):
-        super().__init__(arrays)
-        self.source = source
-        self.kind = kind
-        nonfinite = self.nonfinite_layers()
-        if nonfinite:
-            raise ValueError(f"non-finite importance in layer {nonfinite[0]!r}")
-        if kind == KIND_FIM and self.total_size and self.vector.min() < 0:
-            name = next(k for k, v in self.items() if v.size and v.min() < 0)
-            raise ValueError(f"negative Fisher importance in layer {name!r}")
-
-    def abs(self) -> "ImportanceMap":
-        return ImportanceMap(self.with_vector(np.abs(self.vector)), self.source, self.kind)
+def require_finite(imp: nn.ArrayBundle) -> nn.ArrayBundle:
+    """Return ``imp``; raise ValueError naming its first layer holding NaN or ±inf."""
+    nonfinite = imp.nonfinite_layers()
+    if nonfinite:
+        raise ValueError(f"non-finite importance in layer {nonfinite[0]!r}")
+    return imp
 
 
 def fim_diag(
     model: CDModel,
     records: Records | Sequence[ResponseRecord],
-    source: str = "",
     batch_size: int = 4096,
-) -> ImportanceMap:
+) -> nn.ArrayBundle:
     """Fisher-diagonal importance of every parameter with respect to ``records``.
 
     For each parameter this is the mean over records of the squared
@@ -62,7 +52,7 @@ def fim_diag(
     if len(y) == 0:
         raise ValueError("importance needs a nonempty dataset")
     sq = nn.accumulate_sq_grads(model.wiring_, model.params_, s, q, y, batch_size)
-    return ImportanceMap(sq, source=source, kind=KIND_FIM)
+    return require_finite(sq)
 
 
 # One entry per model: (digest of its parameters and of the record multiset,
@@ -112,14 +102,14 @@ def whole_set_sq_grads(
     return cached[1]
 
 
-def layer_importance(imp: ImportanceMap) -> dict[str, float]:
+def layer_importance(imp: nn.ArrayBundle) -> dict[str, float]:
     """Arithmetic mean of the importance values within each layer."""
     return {name: float(np.mean(values)) for name, values in imp.items()}
 
 
 def smooth_importance(
-    imp: ImportanceMap, layer_means: dict[str, float], beta: float
-) -> ImportanceMap:
+    imp: nn.ArrayBundle, layer_means: dict[str, float], beta: float
+) -> nn.ArrayBundle:
     """Convex combination of each value with its layer mean:
     ``(1 - beta) * value + beta * layer_mean``.
 
@@ -134,7 +124,7 @@ def smooth_importance(
     sizes = [values.size for _, values in imp.items()]
     smoothed = (1.0 - beta) * imp.vector
     smoothed += np.repeat([beta * layer_means[name] for name, _ in imp.layout], sizes)
-    return ImportanceMap(imp.with_vector(smoothed), source=imp.source, kind=imp.kind)
+    return imp.with_vector(smoothed)
 
 
 def hutchinson_diag(
@@ -172,14 +162,13 @@ def hutchinson_hessian_diag(
     n_probe_samples: int,
     n_batches: int = 1,
     seed: int = 0,
-    batch_size: int = 256,
-    source: str = "",
-) -> ImportanceMap:
+) -> nn.ArrayBundle:
     """Hessian-diagonal importance of the model's mean loss over ``records``.
 
     The gradient behind each Hessian-vector product is evaluated on
-    ``n_batches`` batches of ``batch_size`` records drawn (seeded) from
-    ``records``. Values are signed; deterministic for a fixed seed.
+    ``n_batches`` batches of :data:`HUTCHINSON_BATCH_SIZE` records drawn
+    (seeded) from ``records``. Values are signed; deterministic for a fixed
+    seed.
     """
     model._require_fitted()
     if n_probe_samples < 1:
@@ -190,7 +179,7 @@ def hutchinson_hessian_diag(
     if len(y) == 0:
         raise ValueError("importance needs a nonempty dataset")
     rng = np.random.default_rng(seed)
-    take = min(len(y), n_batches * batch_size)
+    take = min(len(y), n_batches * HUTCHINSON_BATCH_SIZE)
     chosen = rng.permutation(len(y))[:take]
     s, q, y = s[chosen], q[chosen], y[chosen]
 
@@ -204,4 +193,4 @@ def hutchinson_hessian_diag(
         return nn.dense(wiring.backward(params, cache, dz, mode="sum")).vector
 
     estimate = hutchinson_diag(grad_fn, template.vector, n_probe_samples, rng)
-    return ImportanceMap(template.with_vector(estimate), source=source, kind=KIND_HESSIAN)
+    return require_finite(template.with_vector(estimate))

@@ -451,9 +451,10 @@ class CDModel:
 
     # -- copies and persistence -------------------------------------------
     def with_params(self, params: nn.ArrayBundle) -> "CDModel":
-        """A fitted copy of this model using ``params`` (shapes must match)."""
+        """A fitted copy of this model using ``params``, whose layer ids and
+        shapes must be this model's, in layer order (ValueError otherwise)."""
         self._require_fitted()
-        self.params_.require_congruent(params)
+        self.params_.require_same_layout(params)
         clone = CDModel(**self.get_params())
         for attr in ("n_students_", "n_items_", "n_kcs_", "qmatrix_", "wiring_"):
             setattr(clone, attr, getattr(self, attr))

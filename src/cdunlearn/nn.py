@@ -182,14 +182,10 @@ class ArrayBundle:
     def total_size(self) -> int:
         return self.vector.size
 
-    def require_congruent(self, other: GradMap) -> None:
-        """Raise ValueError unless ``other`` has the same ids and shapes, in any order."""
-        if dict(self.layout) != {k: v.shape for k, v in other.items()}:
-            raise ValueError("bundles are not shape-congruent")
-
-    def require_same_layout(self, other: "ArrayBundle") -> None:
-        """Raise ValueError unless the two vectors line up entry by entry."""
-        if self.layout != other.layout:
+    def require_same_layout(self, other: "ArrayBundle | GradMap") -> None:
+        """Raise ValueError unless ``other``, a bundle or a gradient map, has
+        this bundle's layer ids and shapes in this bundle's layer order."""
+        if self.layout != [(k, v.shape) for k, v in other.items()]:
             raise ValueError("bundles do not share one layout")
 
     def nonfinite_layers(self) -> list[str]:
@@ -283,13 +279,14 @@ def _gather_dense(
 def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -> None:
     """Apply one in-place update to ``params`` and ``state``.
 
-    ``grads`` is a gradient map from a wiring's ``backward``. The step runs
+    ``grads`` is a gradient map from a wiring's ``backward``, whose layers
+    come in the parameters' layer order (ValueError otherwise). The step runs
     over ``params.vector``: the dense gradient layers are gathered run by run
     into a scratch vector, and a :class:`RowGrad` layer is applied to its rows
     alone, with the bits of its dense table (see the comment in the Adam
     branch).
     """
-    params.require_congruent(grads)
+    params.require_same_layout(grads)
     p = params.vector
     u, t = state.scratch
     slices, row_layers = _gather_dense(params, grads, u)
@@ -362,6 +359,8 @@ def sum_sq_grads(
     Batches are processed in dataset order and each batch reduces in a fixed
     order, so the result is reproducible bit-for-bit on one machine.
     """
+    if not is_count(batch_size, 1):
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     n = len(scores)
     if n == 0:
         raise ValueError("dataset is empty")

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .importance import ImportanceMap
+from . import nn
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -136,7 +136,7 @@ class BetaRecommendation(NamedTuple):
     degenerate: bool  # True when all layer values coincide (no spread to fit)
 
 
-def recommend_beta(imp: ImportanceMap, layer_id: str, sigma_sq: float) -> BetaRecommendation:
+def recommend_beta(imp: nn.ArrayBundle, layer_id: str, sigma_sq: float) -> BetaRecommendation:
     """Advisory data-driven smoothing factor for one layer.
 
     Plugs the layer's sample spread into ``(p - 2) * sigma^2 / sum((v - mean)^2)``

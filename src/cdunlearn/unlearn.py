@@ -2,9 +2,9 @@
 layer smoothing), gradient ascent, and Hessian-guided attenuation.
 
 The three attenuation algorithms share one core: an estimator yields a
-(forget, retain) importance pair, and :func:`attenuate` smooths the forget
-side and applies the select-and-dampen rule. They differ only in the
-estimator (Fisher or |Hessian|) and in beta (fim and hessian use 0).
+(forget, retain) pair of importance bundles, and :func:`attenuate` smooths
+the forget side and applies the select-and-dampen rule. They differ only in
+the estimator (Fisher or |Hessian|) and in beta (fim and hessian use 0).
 
 All algorithms take a fitted model plus the records to forget and return a new
 model with a report; the input model is never mutated. Reported wall time
@@ -85,9 +85,19 @@ def select_and_attenuate(
     ``1 - lambda_ * min(forget / retain, 1)``; a zero retain-importance counts
     as an infinite ratio, so the cap at 1 applies. Unselected parameters and
     ``excluded_layers`` are returned bit-unchanged.
+
+    Raises ValueError, with ``params`` unchanged, when ``alpha`` or ``lambda_``
+    is outside :class:`HIFConfig`'s bounds, when a map's layout (layer order
+    included) is not the parameters', or when a map holds NaN, ±inf or a
+    negative entry, naming the layer.
     """
-    params.require_same_layout(imp_forget)
-    params.require_same_layout(imp_retain)
+    HIFConfig(alpha, lambda_, 0.0)
+    for imp in (imp_forget, imp_retain):
+        params.require_same_layout(imp)
+        imp_mod.require_finite(imp)
+        if (imp.vector < 0).any():
+            name = next(k for k, v in imp.items() if (v < 0).any())
+            raise ValueError(f"negative importance in layer {name!r}")
     unknown = excluded_layers - {layer_id for layer_id, _ in params.layout}
     if unknown:
         raise ValueError(f"excluded layers not in model: {sorted(unknown)}")
@@ -104,8 +114,8 @@ def select_and_attenuate(
 
 def attenuate(
     model: CDModel,
-    imp_forget: imp_mod.ImportanceMap,
-    imp_retain: imp_mod.ImportanceMap,
+    imp_forget: nn.ArrayBundle,
+    imp_retain: nn.ArrayBundle,
     config: HIFConfig,
 ) -> tuple[CDModel, int]:
     """The shared unlearning step: smooth the forget-side importance toward its
@@ -126,7 +136,7 @@ def fisher_pair(
     model: CDModel,
     forget_records: Records | Sequence[ResponseRecord],
     retain_records: Records | Sequence[ResponseRecord],
-) -> tuple[imp_mod.ImportanceMap, imp_mod.ImportanceMap]:
+) -> tuple[nn.ArrayBundle, nn.ArrayBundle]:
     """Fisher-diagonal importance over the forget and the retain records.
 
     The forget map is a pass over the forget records. The retain map takes no
@@ -142,7 +152,7 @@ def fisher_pair(
     forget = records_to_arrays(forget_records)
     retain = records_to_arrays(retain_records)
     _check_disjoint(forget[0], retain[0])
-    imp_f = imp_mod.fim_diag(model, forget_records, source="forget")
+    imp_f = imp_mod.fim_diag(model, forget_records)
     union = [np.concatenate(pair) for pair in zip(forget, retain)]
     total = imp_mod.whole_set_sq_grads(model, *union)
     n_f, n_r = len(forget[2]), len(retain[2])
@@ -151,12 +161,12 @@ def fisher_pair(
     np.subtract(total.vector, retained, out=retained)
     np.maximum(retained, 0.0, out=retained)
     retained *= 1.0 / n_r
-    arrays = total.with_vector(retained)
+    imp_r = total.with_vector(retained)
     indexed = {"students": retain[0], "items": retain[1]}
     for name, index in model.wiring_.row_index.items():
-        rows = arrays[name]
+        rows = imp_r[name]
         rows[np.bincount(indexed[index], minlength=len(rows)) == 0] = 0.0
-    return imp_f, imp_mod.ImportanceMap(arrays, source="retain")
+    return imp_f, imp_r
 
 
 def _estimate_and_attenuate(
@@ -280,12 +290,14 @@ def hessian_unlearn(
         )
         seed_f, seed_r = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
         imp_f = imp_mod.hutchinson_hessian_diag(
-            model, forget_records, n_probe_samples, n_batches, seed=seed_f, source="forget"
+            model, forget_records, n_probe_samples, n_batches, seed=seed_f
         )
         imp_r = imp_mod.hutchinson_hessian_diag(
-            model, retain_records, n_probe_samples, n_batches, seed=seed_r, source="retain"
+            model, retain_records, n_probe_samples, n_batches, seed=seed_r
         )
-        return imp_f.abs(), imp_r.abs()
+        for imp in (imp_f, imp_r):
+            np.abs(imp.vector, out=imp.vector)
+        return imp_f, imp_r
 
     report_config = {k: v for k, v in config.to_dict().items() if k != "beta"} | {
         "n_probe_samples": n_probe_samples, "n_batches": n_batches, "seed": seed

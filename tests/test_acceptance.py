@@ -79,9 +79,7 @@ def test_c03_smoothing_identities():
     """beta=0 is bitwise identity; beta=1 floods the layer mean; the
     within-layer mean is preserved for beta in {0.25, 0.5, 0.75} within 1e-12."""
     rng = np.random.default_rng(5)
-    from cdunlearn.importance import ImportanceMap
-
-    imp = ImportanceMap(
+    imp = nn.ArrayBundle(
         {"a": rng.random((30, 4)), "b": rng.random(17), "c": np.zeros(9)}
     )
     means = layer_importance(imp)
@@ -103,14 +101,13 @@ def test_c04_attenuation_unit_vectors_and_fim_hif_equivalence(frcsub_ctx):
     """The three attenuation cases reproduce exactly, and plain Fisher
     attenuation is bit-identical to smoothed attenuation at beta=0 on a
     trained benchmark-shaped model."""
-    from cdunlearn.importance import ImportanceMap
     from cdunlearn.unlearn import select_and_attenuate
 
     def single(theta, imp_f, imp_r, alpha, lambda_):
         out, n = select_and_attenuate(
             nn.ArrayBundle({"w": np.array([theta])}),
-            ImportanceMap({"w": np.array([imp_f])}),
-            ImportanceMap({"w": np.array([imp_r])}),
+            nn.ArrayBundle({"w": np.array([imp_f])}),
+            nn.ArrayBundle({"w": np.array([imp_r])}),
             alpha,
             lambda_,
         )

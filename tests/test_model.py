@@ -232,3 +232,10 @@ def test_neuralcdm_checkpoint_roundtrip(small_dataset, tmp_path):
     assert loaded.arch == "neuralcdm"
     records = small_dataset.records[:30]
     assert np.array_equal(model.predict_proba(records), loaded.predict_proba(records))
+
+
+def test_with_params_needs_the_model_layer_order(small_model):
+    # A bundle in another order would save layer_ids that CDModel.load refuses.
+    reordered = nn.ArrayBundle(dict(reversed(list(small_model.params_.items()))))
+    with pytest.raises(ValueError, match="layout"):
+        small_model.with_params(reordered)

@@ -234,7 +234,7 @@ BUNDLE_ROUTES = {
     "copy": lambda m, tmp: nn.ArrayBundle(_bundle_with_odd_bits()).copy(),
     "zeros": lambda m, tmp: nn.ArrayBundle(_bundle_with_odd_bits()).zeros(),
     "with_vector": lambda m, tmp: m.params_.with_vector(np.arange(m.params_.total_size)[::-1]),
-    "ImportanceMap": lambda m, tmp: importance.ImportanceMap(m.params_.zeros()),
+    "fim_diag": lambda m, tmp: importance.fim_diag(m, [(0, 0, 1)]),
     "init_params": lambda m, tmp: m.wiring_.init_params(np.random.default_rng(0)),
     "CDModel.load": _saved_and_loaded,
     "fit": lambda m, tmp: m.params_,
@@ -282,10 +282,11 @@ class TestArrayBundleLayout:
     def test_layout_check_needs_one_order(self):
         a = nn.ArrayBundle({"w": np.ones(3), "b": np.ones(2)})
         a.require_same_layout(a.zeros())
-        a.require_congruent({"b": np.ones(2), "w": np.ones(3)})  # a gradient map, any order
+        a.require_same_layout({"w": np.ones(3), "b": np.ones(2)})  # a gradient map
         for other in ({"b": np.ones(2), "w": np.ones(3)}, {"w": np.ones(3), "b": np.ones(3)}):
-            with pytest.raises(ValueError, match="layout"):
-                a.require_same_layout(nn.ArrayBundle(other))
+            for form in (other, nn.ArrayBundle(other)):
+                with pytest.raises(ValueError, match="layout"):
+                    a.require_same_layout(form)
 
 
 class TestOptimizers:
@@ -317,6 +318,14 @@ class TestOptimizers:
         grads = {"w": np.zeros(3)}
         with pytest.raises(ValueError):
             nn.optimizer_step(params, grads, nn.make_optimizer("sgd", 0.1, params))
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_gradients_in_another_layer_order_rejected(self, kind):
+        params = nn.ArrayBundle({"w": np.ones(3), "b": np.ones(2)})
+        state = nn.make_optimizer(kind, 0.1, params)
+        with pytest.raises(ValueError, match="layout"):
+            nn.optimizer_step(params, {"b": np.ones(2), "w": np.ones(3)}, state)
+        assert params.vector.tolist() == [1.0] * 5 and state.step == 0
 
 
 class TestSquaredGradientAccumulation:
@@ -582,7 +591,7 @@ def ref_scatter_rows(n_rows, index, rows):
 
 
 def ref_optimizer_step(params, grads, state):
-    params.require_congruent(grads)
+    params.require_same_layout(grads)
     grads = nn.dense(grads)
     if state.kind == "sgd":
         for k, p in params.items():
@@ -809,7 +818,7 @@ class TestFusedAdam:
             values = [rng.normal(size=(len(index), shape[1])) for _, shape, rows in layout if rows]
             grads = dict(zip(row_ids, nn.row_grads(40, index, *values)))
             grads.update({k: rng.normal(size=shape) for k, shape, rows in layout if not rows})
-            step_fn(params, grads, state)
+            step_fn(params, {k: grads[k] for k, _, _ in layout}, state)  # in layer order
             if between_steps is not None:
                 between_steps(params)
         return params, state

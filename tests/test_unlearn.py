@@ -7,7 +7,6 @@ import pytest
 from cdunlearn import nn
 from cdunlearn.model import CDModel
 from cdunlearn.importance import (
-    ImportanceMap,
     fim_diag,
     hutchinson_hessian_diag,
     layer_importance,
@@ -29,8 +28,8 @@ def _single(theta, imp_f, imp_r, alpha, lambda_):
     params = nn.ArrayBundle({"w": np.array([theta])})
     out, n = select_and_attenuate(
         params,
-        ImportanceMap({"w": np.array([imp_f])}),
-        ImportanceMap({"w": np.array([imp_r])}),
+        nn.ArrayBundle({"w": np.array([imp_f])}),
+        nn.ArrayBundle({"w": np.array([imp_r])}),
         alpha,
         lambda_,
     )
@@ -74,8 +73,8 @@ class TestSelectAndAttenuate:
         params = nn.ArrayBundle({"w": theta.copy()})
         out, _ = select_and_attenuate(
             params,
-            ImportanceMap({"w": rng.random(50)}),
-            ImportanceMap({"w": rng.random(50) * 0.1}),
+            nn.ArrayBundle({"w": rng.random(50)}),
+            nn.ArrayBundle({"w": rng.random(50) * 0.1}),
             alpha=1.3,
             lambda_=0.8,
         )
@@ -87,8 +86,8 @@ class TestSelectAndAttenuate:
     def test_monotone_in_lambda(self):
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(30)
-        imp_f = ImportanceMap({"w": rng.random(30)})
-        imp_r = ImportanceMap({"w": rng.random(30) * 0.2})
+        imp_f = nn.ArrayBundle({"w": rng.random(30)})
+        imp_r = nn.ArrayBundle({"w": rng.random(30) * 0.2})
         previous = None
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
             out, _ = select_and_attenuate(
@@ -101,16 +100,16 @@ class TestSelectAndAttenuate:
 
     def test_importance_in_another_layer_order_rejected(self):
         params = nn.ArrayBundle({"w": np.ones(3), "b": np.ones(2)})
-        imp = ImportanceMap({"w": np.ones(3), "b": np.ones(2)})
-        swapped = ImportanceMap({"b": np.ones(2), "w": np.ones(3)})
+        imp = nn.ArrayBundle({"w": np.ones(3), "b": np.ones(2)})
+        swapped = nn.ArrayBundle({"b": np.ones(2), "w": np.ones(3)})
         for imp_f, imp_r in ((swapped, imp), (imp, swapped)):
             with pytest.raises(ValueError, match="layout"):
                 select_and_attenuate(params, imp_f, imp_r, 1.0, 0.5)
 
     def test_excluded_layer_keeps_its_bits(self):
         params = nn.ArrayBundle({"a": np.ones(3), "w": -np.ones(2), "b": np.ones(4)})
-        imp_f = ImportanceMap({"a": np.ones(3), "w": np.ones(2), "b": np.ones(4)})
-        imp_r = ImportanceMap(imp_f.zeros())
+        imp_f = nn.ArrayBundle({"a": np.ones(3), "w": np.ones(2), "b": np.ones(4)})
+        imp_r = nn.ArrayBundle(imp_f.zeros())
         out, n = select_and_attenuate(params, imp_f, imp_r, 1.0, 0.5, frozenset({"w"}))
         assert n == 7
         assert out["a"].tolist() == [0.5] * 3 and out["b"].tolist() == [0.5] * 4
@@ -118,9 +117,38 @@ class TestSelectAndAttenuate:
 
     def test_unknown_excluded_layer_rejected(self):
         params = nn.ArrayBundle({"w": np.ones(3)})
-        imp = ImportanceMap({"w": np.ones(3)})
+        imp = nn.ArrayBundle({"w": np.ones(3)})
         with pytest.raises(ValueError, match="excluded"):
             select_and_attenuate(params, imp, imp, 1.0, 0.5, frozenset({"nope"}))
+
+    @pytest.mark.parametrize(
+        "alpha, lambda_, match",
+        [(np.nan, 0.5, "alpha"), (0.0, 0.5, "alpha"), (-1.0, 0.5, "alpha"),
+         (1.0, -0.1, "lambda_"), (1.0, 2.0, "lambda_"), (1.0, np.nan, "lambda_")],
+    )
+    def test_alpha_and_lambda_out_of_bounds_rejected(self, alpha, lambda_, match):
+        # Unchecked, NaN alpha selected nothing, lambda 2 flipped every selected
+        # sign and NaN lambda returned NaN parameters.
+        params = nn.ArrayBundle({"w": np.array([1.0, -2.0])})
+        imp_f = nn.ArrayBundle({"w": np.ones(2)})
+        with pytest.raises(ValueError, match=match):
+            select_and_attenuate(params, imp_f, imp_f.zeros(), alpha, lambda_)
+        assert params["w"].tolist() == [1.0, -2.0]
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+         (-1e-300, "negative")],
+    )
+    @pytest.mark.parametrize("side", ["forget", "retain"])
+    def test_bad_importance_rejected_naming_the_layer(self, side, bad, match):
+        params = nn.ArrayBundle({"ok": np.ones(2), "w": np.ones(2)})
+        good = nn.ArrayBundle({"ok": np.ones(2), "w": np.ones(2)})
+        poisoned = nn.ArrayBundle({"ok": np.ones(2), "w": np.array([1.0, bad])})
+        maps = (poisoned, good) if side == "forget" else (good, poisoned)
+        with pytest.raises(ValueError, match=f"{match} importance in layer 'w'"):
+            select_and_attenuate(params, *maps, 1.0, 0.5)
+        assert params.vector.tolist() == [1.0] * 4
 
 
 class TestHIFConfig:
@@ -225,6 +253,10 @@ class TestHifUnlearn:
             hif_unlearn(small_model, [], retain, HIFConfig(1.3, 0.5, 0.1))
 
 
+def _magnitude(imp):
+    return imp.with_vector(np.abs(imp.vector))
+
+
 def _same_params(a, b):
     return all(np.array_equal(values, b.params_[name]) for name, values in a.params_.items())
 
@@ -242,8 +274,8 @@ class TestAttenuateCore:
         # beta = 0 smoothing inside attenuate must leave |Hessian| maps bit-unchanged.
         forget, retain = forget_retain
         seed_f, seed_r = (int(x) for x in np.random.SeedSequence(4).generate_state(2))
-        imp_f = hutchinson_hessian_diag(small_model, forget, 6, 1, seed=seed_f).abs()
-        imp_r = hutchinson_hessian_diag(small_model, retain, 6, 1, seed=seed_r).abs()
+        imp_f = _magnitude(hutchinson_hessian_diag(small_model, forget, 6, 1, seed=seed_f))
+        imp_r = _magnitude(hutchinson_hessian_diag(small_model, retain, 6, 1, seed=seed_r))
         params, n = select_and_attenuate(small_model.params_, imp_f, imp_r, 1.3, 0.5)
         unlearned, report = hessian_unlearn(
             small_model, forget, retain, 1.3, 0.5, n_probe_samples=6, seed=4
@@ -265,6 +297,21 @@ class TestAttenuateCore:
             hessian_unlearn(small_model, forget, retain, n_probe_samples=2, **kwargs)
         with pytest.raises(ValueError, match=match):
             fim_unlearn(small_model, forget, retain, **kwargs)
+
+    @pytest.mark.parametrize("algorithm", ["hif", "fim", "hessian"])
+    def test_nan_parameter_raises_rather_than_selecting_nothing(
+        self, small_model, forget_retain, algorithm
+    ):
+        forget, retain = forget_retain
+        poisoned = small_model.copy()
+        poisoned.params_["kc_emb"][0, 0] = np.nan
+        run = {
+            "hif": lambda: hif_unlearn(poisoned, forget, retain, HIFConfig(1.3, 0.5, 0.1)),
+            "fim": lambda: fim_unlearn(poisoned, forget, retain, 1.3, 0.5),
+            "hessian": lambda: hessian_unlearn(poisoned, forget, retain, 1.3, 0.5, 2),
+        }[algorithm]
+        with pytest.raises(ValueError, match="non-finite importance"):
+            run()
 
     def test_fim_report_is_its_own(self, small_model, forget_retain):
         forget, retain = forget_retain
@@ -315,7 +362,6 @@ class TestSubtractiveFisher:
         imp_f, imp_r = fisher_pair(model, forget, retain)
         assert _same_bits(imp_f, fim_diag(model, forget))
         exact = fim_diag(model, retain)
-        assert (imp_r.source, imp_r.kind) == ("retain", "fim")
         for name, values in exact.items():
             np.testing.assert_allclose(imp_r[name], values, rtol=1e-12, atol=0.0, err_msg=name)
 
@@ -501,8 +547,8 @@ class TestHessianUnlearn:
         alpha = 1.3
         fisher_f = fim_diag(model, forget)
         fisher_r = fim_diag(model, retain)
-        hess_f = hutchinson_hessian_diag(model, forget, 40, 2, seed=0).abs()
-        hess_r = hutchinson_hessian_diag(model, retain, 40, 2, seed=1).abs()
+        hess_f = _magnitude(hutchinson_hessian_diag(model, forget, 40, 2, seed=0))
+        hess_r = _magnitude(hutchinson_hessian_diag(model, retain, 40, 2, seed=1))
         sel_fim = fisher_f.vector > alpha * fisher_r.vector
         sel_hess = hess_f.vector > alpha * hess_r.vector
         union = np.logical_or(sel_fim, sel_hess).sum()
