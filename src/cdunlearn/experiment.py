@@ -15,12 +15,15 @@ derived from them.
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import itertools
 import json
+import multiprocessing
 import numbers
 import os
-from contextlib import contextmanager
+import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -42,7 +45,7 @@ from .data import (
     split_records,
 )
 from .mia import LogisticAttacker, evaluate_attack, extract_features, train_attacker
-from .model import CDArchConfig, CDModel, build_wiring, train
+from .model import FIT_RESULTS, CDArchConfig, CDModel, build_wiring, train
 from .nn import TrainConfig, is_count
 from .unlearn import (
     HIFConfig,
@@ -401,45 +404,137 @@ def fit_attacker(m_orig: CDModel, splits: MiaSplits, seed: int) -> LogisticAttac
     return train_attacker(members, nonmembers, seed=seed)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# OpenBLAS's thread-count queries: NumPy 2 wheels, NumPy 1 wheels, a system OpenBLAS.
+_BLAS_THREAD_QUERIES = (
+    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
+)
+
+
+def _blas_threads() -> int | None:
+    """The threads NumPy's OpenBLAS runs a product on, or None when it cannot
+    be asked (another BLAS, or a platform where the query is not found)."""
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        lib = ctypes.CDLL(umath.__file__)  # its symbol lookup reaches the BLAS it links
+    except (AttributeError, OSError):
+        return None
+    for symbol in _BLAS_THREAD_QUERIES:
+        query = getattr(lib, symbol, None)
+        if query is not None:
+            query.restype = ctypes.c_int
+            return int(query())
+    return None
+
+
+def _fit_worker(conn, kwargs: dict) -> None:
+    """Worker process: send ``train(**kwargs)``'s parameter vector and
+    :data:`FIT_RESULTS`, or the exception it raised, over ``conn``."""
+    try:
+        model, _ = train(**kwargs)
+        conn.send((model.params_.vector, {attr: getattr(model, attr) for attr in FIT_RESULTS}))
+    except Exception as exc:  # noqa: BLE001 - the parent raises it in its stage
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
+@contextmanager
+def _retrain_fit(kwargs: dict):
+    """Yield ``finish(like) -> CDModel``, the model ``train(**kwargs)`` fits.
+
+    When the usable CPUs number at least twice NumPy's BLAS threads, the fit
+    starts at once in a spawned worker process (forking a process that holds
+    BLAS threads is unsafe). ``finish`` waits for it, raises its exception
+    as itself, or rebuilds the model through ``like``, a model of the same
+    hyperparameters and counts. On exit the worker is stopped if it still
+    runs, and joined. Otherwise ``finish`` runs the fit in-process: with one
+    CPU, with BLAS threads that would contend for the CPUs (OpenBLAS's idle
+    threads spin), or with a BLAS that cannot be asked.
+    """
+    blas_threads = _blas_threads()
+    if blas_threads is None or _usable_cpus() < 2 * blas_threads:
+        yield lambda like: train(**kwargs)[0]
+        return
+    spawn = multiprocessing.get_context("spawn")
+    receiver, sender = spawn.Pipe(duplex=False)
+    worker = spawn.Process(target=_fit_worker, args=(sender, kwargs))
+
+    def finish(like: CDModel) -> CDModel:
+        try:
+            result = receiver.recv()
+        except EOFError:
+            worker.join()
+            raise RuntimeError(
+                f"the fit worker exited with code {worker.exitcode} and no result"
+            ) from None
+        if isinstance(result, BaseException):
+            raise result
+        return like.with_fit(*result)
+
+    with receiver:
+        try:
+            worker.start()
+        finally:
+            sender.close()
+        try:
+            yield finish
+        finally:
+            # After finish the worker has nothing left to send; before, its
+            # result is no longer wanted.
+            worker.terminate()
+            worker.join()
+
+
 def build_context(config: ExperimentConfig) -> ExperimentContext:
-    """Run the shared pipeline stages once: data, both baseline models, attacker."""
+    """Run the shared pipeline stages once: data, both baseline models, attacker.
+
+    The retrained model's fit runs in a worker process while the original
+    model trains, when the CPUs allow it (see :func:`_retrain_fit`); both
+    paths give the same bits, and each fit's ``fit_seconds_`` is its own
+    wall time.
+    """
     stages: list[str] = []
     dataset, split, partition, mia_splits = prepare_data(config)
     stages += ["load-data", "partition"]
     qmatrix = dataset.qmatrix
     assert qmatrix is not None
 
-    with _stage("train-original"):
-        orig_records = (
-            mia_splits.forget_train
-            + mia_splits.retain_train
-            + mia_splits.forget_valid
-            + mia_splits.retain_valid
-        )
-        m_orig, t_orig = train(
-            config.architecture,
-            orig_records,
-            None,
-            qmatrix,
-            config.training,
-            seed=config.seed_model,
-            n_students=dataset.n_students,
-            n_items=dataset.n_items,
-        )
-    stages.append("train-original")
+    fit = dict(
+        arch_config=config.architecture,
+        valid_records=None,
+        qmatrix=qmatrix,
+        train_config=config.training,
+        seed=config.seed_model,
+        n_students=dataset.n_students,
+        n_items=dataset.n_items,
+    )
+    with ExitStack() as worker:
+        with _stage("train-retrain"):
+            finish_retrain = worker.enter_context(
+                _retrain_fit({**fit, "train_records": mia_splits.retain_train_valid})
+            )
+        with _stage("train-original"):
+            orig_records = (
+                mia_splits.forget_train
+                + mia_splits.retain_train
+                + mia_splits.forget_valid
+                + mia_splits.retain_valid
+            )
+            m_orig, t_orig = train(train_records=orig_records, **fit)
+        stages.append("train-original")
 
-    with _stage("train-retrain"):
-        m_retrain, t_retrain = train(
-            config.architecture,
-            mia_splits.retain_train_valid,
-            None,
-            qmatrix,
-            config.training,
-            seed=config.seed_model,
-            n_students=dataset.n_students,
-            n_items=dataset.n_items,
-        )
-    stages.append("train-retrain")
+        with _stage("train-retrain"):
+            m_retrain = finish_retrain(m_orig)
+            t_retrain = m_retrain.fit_seconds_
+        stages.append("train-retrain")
 
     with _stage("train-attacker"):
         attacker = fit_attacker(m_orig, mia_splits, config.seed_attack)

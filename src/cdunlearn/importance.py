@@ -127,6 +127,11 @@ def smooth_importance(
     return imp.with_vector(smoothed)
 
 
+def _require_count(name: str, value) -> None:
+    if not nn.is_count(value, 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def hutchinson_diag(
     grad_fn: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -141,8 +146,7 @@ def hutchinson_diag(
     of ``grad_fn``: (g(x0 + eps z) - g(x0 - eps z)) / (2 eps), where
     eps = 1e-3 * (1 + max|x0|).
     """
-    if n_probe_samples < 1:
-        raise ValueError("n_probe_samples must be >= 1")
+    _require_count("n_probe_samples", n_probe_samples)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = 1e-3 * (1.0 + (np.max(np.abs(x0)) if x0.size else 0.0))
     samples = np.empty((n_probe_samples, x0.size))
@@ -171,10 +175,8 @@ def hutchinson_hessian_diag(
     seed.
     """
     model._require_fitted()
-    if n_probe_samples < 1:
-        raise ValueError("n_probe_samples must be >= 1")
-    if n_batches < 1:
-        raise ValueError("n_batches must be >= 1")
+    _require_count("n_probe_samples", n_probe_samples)
+    _require_count("n_batches", n_batches)
     s, q, y = records_to_arrays(records)
     if len(y) == 0:
         raise ValueError("importance needs a nonempty dataset")

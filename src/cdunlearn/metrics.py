@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -57,10 +58,11 @@ def acc(scores: Sequence[float], labels: Sequence[int], threshold: float = 0.5) 
 def rtrr(t_unlearn: float, t_retrain: float) -> float:
     """Relative time reduction, in percent: 100 * (1 - t_unlearn / t_retrain).
 
-    Negative when unlearning is slower than retraining.
+    Negative when unlearning is slower than retraining. ``t_retrain`` must be
+    finite and > 0, ``t_unlearn`` finite and >= 0 (ValueError otherwise).
     """
-    if t_retrain <= 0:
-        raise ValueError("t_retrain must be positive")
-    if t_unlearn < 0:
-        raise ValueError("t_unlearn must be nonnegative")
+    if not (math.isfinite(t_retrain) and t_retrain > 0):
+        raise ValueError(f"t_retrain must be a finite number > 0, got {t_retrain!r}")
+    if not (math.isfinite(t_unlearn) and t_unlearn >= 0):
+        raise ValueError(f"t_unlearn must be a finite number >= 0, got {t_unlearn!r}")
     return 100.0 * (1.0 - t_unlearn / t_retrain)

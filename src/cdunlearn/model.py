@@ -318,6 +318,10 @@ def build_wiring(config: CDArchConfig, n_students: int, n_items: int, qmatrix: Q
     return wiring(config, n_students, n_items, qmatrix)
 
 
+# What a fit records besides the parameters.
+FIT_RESULTS = ("fit_seconds_", "epochs_run_", "best_epoch_", "monitor_value_")
+
+
 def _monitor_score(probs: np.ndarray, labels: np.ndarray) -> float:
     """Validation AUC; falls back to negative mean loss when one class is absent."""
     if 0 < labels.sum() < len(labels):
@@ -458,10 +462,19 @@ class CDModel:
         clone = CDModel(**self.get_params())
         for attr in ("n_students_", "n_items_", "n_kcs_", "qmatrix_", "wiring_"):
             setattr(clone, attr, getattr(self, attr))
-        for attr in ("fit_seconds_", "epochs_run_", "best_epoch_", "monitor_value_", "data_"):
+        for attr in (*FIT_RESULTS, "data_"):
             if hasattr(self, attr):
                 setattr(clone, attr, getattr(self, attr))
         clone.params_ = params
+        return clone
+
+    def with_fit(self, vector: np.ndarray, fit: dict) -> "CDModel":
+        """A fitted copy of this model with the parameter vector ``vector``, in
+        this model's layout, and the :data:`FIT_RESULTS` ``fit``: another fit
+        of the same hyperparameters and counts, rebuilt from its plain values."""
+        clone = self.with_params(self.params_.with_vector(vector))
+        for attr in FIT_RESULTS:
+            setattr(clone, attr, fit[attr])
         return clone
 
     def copy(self) -> "CDModel":

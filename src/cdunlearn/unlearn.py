@@ -236,8 +236,8 @@ def gradient_ascent_unlearn(
     model._require_fitted()
     if not (math.isfinite(lr) and lr >= 0):
         raise ValueError(f"lr must be a finite number >= 0, got {lr}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    if not nn.is_count(steps, 0):
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     if len(forget_records) == 0:
         raise ValueError("forget set is empty")
     t0 = time.perf_counter()

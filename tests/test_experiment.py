@@ -2,7 +2,9 @@
 
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cdunlearn
-from cdunlearn import data, synth
+from cdunlearn import data, experiment, synth
 from cdunlearn.cli import main as cli_main
 from cdunlearn.experiment import (
     ALGORITHM_NAMES,
@@ -26,7 +28,8 @@ from cdunlearn.experiment import (
     sweep,
     write_profiles_csv,
 )
-from cdunlearn.model import CDModel
+from cdunlearn.model import CDArchConfig, CDModel
+from cdunlearn.nn import TrainConfig
 
 from tests.test_nn import MALFORMED_CHECKPOINTS, rewrite_header
 
@@ -314,6 +317,124 @@ class TestRunExperiment:
             run_experiment(config)
         status = json.loads(Path(config.out_dir, "status.json").read_text())
         assert status == {"status": "failed", "stage": "train-attacker"}
+
+
+def _fit_on_no_records(conn, kwargs):
+    """The fit worker given an empty training set: its fit raises ValueError.
+    Module-level, so that a spawned worker can import it."""
+    experiment._fit_worker(conn, {**kwargs, "train_records": kwargs["train_records"][:0]})
+
+
+def _exit_without_result(conn, kwargs):
+    """A fit worker that dies before it sends anything."""
+    os._exit(3)
+
+
+def _cpus(monkeypatch, n):
+    """n usable CPUs and a one-thread BLAS: the worker runs from n = 2 on."""
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(experiment, "_blas_threads", lambda: 1)
+
+
+class TestBaselineFits:
+    """The retrained model fits in a spawned worker while the original fits
+    in-process, or, with one usable CPU, after it in-process."""
+
+    @staticmethod
+    def _fits_in_parent(monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        calls = []
+        train = experiment.train
+        monkeypatch.setattr(experiment, "train", lambda **kw: calls.append(1) or train(**kw))
+        return calls
+
+    @pytest.mark.parametrize("arch", ["decoupled", "neuralcdm"])
+    def test_worker_and_in_process_give_the_same_bits(self, tiny_paths, monkeypatch, arch):
+        config = _tiny_config(tiny_paths, f"paths_{arch}", architecture={"arch": arch},
+                              training={"max_epochs": 8})
+        contexts = {}
+        for cpus, parent_fits in ((2, 1), (1, 2)):
+            calls = self._fits_in_parent(monkeypatch, cpus)
+            contexts[cpus] = build_context(config)
+            assert len(calls) == parent_fits
+            assert multiprocessing.active_children() == []
+        spawned, in_process = contexts[2], contexts[1]
+        for name in ("m_orig", "m_retrain"):
+            a, b = getattr(spawned, name), getattr(in_process, name)
+            assert a.params_.vector.tobytes() == b.params_.vector.tobytes()
+            assert a.params_.layout == b.params_.layout
+            for attr in ("epochs_run_", "best_epoch_", "monitor_value_"):
+                assert getattr(a, attr) == getattr(b, attr)
+        assert spawned.t_retrain_seconds == spawned.m_retrain.fit_seconds_ > 0
+        for entry in ("orig_entry", "retrain_entry"):
+            assert getattr(spawned, entry).stable_dict() == getattr(in_process, entry).stable_dict()
+        assert spawned.stages == in_process.stages
+
+    def test_blas_threads_are_asked(self):
+        threads = experiment._blas_threads()
+        assert threads is None or (type(threads) is int and threads >= 1)
+
+    # (usable CPUs, BLAS threads, whether the worker runs): a worker needs as
+    # many CPUs as the BLAS threads of each fit; a BLAS that cannot be asked
+    # keeps the fit in-process.
+    @pytest.mark.parametrize("cpus, blas, spawns", [
+        (1, 1, False), (2, 1, True), (3, 2, False), (4, 2, True), (8, None, False),
+    ])
+    def test_worker_runs_when_each_fit_has_its_cpus(self, small_dataset, monkeypatch,
+                                                    cpus, blas, spawns):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(experiment, "_blas_threads", lambda: blas)
+        kwargs = dict(arch_config=CDArchConfig(embed_dim=4, ffn_hidden=(4,)),
+                      train_records=small_dataset.records, valid_records=None,
+                      qmatrix=small_dataset.qmatrix, train_config=TrainConfig(max_epochs=2))
+        like, _ = experiment.train(**kwargs)
+        with experiment._retrain_fit(kwargs) as finish:
+            assert len(multiprocessing.active_children()) == spawns
+            model = finish(like)
+        assert model.params_.vector.tobytes() == like.params_.vector.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_names_train_retrain(self, tiny_paths, tmp_path, monkeypatch):
+        config = _tiny_config(tiny_paths, "worker_fail")
+        config.out_dir = str(tmp_path / "out")
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiment, "_fit_worker", _fit_on_no_records)
+        with pytest.raises(experiment.StageError, match="train-retrain") as raised:
+            run_experiment(config)
+        # the worker's exception crosses as itself, as the in-process fit raises it
+        assert type(raised.value.__cause__) is ValueError
+        assert str(raised.value.__cause__) == "training set is empty"
+        status = json.loads(Path(config.out_dir, "status.json").read_text())
+        assert status == {"status": "failed", "stage": "train-retrain"}
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_without_result_names_train_retrain(self, tiny_paths, monkeypatch):
+        config = _tiny_config(tiny_paths, "worker_exit")
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiment, "_fit_worker", _exit_without_result)
+        with pytest.raises(experiment.StageError,
+                           match="train-retrain.*exited with code 3 and no result"):
+            build_context(config)
+        assert multiprocessing.active_children() == []
+
+    def test_original_fit_failure_stops_the_worker(self, tiny_paths, monkeypatch):
+        config = _tiny_config(tiny_paths, "orig_fail")
+        _cpus(monkeypatch, 2)
+        process = multiprocessing.get_context("spawn").Process
+        started, alive = [], []
+        start = process.start
+        monkeypatch.setattr(process, "start", lambda self: started.append(self) or start(self))
+
+        def boom(**kwargs):
+            alive.append(started[0].is_alive())
+            raise RuntimeError("induced failure")
+
+        monkeypatch.setattr(experiment, "train", boom)
+        with pytest.raises(experiment.StageError, match="train-original"):
+            build_context(config)
+        # the worker was running its fit when the original fit failed, and was stopped
+        assert alive == [True] and started[0].exitcode == -signal.SIGTERM
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")

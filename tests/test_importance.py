@@ -210,6 +210,24 @@ class TestHutchinson:
         with pytest.raises(ValueError):
             hutchinson_hessian_diag(small_model, small_dataset.records, 0)
 
+    @pytest.mark.parametrize("value", [2.5, True, 0, -1])
+    @pytest.mark.parametrize("name", ["n_probe_samples", "n_batches"])
+    def test_counts_validated(self, small_model, small_dataset, name, value):
+        before = small_model.params_.vector.copy()
+        counts = {"n_probe_samples": 5, "n_batches": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value!r}"):
+            hutchinson_hessian_diag(small_model, small_dataset.records, **counts)
+        assert small_model.params_.vector.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("value", [2.5, True, 0, -1])
+    def test_probe_count_of_the_estimator_validated(self, value):
+        calls = []
+        x0 = np.ones(3)
+        want = f"n_probe_samples must be an integer >= 1, got {value!r}"
+        with pytest.raises(ValueError, match=want):
+            hutchinson_diag(calls.append, x0, value, np.random.default_rng(0))
+        assert calls == [] and np.array_equal(x0, np.ones(3))
+
     def test_near_minimum_tracks_fisher(self, small_dataset):
         # At convergence the expected Hessian equals the Fisher information;
         # check the two maps select overlapping parameter sets and report it.

@@ -1,5 +1,7 @@
 """Ranking/threshold metrics against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,13 @@ class TestRtrr:
     def test_zero_retrain_time_rejected(self):
         with pytest.raises(ValueError):
             rtrr(1.0, 0.0)
+
+    @pytest.mark.parametrize("t_retrain", [math.nan, math.inf, -math.inf, -1.0])
+    def test_retrain_time_must_be_finite_and_positive(self, t_retrain):
+        with pytest.raises(ValueError, match="t_retrain must be a finite number > 0"):
+            rtrr(1.0, t_retrain)
+
+    @pytest.mark.parametrize("t_unlearn", [math.nan, math.inf, -math.inf, -1.0])
+    def test_unlearn_time_must_be_finite_and_nonnegative(self, t_unlearn):
+        with pytest.raises(ValueError, match="t_unlearn must be a finite number >= 0"):
+            rtrr(t_unlearn, 1.0)

@@ -473,6 +473,15 @@ class TestGradientAscent:
         _, report = gradient_ascent_unlearn(small_model, forget, lr=lr, steps=steps)
         assert report.config == {"lr": lr, "steps": steps}
 
+    @pytest.mark.parametrize("steps", [2.5, True, -1])
+    def test_steps_must_be_a_count(self, small_model, forget_retain, steps):
+        # steps=0 is the identity (test_zero_steps_is_identity)
+        forget, _ = forget_retain
+        before = small_model.params_.vector.copy()
+        with pytest.raises(ValueError, match=f"steps must be an integer >= 0, got {steps!r}"):
+            gradient_ascent_unlearn(small_model, forget, lr=1e-4, steps=steps)
+        assert small_model.params_.vector.tobytes() == before.tobytes()
+
     def test_negative_lr_rejected(self, small_model, forget_retain):
         forget, _ = forget_retain
         with pytest.raises(ValueError):
