@@ -244,7 +244,7 @@ def load_responses(path: str) -> Dataset:
 
     Record order follows file order. Raises :class:`DataFormatError` with the
     offending line number on parse failures and :class:`DataValidationError`
-    for out-of-range scores or negative ids.
+    for out-of-range scores or ids (an id must fit in int64).
     """
     expected = ["student_id", "item_id", "score"]
     raw: list[tuple[int, int, int]] = []
@@ -272,9 +272,9 @@ def load_responses(path: str) -> Dataset:
                 raise DataFormatError(
                     f"{path}: line {lineno}: non-integer value in {row!r}"
                 ) from None
-            if sid < 0 or iid < 0:
+            if not (0 <= sid < 2**63 and 0 <= iid < 2**63):  # ids are held as int64
                 raise DataValidationError(
-                    f"{path}: line {lineno}: ids must be nonnegative"
+                    f"{path}: line {lineno}: ids must be in [0, 2**63 - 1]"
                 )
             if score not in (0, 1):
                 raise DataValidationError(

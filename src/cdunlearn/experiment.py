@@ -204,17 +204,24 @@ class ExperimentConfig:
         if len(self.split_ratios) != 3:
             raise ConfigError("split_ratios must have three entries")
         self.unlearn_ratio = float(self.unlearn_ratio)
-        if isinstance(self.architecture, dict):
-            self.architecture = CDArchConfig(**self.architecture)
-        if isinstance(self.training, dict):
-            self.training = TrainConfig(**self.training)
+        for key, section in (("architecture", CDArchConfig), ("training", TrainConfig)):
+            value = getattr(self, key)
+            if isinstance(value, dict):
+                setattr(self, key, section(**value))
+            elif not isinstance(value, section):
+                raise ConfigError(f"{key} must be a JSON object, got {value!r}")
         for key in ("seed_data", "seed_model", "seed_attack"):
             if not is_count(seed := getattr(self, key), 0):
                 raise ConfigError(f"{key} must be an integer >= 0, got {seed!r}")
             setattr(self, key, int(seed))
+        algorithms = self.algorithms
+        if not isinstance(algorithms, dict) or not all(
+            isinstance(params, dict) for params in algorithms.values()
+        ):
+            raise ConfigError(f"algorithms must be a JSON object of objects, got {algorithms!r}")
         self.algorithms = {
             name: resolve_params(name, params, self.architecture)
-            for name, params in self.algorithms.items()
+            for name, params in algorithms.items()
         }
 
     def to_dict(self) -> dict:

@@ -137,27 +137,27 @@ def hutchinson_diag(
     x0: np.ndarray,
     n_probe_samples: int,
     rng: np.random.Generator,
-    return_samples: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Randomized estimate of the Hessian diagonal of a function at ``x0``.
 
     Uses n_probe_samples Rademacher probes z and the identity
     diag(H) ~= E[z * (H z)], with H z obtained by central finite differences
     of ``grad_fn``: (g(x0 + eps z) - g(x0 - eps z)) / (2 eps), where
-    eps = 1e-3 * (1 + max|x0|).
+    eps = 1e-3 * (1 + max|x0|); the probe products are summed in probe order.
     """
     _require_count("n_probe_samples", n_probe_samples)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = 1e-3 * (1.0 + (np.max(np.abs(x0)) if x0.size else 0.0))
-    samples = np.empty((n_probe_samples, x0.size))
-    for k in range(n_probe_samples):
+    total = None
+    for _ in range(n_probe_samples):
         z = rng.integers(0, 2, size=x0.size).astype(np.float64) * 2.0 - 1.0
         hz = (grad_fn(x0 + eps * z) - grad_fn(x0 - eps * z)) / (2.0 * eps)
-        samples[k] = z * hz
-    estimate = samples.mean(axis=0)
-    if return_samples:
-        return estimate, samples
-    return estimate
+        if total is None:
+            total = z * hz
+        else:
+            total += z * hz
+    total /= n_probe_samples
+    return total
 
 
 def hutchinson_hessian_diag(

@@ -3,7 +3,8 @@ layer smoothing), gradient ascent, and Hessian-guided attenuation.
 
 The three attenuation algorithms share one core: an estimator yields a
 (forget, retain) pair of importance bundles, and :func:`attenuate` smooths
-the forget side and applies the select-and-dampen rule. They differ only in
+the forget side and scales by ``1 - lambda_`` every parameter whose forget
+importance exceeds alpha times its retain importance. They differ only in
 the estimator (Fisher or |Hessian|) and in beta (fim and hessian use 0).
 
 All algorithms take a fitted model plus the records to forget and return a new
@@ -31,9 +32,9 @@ from .model import CDModel
 class HIFConfig:
     """Hyperparameters of hierarchical importance-guided forgetting.
 
-    alpha    selection threshold: a parameter is attenuated when its smoothed
-             forget-importance exceeds ``alpha`` times its retain-importance.
-    lambda_  unlearning strength in [0, 1]; scales the attenuation.
+    alpha    selection threshold (finite, >= 1): a parameter is attenuated when its
+             smoothed forget-importance exceeds ``alpha`` times its retain-importance.
+    lambda_  unlearning strength in [0, 1]: an attenuated parameter is scaled by ``1 - lambda_``.
     beta     smoothing factor in [0, 1]; how far forget-importance is shrunk
              toward its layer mean before selection.
     excluded_layers   layer ids exempt from attenuation.
@@ -45,8 +46,8 @@ class HIFConfig:
     excluded_layers: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1):
+            raise ValueError(f"alpha must be a finite number >= 1, got {self.alpha}")
         if not (0.0 <= self.lambda_ <= 1.0):
             raise ValueError(f"lambda_ must be in [0, 1], got {self.lambda_}")
         if not (0.0 <= self.beta <= 1.0):
@@ -81,9 +82,8 @@ def select_and_attenuate(
     """Core attenuation rule, applied over the vectors of three bundles of one layout.
 
     A parameter is selected when forget-importance > alpha * retain-importance
-    (never when both are zero) and is then scaled by
-    ``1 - lambda_ * min(forget / retain, 1)``; a zero retain-importance counts
-    as an infinite ratio, so the cap at 1 applies. Unselected parameters and
+    (never when both are zero) and is then scaled by ``1 - lambda_``; the
+    retain map acts only through selection. Unselected parameters and
     ``excluded_layers`` are returned bit-unchanged.
 
     Raises ValueError, with ``params`` unchanged, when ``alpha`` or ``lambda_``
@@ -101,15 +101,12 @@ def select_and_attenuate(
     unknown = excluded_layers - {layer_id for layer_id, _ in params.layout}
     if unknown:
         raise ValueError(f"excluded layers not in model: {sorted(unknown)}")
-    f, r = imp_forget.vector, imp_retain.vector
     sizes = [values.size for _, values in params.items()]
-    selected = f > alpha * r
+    selected = imp_forget.vector > alpha * imp_retain.vector
     selected &= np.repeat([k not in excluded_layers for k, _ in params.layout], sizes)
     out = params.copy()
-    f, r = f[selected], r[selected]
-    ratio = np.divide(f, r, out=np.full_like(f, np.inf), where=r > 0)
-    out.vector[selected] *= 1.0 - lambda_ * np.minimum(ratio, 1.0)
-    return out, len(f)
+    out.vector[selected] *= 1.0 - lambda_
+    return out, int(np.count_nonzero(selected))
 
 
 def attenuate(
@@ -196,9 +193,9 @@ def hif_unlearn(
     """Attenuate parameters over-specialized to ``forget_records``.
 
     Forget-side Fisher importance is smoothed toward its layer mean (weight
-    ``config.beta``) before being compared against the raw retain-side
-    importance. With ``beta=0`` this reduces to plain Fisher-guided
-    attenuation.
+    ``config.beta``); each parameter where it exceeds ``config.alpha`` times
+    the raw retain-side importance is scaled by ``1 - config.lambda_``. With
+    ``beta=0`` this reduces to plain Fisher-guided attenuation.
     """
     return _estimate_and_attenuate(
         "hif", model, forget_records, retain_records, config, config.to_dict()

@@ -55,6 +55,22 @@ class TestLoadResponses:
         with pytest.raises(DataValidationError, match="line 2"):
             load_responses(path)
 
+    @pytest.mark.parametrize("column", ["student", "item"])
+    def test_id_beyond_int64_rejected_naming_the_line(self, tmp_path, column):
+        # Unchecked, 2**63 raised a bare OverflowError from the columnizer.
+        top = 2**63 - 1
+        row = f"{top + 1},1,0" if column == "student" else f"1,{top + 1},0"
+        path = _write(tmp_path / "r.csv", f"student_id,item_id,score\n{top},{top},1\n{row}\n")
+        with pytest.raises(DataValidationError, match=r"line 3: ids must be in \[0, 2\*\*63 - 1\]"):
+            load_responses(path)
+
+    def test_largest_int64_id_loads(self, tmp_path):
+        top = 2**63 - 1
+        path = _write(tmp_path / "r.csv", f"student_id,item_id,score\n{top},{top},1\n0,0,0\n")
+        ds = load_responses(path)
+        assert ds.n_students == 2 and ds.n_items == 2
+        assert tuple(ds.records) == (ResponseRecord(1, 1, 1), ResponseRecord(0, 0, 0))
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = _write(
             tmp_path / "r.csv", "student_id,item_id,score\n0,0,1\n1,oops,0\n"

@@ -104,6 +104,7 @@ BAD_ALGORITHM_VALUES = [
     ("hif", {"alpha": math.inf}, "alpha"),
     ("fim", {"alpha": math.inf}, "alpha"),
     ("hessian", {"alpha": math.inf}, "alpha"),
+    ("fim", {"alpha": 0.5}, "alpha"),
 ]
 
 # (config key, value, the setting the error names): seeds are integers >= 0;
@@ -130,6 +131,17 @@ NONFINITE_CONFIG_VALUES = [
     *(("training", {"min_delta": v}, "min_delta") for v in (math.nan, math.inf, -math.inf)),
     *(("split_ratios", r, "ratios") for r in ([math.nan, 0.2, 0.2], [0.6, math.inf, 0.2],
                                               [0.6, 0.2, math.nan])),
+]
+
+# (config key, value): a section of the wrong JSON type. Unchecked, a list or
+# null `algorithms` and a string `architecture` exited 2 with an AttributeError,
+# and a number `training` passed reading to fail at stage train-original.
+WRONG_TYPE_SECTIONS = [
+    ("algorithms", ["hif"]),
+    ("algorithms", None),
+    ("algorithms", {"hif": None}),
+    ("architecture", "decoupled"),
+    ("training", 5),
 ]
 
 # (architecture, algorithm, excluded layers): names the architecture lacks.
@@ -206,6 +218,11 @@ class TestConfig:
     @pytest.mark.parametrize("key, value, setting", BAD_CONFIG_VALUES)
     def test_bad_setting_rejected_when_read(self, key, value, setting):
         with pytest.raises(ConfigError, match=rf"{setting} .*must be .*integer"):
+            config_from_dict({"responses_path": "r", "qmatrix_path": "q", key: value})
+
+    @pytest.mark.parametrize("key, value", WRONG_TYPE_SECTIONS)
+    def test_section_of_the_wrong_type_rejected_when_read(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be a JSON object"):
             config_from_dict({"responses_path": "r", "qmatrix_path": "q", key: value})
 
     @pytest.mark.parametrize("architecture, name, layers", BAD_EXCLUDED_LAYERS)
@@ -778,7 +795,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "name, params",
-        [("hif", {"lambda_": 1.5}), ("gradasc", {"steps": -1}), ("hif", {"alpha": math.inf})],
+        [("hif", {"lambda_": 1.5}), ("gradasc", {"steps": -1}), ("hif", {"alpha": math.inf}),
+         ("fim", {"alpha": 0.5})],
     )
     def test_bad_algorithm_value_exits_1_before_training(
         self, tiny_paths, tmp_path, capsys, name, params
@@ -819,6 +837,21 @@ class TestCli:
         assert cli_main(["run", "--config", str(config_path)]) == 1
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", WRONG_TYPE_SECTIONS)
+    def test_section_of_the_wrong_type_exits_1_before_anything_is_written(
+        self, tiny_paths, tmp_path, capsys, key, value
+    ):
+        responses, qmatrix, _ = tiny_paths
+        out = tmp_path / "never"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"responses_path": responses, "qmatrix_path": qmatrix,
+                        "out_dir": str(out), key: value})
+        )
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        assert f"error: {key} must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()  # not even the status file
 
     @pytest.mark.parametrize("key, value, setting", NONFINITE_CONFIG_VALUES)
     def test_nonfinite_setting_exits_1_before_training(

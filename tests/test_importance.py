@@ -185,10 +185,12 @@ class TestHutchinson:
         off = rng.standard_normal((dim, dim)) * 0.2
         h = np.diag(d) + (off + off.T) / 2.0
         np.fill_diagonal(h, d)
-        est, samples = hutchinson_diag(
-            lambda x: h @ x, np.zeros(dim), 40, np.random.default_rng(3),
-            return_samples=True,
-        )
+        est = hutchinson_diag(lambda x: h @ x, np.zeros(dim), 40, np.random.default_rng(3))
+        # one-probe calls on one generator draw the 40-probe call's probes in order
+        rng = np.random.default_rng(3)
+        samples = np.array([hutchinson_diag(lambda x: h @ x, np.zeros(dim), 1, rng)
+                            for _ in range(40)])
+        assert est.tobytes() == samples.mean(axis=0).tobytes()
         sem = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
         assert np.all(np.abs(est - d) <= 3.0 * sem + 1e-9)
 

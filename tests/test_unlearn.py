@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdunlearn import nn
+from cdunlearn.experiment import ALGORITHMS, default_grid
 from cdunlearn.model import CDModel
 from cdunlearn.importance import (
     fim_diag,
@@ -38,8 +39,8 @@ def _single(theta, imp_f, imp_r, alpha, lambda_):
 
 class TestSelectAndAttenuate:
     def test_selected_with_capped_ratio(self):
-        # forget importance 0.8 vs threshold 1.3 * 0.4 = 0.52: selected;
-        # ratio 2 caps at 1, so the parameter halves at lambda 0.5
+        # forget importance 0.8 vs threshold 1.3 * 0.4 = 0.52: selected, so
+        # the parameter is scaled by 1 - lambda and halves at lambda 0.5
         value, n = _single(1.0, 0.8, 0.4, alpha=1.3, lambda_=0.5)
         assert (value, n) == (0.5, 1)
 
@@ -55,12 +56,6 @@ class TestSelectAndAttenuate:
     def test_both_zero_not_selected(self):
         value, n = _single(1.0, 0.0, 0.0, alpha=1.3, lambda_=0.9)
         assert (value, n) == (1.0, 0)
-
-    def test_uncapped_ratio_below_one_scales_partially(self):
-        # selected at alpha 0.5 with ratio 0.8 below the cap
-        value, n = _single(2.0, 0.4, 0.5, alpha=0.5, lambda_=0.5)
-        assert n == 1
-        assert value == pytest.approx(2.0 * (1 - 0.5 * 0.8), abs=1e-12)
 
     def test_lambda_zero_counts_but_never_changes(self):
         value, n = _single(1.0, 0.8, 0.0, alpha=1.3, lambda_=0.0)
@@ -124,16 +119,19 @@ class TestSelectAndAttenuate:
     @pytest.mark.parametrize(
         "alpha, lambda_, match",
         [(np.nan, 0.5, "alpha"), (0.0, 0.5, "alpha"), (-1.0, 0.5, "alpha"),
-         (1.0, -0.1, "lambda_"), (1.0, 2.0, "lambda_"), (1.0, np.nan, "lambda_")],
+         (1.0, -0.1, "lambda_"), (1.0, 2.0, "lambda_"), (1.0, np.nan, "lambda_"),
+         (0.5, 0.5, "alpha"), (np.nextafter(1.0, 0.0), 0.5, "alpha")],
     )
     def test_alpha_and_lambda_out_of_bounds_rejected(self, alpha, lambda_, match):
         # Unchecked, NaN alpha selected nothing, lambda 2 flipped every selected
-        # sign and NaN lambda returned NaN parameters.
+        # sign and NaN lambda returned NaN parameters. Below alpha 1 a selected
+        # entry can have forget < retain importance, which the rule does not
+        # weigh: it scales every selected entry by the same 1 - lambda.
         params = nn.ArrayBundle({"w": np.array([1.0, -2.0])})
         imp_f = nn.ArrayBundle({"w": np.ones(2)})
         with pytest.raises(ValueError, match=match):
             select_and_attenuate(params, imp_f, imp_f.zeros(), alpha, lambda_)
-        assert params["w"].tolist() == [1.0, -2.0]
+        assert params.vector.tobytes() == np.array([1.0, -2.0]).tobytes()
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -161,6 +159,8 @@ class TestHIFConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             HIFConfig(alpha=0.0, lambda_=0.5, beta=0.1)
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 1"):
+            HIFConfig(alpha=0.5, lambda_=0.5, beta=0.1)
         with pytest.raises(ValueError):
             HIFConfig(alpha=1.0, lambda_=1.5, beta=0.1)
         with pytest.raises(ValueError):
@@ -289,6 +289,7 @@ class TestAttenuateCore:
             ({"alpha": 1.3, "lambda_": 1.5}, "lambda_"),
             ({"alpha": -2.0, "lambda_": 0.5}, "alpha"),
             ({"alpha": 1.3, "lambda_": 0.5, "excluded_layers": {"nope"}}, "excluded layers"),
+            ({"alpha": 0.5, "lambda_": 0.5}, "alpha must be a finite number >= 1"),
         ],
     )
     def test_hessian_validated_like_fisher(self, small_model, forget_retain, kwargs, match):
@@ -411,16 +412,16 @@ class TestSubtractiveFisher:
                 np.testing.assert_allclose(got[name], values, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("beta", [0.0, 0.3])
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("alpha", [1.3, 1.0, 3.0])
     def test_selections_match_the_two_pass_maps(self, lone_item_case, alpha, beta):
+        # A selected entry is scaled by 1 - lambda whatever its retain map
+        # holds, so equal selections give equal bits.
         model, forget, retain = lone_item_case
         cfg = HIFConfig(alpha=alpha, lambda_=0.8, beta=beta)
         got, n_got = attenuate(model, *fisher_pair(model, forget, retain), cfg)
         want, n_want = attenuate(model, fim_diag(model, forget), fim_diag(model, retain), cfg)
         assert n_got == n_want > 0
-        for name, values in model.params_.items():
-            assert np.array_equal(got.params_[name] != values, want.params_[name] != values)
-            np.testing.assert_allclose(got.params_[name], want.params_[name], rtol=1e-12)
+        assert got.params_.vector.tobytes() == want.params_.vector.tobytes()
         # item 0's rows have no retain importance: every one with forget importance goes
         imp_f = fim_diag(model, forget)
         for name, index in model.wiring_.row_index.items():
@@ -433,6 +434,61 @@ class TestSubtractiveFisher:
         graded = [r._replace(score=2) for r in retain[:5]] + list(retain[5:])
         with pytest.raises(ValueError, match="0 or 1"):
             fisher_pair(small_model, forget, graded)
+
+
+def _ratio_rule(params, imp_forget, imp_retain, alpha, lambda_):
+    """The attenuation rule as it was coded before alpha >= 1 was required:
+    a selected entry is scaled by ``1 - lambda_ * min(forget / retain, 1)``,
+    a zero retain importance counting as an infinite ratio. The reference the
+    constant rule must match bit for bit."""
+    f, r = imp_forget.vector, imp_retain.vector
+    selected = f > alpha * r
+    out = params.copy()
+    f, r = f[selected], r[selected]
+    ratio = np.divide(f, r, out=np.full_like(f, np.inf), where=r > 0)
+    out.vector[selected] *= 1.0 - lambda_ * np.minimum(ratio, 1.0)
+    return out, len(f)
+
+
+def _assert_stock_points_match_the_ratio_rule(model, forget, retain):
+    """Every stock hif and fim point over the Fisher pair, and the stock
+    hessian alpha and lambda over |Hessian| maps."""
+    imp_f, imp_r = fisher_pair(model, forget, retain)
+    points = [{"beta": 0.0, **p} for p in default_grid("fim")] + default_grid("hif")
+    assert len(points) == 96
+    for point in points:
+        cfg = HIFConfig(**point)
+        got, n_got = attenuate(model, imp_f, imp_r, cfg)
+        smoothed = smooth_importance(imp_f, layer_importance(imp_f), cfg.beta)
+        want, n_want = _ratio_rule(model.params_, smoothed, imp_r, cfg.alpha, cfg.lambda_)
+        assert n_got == n_want > 0, point
+        assert got.params_.vector.tobytes() == want.vector.tobytes(), point
+    stock = ALGORITHMS["hessian"].defaults
+    hess_f, hess_r = (
+        _magnitude(hutchinson_hessian_diag(model, records, stock["n_probe_samples"], seed=seed))
+        for seed, records in ((0, forget), (1, retain))
+    )
+    args = hess_f, hess_r, stock["alpha"], stock["lambda_"]
+    got, n_got = select_and_attenuate(model.params_, *args)
+    want, n_want = _ratio_rule(model.params_, *args)
+    assert n_got == n_want > 0
+    assert got.vector.tobytes() == want.vector.tobytes()
+
+
+class TestConstantRuleMatchesTheRatioRule:
+    """With alpha >= 1 a selected entry has forget > retain importance, so
+    ``min(forget / retain, 1)`` is exactly 1 and the old rule scaled it by
+    ``1 - lambda_`` too."""
+
+    def test_stock_points_on_the_benchmark_fixture(self, frcsub_ctx):
+        splits = frcsub_ctx.mia_splits
+        _assert_stock_points_match_the_ratio_rule(
+            frcsub_ctx.m_orig, splits.forget_train_valid, splits.retain_train_valid
+        )
+
+    def test_stock_points_on_both_architectures(self, lone_item_case):
+        # item 0's rows have zero retain importance: the infinite-ratio case
+        _assert_stock_points_match_the_ratio_rule(*lone_item_case)
 
 
 class TestGradientAscent:
