@@ -176,6 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = sweep(config, grids=grids, epsilon_utility=args.epsilon_utility)
     os.makedirs(config.out_dir, exist_ok=True)
     _write_json(os.path.join(config.out_dir, "sweep.json"), result.to_dict())
+    _write_json(os.path.join(config.out_dir, "sweep_timing.json"), result.timing_dict())
     best = result.to_dict()["best"]
     print(json.dumps({"points": len(result.points), "best": best}, indent=2, sort_keys=True))
     return 0

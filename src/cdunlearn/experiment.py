@@ -54,6 +54,7 @@ from .unlearn import (
     fim_unlearn,
     fisher_pair,
     gradient_ascent_unlearn,
+    hessian_pair,
     hessian_unlearn,
     hif_unlearn,
 )
@@ -243,7 +244,9 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
             raise ConfigError(f"config is missing {required!r}")
     kwargs = {"out_dir": ExperimentConfig.out_dir, **raw}  # a default out_dir resolves too
     for key in ("responses_path", "qmatrix_path", "out_dir"):
-        path = str(kwargs[key])
+        path = kwargs[key]
+        if not isinstance(path, str):
+            raise ConfigError(f"{key} must be a JSON string, got {path!r}")
         if not os.path.isabs(path):
             kwargs[key] = os.path.normpath(os.path.join(base_dir, path))
     try:
@@ -666,7 +669,18 @@ class SweepResult:
             "epsilon_utility": self.epsilon_utility,
             "points": [dataclasses.asdict(p) for p in self.points],
             "best": dataclasses.asdict(self.best) if self.best else None,
-            "best_full_run": dataclasses.asdict(self.best_entry) if self.best_entry else None,
+            "best_full_run": self.best_entry.stable_dict() if self.best_entry else None,
+        }
+
+    def timing_dict(self) -> dict:
+        """The best-point re-run's wall time and RTRR, kept out of :meth:`to_dict`
+        so that reruns write the same ``sweep.json``."""
+        entry = self.best_entry
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "best_full_run": None if entry is None else {
+                "wall_time_seconds": entry.wall_time_seconds, "rtrr": entry.rtrr
+            },
         }
 
 
@@ -681,13 +695,19 @@ def sweep(
     The original/retrained models and the attacker are trained once. For the
     Fisher-guided algorithms (hif, fim) the two Fisher maps are also computed
     once and every grid point runs only :func:`attenuate`, which is sound
-    because attenuation is a pure function of (model, maps, config). Every
+    because attenuation is a pure function of (model, maps, config). So do
+    the hessian points: each ``(n_batches, seed)`` family, the seed defaulting
+    as in :func:`apply_algorithm`, is estimated once by one
+    :func:`hessian_pair` call over its distinct probe counts (a k-probe
+    estimate is the first k probes of a longer run), which gives each point
+    the bits :func:`apply_algorithm` would. ``points`` keeps grid order. Every
     grid point goes through :func:`resolve_params`, as a run's config does,
     before anything is trained, so an unknown key or a bad value raises
     :class:`ConfigError`, as do ``grids`` that are not a mapping of algorithm
     to a list of parameter objects or that name an algorithm not in
     ``config.algorithms``. The selected best config is then re-run end to
-    end to confirm its metrics and measure honest wall time; like any
+    end through :func:`apply_algorithm` to confirm its metrics and measure
+    honest wall time (:meth:`SweepResult.timing_dict`); like any
     request on the same model and records, the re-run reuses the memoized
     whole-set Fisher sum (see :func:`fisher_pair`). A point is feasible
     when its utility AUC is within ``epsilon_utility`` (not NaN) of the
@@ -715,24 +735,44 @@ def sweep(
         ]
     if ctx is None:
         ctx = build_context(config)
+    # The record sets are built per estimate, not held through the point loop:
+    # at 10k students the retain set is megabytes.
+    splits = ctx.mia_splits
 
     fisher = None
     if any(name in ("hif", "fim") for name in algo_grids):
-        fisher = fisher_pair(
-            ctx.m_orig, ctx.mia_splits.forget_train_valid, ctx.mia_splits.retain_train_valid
-        )
+        fisher = fisher_pair(ctx.m_orig, splits.forget_train_valid, splits.retain_train_valid)
+
+    def family(params: dict) -> tuple[int, int]:
+        """What a hessian estimate reads besides its probe count; the seed
+        defaults as in :func:`apply_algorithm`."""
+        return params["n_batches"], params.get("seed", ctx.config.seed_model)
+
+    families: dict[tuple[int, int], dict[int, None]] = {}  # family -> its probe counts
+    for params in algo_grids.get("hessian", ()):
+        families.setdefault(family(params), {})[params["n_probe_samples"]] = None
+    hessian = {}  # (n_batches, seed, n_probe_samples) -> the |Hessian| pair
+    for (n_batches, seed), counts in families.items():
+        pairs = hessian_pair(ctx.m_orig, splits.forget_train_valid, splits.retain_train_valid,
+                             tuple(counts), n_batches, seed)
+        hessian.update({(n_batches, seed, n): pair for n, pair in zip(counts, pairs)})
 
     retrain_mia = ctx.retrain_entry.mia_auc
     orig_auc = ctx.orig_entry.utility_auc
     points: list[SweepPoint] = []
     for name, grid in algo_grids.items():
         for params in grid:
-            if name in ("hif", "fim"):
-                attenuation = HIFConfig(**{"beta": 0.0, **params})
-                model, n_modified = attenuate(ctx.m_orig, *fisher, attenuation)
-            else:
+            if name == "gradasc":
                 model, ureport = apply_algorithm(ctx, name, params)
                 n_modified = ureport.parameters_modified
+            else:
+                pair = (hessian[(*family(params), params["n_probe_samples"])]
+                        if name == "hessian" else fisher)
+                attenuation = HIFConfig(
+                    params["alpha"], params["lambda_"], params.get("beta", 0.0),
+                    params.get("excluded_layers", frozenset()),
+                )
+                model, n_modified = attenuate(ctx.m_orig, *pair, attenuation)
             entry = ctx.entry_for(name, model)
             points.append(
                 SweepPoint(

@@ -132,51 +132,74 @@ def _require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _probe_counts(n_probe_samples) -> tuple[int, ...]:
+    """``n_probe_samples``, an integer >= 1 or a nonempty tuple of them, as a tuple."""
+    counts = n_probe_samples if isinstance(n_probe_samples, tuple) else (n_probe_samples,)
+    if not counts:
+        raise ValueError("n_probe_samples must be an integer >= 1 or a nonempty tuple of them")
+    for count in counts:
+        _require_count("n_probe_samples", count)
+    return counts
+
+
 def hutchinson_diag(
     grad_fn: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    n_probe_samples: int,
+    n_probe_samples: int | tuple[int, ...],
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Randomized estimate of the Hessian diagonal of a function at ``x0``.
 
     Uses n_probe_samples Rademacher probes z and the identity
     diag(H) ~= E[z * (H z)], with H z obtained by central finite differences
     of ``grad_fn``: (g(x0 + eps z) - g(x0 - eps z)) / (2 eps), where
     eps = 1e-3 * (1 + max|x0|); the probe products are summed in probe order.
+
+    A tuple of counts runs the probes once, up to the largest count, and
+    returns the running sum over the first n probes divided by n for each
+    requested n, in the given order. Each of these has the bits of a call with
+    that n alone on a generator in the same state: a k-probe estimate is the
+    first k probes of any longer run.
     """
-    _require_count("n_probe_samples", n_probe_samples)
+    counts = _probe_counts(n_probe_samples)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = 1e-3 * (1.0 + (np.max(np.abs(x0)) if x0.size else 0.0))
     total = None
-    for _ in range(n_probe_samples):
+    estimates: list = [None] * len(counts)
+    for probe in range(1, max(counts) + 1):
         z = rng.integers(0, 2, size=x0.size).astype(np.float64) * 2.0 - 1.0
         hz = (grad_fn(x0 + eps * z) - grad_fn(x0 - eps * z)) / (2.0 * eps)
         if total is None:
             total = z * hz
         else:
             total += z * hz
-    total /= n_probe_samples
-    return total
+        for i, count in enumerate(counts):
+            if count == probe:
+                estimates[i] = total / count
+    return tuple(estimates) if isinstance(n_probe_samples, tuple) else estimates[0]
 
 
 def hutchinson_hessian_diag(
     model: CDModel,
     records: Records | Sequence[ResponseRecord],
-    n_probe_samples: int,
+    n_probe_samples: int | tuple[int, ...],
     n_batches: int = 1,
     seed: int = 0,
-) -> nn.ArrayBundle:
+) -> nn.ArrayBundle | tuple[nn.ArrayBundle, ...]:
     """Hessian-diagonal importance of the model's mean loss over ``records``.
 
     The gradient behind each Hessian-vector product is evaluated on
     ``n_batches`` batches of :data:`HUTCHINSON_BATCH_SIZE` records drawn
     (seeded) from ``records``. Values are signed; deterministic for a fixed
-    seed.
+    seed, an integer >= 0. A tuple of probe counts returns one map per count,
+    in the given order, from one probe loop (see :func:`hutchinson_diag`):
+    each has the bits of a call with that count alone.
     """
     model._require_fitted()
-    _require_count("n_probe_samples", n_probe_samples)
+    _probe_counts(n_probe_samples)
     _require_count("n_batches", n_batches)
+    if not nn.is_count(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     s, q, y = records_to_arrays(records)
     if len(y) == 0:
         raise ValueError("importance needs a nonempty dataset")
@@ -195,4 +218,6 @@ def hutchinson_hessian_diag(
         return nn.dense(wiring.backward(params, cache, dz, mode="sum")).vector
 
     estimate = hutchinson_diag(grad_fn, template.vector, n_probe_samples, rng)
+    if isinstance(estimate, tuple):
+        return tuple(require_finite(template.with_vector(e)) for e in estimate)
     return require_finite(template.with_vector(estimate))

@@ -2,10 +2,11 @@
 layer smoothing), gradient ascent, and Hessian-guided attenuation.
 
 The three attenuation algorithms share one core: an estimator yields a
-(forget, retain) pair of importance bundles, and :func:`attenuate` smooths
-the forget side and scales by ``1 - lambda_`` every parameter whose forget
-importance exceeds alpha times its retain importance. They differ only in
-the estimator (Fisher or |Hessian|) and in beta (fim and hessian use 0).
+(forget, retain) pair of importance bundles (:func:`fisher_pair`,
+:func:`hessian_pair`), and :func:`attenuate` smooths the forget side and
+scales by ``1 - lambda_`` every parameter whose forget importance exceeds
+alpha times its retain importance. They differ only in the estimator
+(Fisher or |Hessian|) and in beta (fim and hessian use 0).
 
 All algorithms take a fitted model plus the records to forget and return a new
 model with a report; the input model is never mutated. Reported wall time
@@ -166,6 +167,38 @@ def fisher_pair(
     return imp_f, imp_r
 
 
+def hessian_pair(
+    model: CDModel,
+    forget_records: Records | Sequence[ResponseRecord],
+    retain_records: Records | Sequence[ResponseRecord],
+    n_probe_samples: int | tuple[int, ...],
+    n_batches: int = 1,
+    seed: int = 0,
+) -> tuple[nn.ArrayBundle, nn.ArrayBundle] | tuple[tuple[nn.ArrayBundle, nn.ArrayBundle], ...]:
+    """|Hessian-diagonal| importance over the forget and the retain records.
+
+    Each side is :func:`importance.hutchinson_hessian_diag` on ``n_batches``
+    batches of its records, in magnitude; the two probe seeds derive from
+    ``seed``, an integer >= 0. A tuple of probe counts returns one
+    (forget, retain) pair per count, in the given order, from one probe loop
+    per side: the pair at each count has the bits of a call with that count
+    alone, so a sweep estimates each ``(n_batches, seed)`` family once.
+    """
+    if not nn.is_count(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_disjoint(records_to_arrays(forget_records)[0], records_to_arrays(retain_records)[0])
+    seed_f, seed_r = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
+    counts = n_probe_samples if isinstance(n_probe_samples, tuple) else (n_probe_samples,)
+    sides = []
+    for records, side_seed in ((forget_records, seed_f), (retain_records, seed_r)):
+        maps = imp_mod.hutchinson_hessian_diag(model, records, counts, n_batches, seed=side_seed)
+        for imp in maps:
+            np.abs(imp.vector, out=imp.vector)
+        sides.append(maps)
+    pairs = tuple(zip(*sides))
+    return pairs if isinstance(n_probe_samples, tuple) else pairs[0]
+
+
 def _estimate_and_attenuate(
     algorithm: str,
     model: CDModel,
@@ -275,32 +308,20 @@ def hessian_unlearn(
     """Select-and-attenuate guided by |Hessian diagonal| estimates.
 
     The same rule as :func:`fim_unlearn` but with the magnitude of a
-    randomized Hessian-diagonal estimate standing in for Fisher importance on
-    both the forget and retain side. Probe seeds for the two estimates derive
-    deterministically from ``seed``.
+    randomized Hessian-diagonal estimate (:func:`hessian_pair`) standing in
+    for Fisher importance on both the forget and retain side. Probe seeds for
+    the two estimates derive deterministically from ``seed``, an integer >= 0
+    (None, a bool, a negative or a fraction raise ValueError).
     """
     config = HIFConfig(alpha=alpha, lambda_=lambda_, beta=0.0, excluded_layers=excluded_layers)
-
-    def hessian_pair(model, forget_records, retain_records):
-        _check_disjoint(
-            records_to_arrays(forget_records)[0], records_to_arrays(retain_records)[0]
-        )
-        seed_f, seed_r = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
-        imp_f = imp_mod.hutchinson_hessian_diag(
-            model, forget_records, n_probe_samples, n_batches, seed=seed_f
-        )
-        imp_r = imp_mod.hutchinson_hessian_diag(
-            model, retain_records, n_probe_samples, n_batches, seed=seed_r
-        )
-        for imp in (imp_f, imp_r):
-            np.abs(imp.vector, out=imp.vector)
-        return imp_f, imp_r
-
+    if not nn.is_count(n_probe_samples, 1):
+        raise ValueError(f"n_probe_samples must be an integer >= 1, got {n_probe_samples!r}")
     report_config = {k: v for k, v in config.to_dict().items() if k != "beta"} | {
         "n_probe_samples": n_probe_samples, "n_batches": n_batches, "seed": seed
     }
     return _estimate_and_attenuate(
-        "hessian", model, forget_records, retain_records, config, report_config, hessian_pair
+        "hessian", model, forget_records, retain_records, config, report_config,
+        lambda *pair_args: hessian_pair(*pair_args, n_probe_samples, n_batches, seed),
     )
 
 

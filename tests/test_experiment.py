@@ -225,6 +225,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{key} must be a JSON object"):
             config_from_dict({"responses_path": "r", "qmatrix_path": "q", key: value})
 
+    @pytest.mark.parametrize("value", [None, ["a"], 5], ids=["null", "list", "number"])
+    @pytest.mark.parametrize("key", ["responses_path", "qmatrix_path", "out_dir"])
+    def test_path_key_must_be_a_json_string(self, key, value):
+        # str() made "out_dir": null the directory <config dir>/None.
+        with pytest.raises(ConfigError, match=rf"^{key} must be a JSON string, got "):
+            config_from_dict({"responses_path": "r", "qmatrix_path": "q", key: value})
+
     @pytest.mark.parametrize("architecture, name, layers", BAD_EXCLUDED_LAYERS)
     def test_excluded_layers_checked_against_the_architecture(self, architecture, name, layers):
         raw = {"responses_path": "r", "qmatrix_path": "q", "architecture": architecture,
@@ -460,6 +467,13 @@ def sweep_ctx(tiny_paths):
     return config, build_context(config)
 
 
+@pytest.fixture(scope="module", params=["decoupled", "neuralcdm"])
+def hessian_sweep_ctx(request, tiny_paths):
+    config = _tiny_config(tiny_paths, f"hessian_sweep_{request.param}",
+                          architecture={"arch": request.param}, algorithms={"hessian": {}})
+    return config, build_context(config)
+
+
 class TestSweep:
     def test_single_point_grid_matches_run_experiment(self, tiny_paths):
         params = {"alpha": 1.3, "lambda_": 0.5, "beta": 0.1}
@@ -516,6 +530,48 @@ class TestSweep:
             direct = ctx.entry_for(point.algorithm, model, ureport)
             assert point.parameters_modified == ureport.parameters_modified > 0
             assert (point.utility_auc, point.mia_auc) == (direct.utility_auc, direct.mia_auc)
+
+    def test_hessian_points_match_apply_algorithm(self, hessian_sweep_ctx, monkeypatch):
+        config, ctx = hessian_sweep_ctx
+        grid = [
+            *default_grid("hessian"),
+            # one family whose probe counts come unsorted and repeated, two alphas at 10
+            {"n_probe_samples": 20, "n_batches": 1, "seed": 9},
+            {"n_probe_samples": 10, "n_batches": 1, "seed": 9, "alpha": 2.0},
+            {"n_probe_samples": 20, "n_batches": 1, "seed": 9, "lambda_": 0.8},
+            {"n_probe_samples": 10, "n_batches": 1, "seed": 9},
+            {"n_probe_samples": 40, "n_batches": 2, "excluded_layers": ["student_emb"]},
+        ]
+        models = []
+        entry_for = ctx.entry_for
+        monkeypatch.setattr(ctx, "entry_for",
+                            lambda tag, model: models.append(model) or entry_for(tag, model))
+        result = sweep(config, grids={"hessian": grid}, ctx=ctx, epsilon_utility=-1.0)
+        monkeypatch.undo()
+        assert [{k: p.params[k] for k in point} for p, point in zip(result.points, grid)] == grid
+        for point, model in zip(result.points, models, strict=True):
+            direct, ureport = apply_algorithm(ctx, "hessian", point.params)
+            entry = ctx.entry_for("hessian", direct, ureport)
+            assert model.params_.vector.tobytes() == direct.params_.vector.tobytes()
+            assert point.parameters_modified == ureport.parameters_modified > 0
+            assert (point.utility_auc, point.mia_auc) == (entry.utility_auc, entry.mia_auc)
+        alpha_2, alpha_1_3 = result.points[7], result.points[9]  # seed 9, 10 probes each
+        assert alpha_2.parameters_modified < alpha_1_3.parameters_modified
+        assert models[-1].params_["student_emb"].tobytes() == (
+            ctx.m_orig.params_["student_emb"].tobytes()
+        )
+
+    def test_stock_hessian_grid_costs_320_gradients(self, hessian_sweep_ctx, monkeypatch):
+        # Two (n_batches, seed) families, each estimated once to 40 probes per
+        # side at two gradients a probe: 2 * 2 * 40 * 2 = 320. A full
+        # estimate per point took 2 * 2 * (10 + 20 + 40) * 2 = 560.
+        config, ctx = hessian_sweep_ctx
+        wiring = type(ctx.m_orig.wiring_)
+        backward, calls = wiring.backward, []
+        monkeypatch.setattr(wiring, "backward",
+                            lambda *args, **kwargs: calls.append(1) or backward(*args, **kwargs))
+        sweep(config, grids={"hessian": default_grid("hessian")}, ctx=ctx, epsilon_utility=-1.0)
+        assert len(calls) == 320
 
     def test_grid_naming_an_unconfigured_algorithm_rejected(self, tiny_paths):
         config = _tiny_config(tiny_paths, "sweep_unconfigured")
@@ -600,6 +656,32 @@ class TestCli:
         first = (out / "report.json").read_bytes()
         assert cli_main(["run", "--config", str(config_path)]) == 0
         assert (out / "report.json").read_bytes() == first
+
+    def test_sweep_and_resweep_write_the_same_sweep_json(self, tiny_paths, tmp_path, capsys):
+        # The best point's re-run timing goes to sweep_timing.json; it made
+        # two identical sweeps differ in sweep.json.
+        responses, qmatrix, _ = tiny_paths
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "responses_path": responses, "qmatrix_path": qmatrix, "training": {"max_epochs": 8},
+            "algorithms": {"hif": {}, "hessian": {}},
+        }))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "hif": [{"alpha": 1.3, "lambda_": 0.5, "beta": 0.1}],
+            "hessian": [{"n_probe_samples": n, "n_batches": b} for n in (10, 20) for b in (1, 2)],
+        }))
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            args = ["sweep", "--config", str(config_path), "--grid", str(grid), "--out", str(out)]
+            assert cli_main([*args, "--epsilon-utility", "1"]) == 0
+        first, second = ((out / "sweep.json").read_bytes() for out in outs)
+        assert first == second
+        best_full_run = json.loads(first)["best_full_run"]
+        assert best_full_run is not None and "wall_time_seconds" not in best_full_run
+        timing = json.loads((outs[0] / "sweep_timing.json").read_text())
+        assert set(timing["best_full_run"]) == {"wall_time_seconds", "rtrr"}
+        assert timing["best_full_run"]["wall_time_seconds"] > 0
 
     def test_unlearn_and_mia_subcommands_reproduce_the_run(self, tiny_paths, tmp_path, capsys):
         responses, qmatrix, _ = tiny_paths
@@ -792,6 +874,16 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"responses_path": "r"}))
         assert cli_main(["run", "--config", str(bad)]) == 1
+
+    def test_null_out_dir_exits_1_without_a_none_directory(self, tiny_paths, tmp_path, capsys):
+        responses, qmatrix, _ = tiny_paths
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"responses_path": responses, "qmatrix_path": qmatrix, "out_dir": None}
+        ))
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        assert "error: out_dir must be a JSON string, got None" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize(
         "name, params",

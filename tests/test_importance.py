@@ -194,6 +194,54 @@ class TestHutchinson:
         sem = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
         assert np.all(np.abs(est - d) <= 3.0 * sem + 1e-9)
 
+    def test_probe_counts_at_once_equal_single_counts(self):
+        # One loop to 40 probes gives the 10-, 20- and 40-probe estimates of
+        # three single-count calls on generators in the same state.
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((30, 30))
+        x0 = rng.standard_normal(30)
+
+        def grad(x):
+            return (h + h.T) @ x + x**3
+
+        together = hutchinson_diag(grad, x0, (10, 20, 40), np.random.default_rng(3))
+        singles = [hutchinson_diag(grad, x0, n, np.random.default_rng(3)) for n in (10, 20, 40)]
+        assert [e.tobytes() for e in together] == [e.tobytes() for e in singles]
+
+    def test_probe_counts_come_back_in_the_given_order(self):
+        # Unsorted and repeated counts: one estimate per entry, each its own array.
+        d = np.array([3.0, -1.0, 0.5])
+        est = hutchinson_diag(lambda x: d * x, np.zeros(3), (4, 1, 4), np.random.default_rng(0))
+        single = hutchinson_diag(lambda x: d * x, np.zeros(3), 4, np.random.default_rng(0))
+        assert len(est) == 3 and est[0] is not est[2]
+        assert est[0].tobytes() == est[2].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("counts", [(), (10, 0), (10, 2.5), (True,)])
+    def test_probe_count_tuple_validated(self, counts):
+        calls = []
+        with pytest.raises(ValueError, match="n_probe_samples must be"):
+            hutchinson_diag(calls.append, np.ones(3), counts, np.random.default_rng(0))
+        assert calls == []
+
+    @pytest.mark.parametrize("n_batches", [1, 2])
+    def test_model_probe_counts_at_once_equal_single_counts(
+        self, small_model, small_dataset, n_batches
+    ):
+        records = small_dataset.records
+        together = hutchinson_hessian_diag(small_model, records, (10, 20, 40), n_batches, seed=3)
+        for n, estimate in zip((10, 20, 40), together):
+            single = hutchinson_hessian_diag(small_model, records, n, n_batches, seed=3)
+            assert estimate.vector.tobytes() == single.vector.tobytes()
+            small_model.params_.require_same_layout(estimate)
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 2.5])
+    def test_seed_must_be_a_count(self, small_model, small_dataset, seed):
+        # None drew OS entropy, so two identical calls gave different maps.
+        before = small_model.params_.vector.copy()
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            hutchinson_hessian_diag(small_model, small_dataset.records, 2, seed=seed)
+        assert small_model.params_.vector.tobytes() == before.tobytes()
+
     def test_model_estimate_is_deterministic_and_shaped(self, small_model, small_dataset):
         a = hutchinson_hessian_diag(small_model, small_dataset.records, 5, seed=3)
         b = hutchinson_hessian_diag(small_model, small_dataset.records, 5, seed=3)

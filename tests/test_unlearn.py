@@ -19,6 +19,7 @@ from cdunlearn.unlearn import (
     fim_unlearn,
     fisher_pair,
     gradient_ascent_unlearn,
+    hessian_pair,
     hessian_unlearn,
     hif_unlearn,
     select_and_attenuate,
@@ -585,6 +586,29 @@ class TestHessianUnlearn:
             n_probe_samples=10, n_batches=n_batches, seed=0,
         )
         assert report.config["n_batches"] == n_batches
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 2.5])
+    def test_seed_must_be_a_count(self, small_model, forget_retain, seed):
+        # None drew OS entropy, so two identical calls gave different parameters.
+        forget, retain = forget_retain
+        before = small_model.params_.vector.copy()
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            hessian_unlearn(small_model, forget, retain, 1.3, 0.5, n_probe_samples=2, seed=seed)
+        assert small_model.params_.vector.tobytes() == before.tobytes()
+
+    def test_probe_count_tuple_rejected(self, small_model, forget_retain):
+        # Several counts are for hessian_pair; one request attenuates at one.
+        forget, retain = forget_retain
+        with pytest.raises(ValueError, match="n_probe_samples must be an integer >= 1"):
+            hessian_unlearn(small_model, forget, retain, 1.3, 0.5, (10, 20))
+
+    def test_pair_at_several_counts_equals_single_counts(self, small_model, forget_retain):
+        forget, retain = forget_retain
+        together = hessian_pair(small_model, forget, retain, (40, 10, 20), 2, seed=4)
+        for n, pair in zip((40, 10, 20), together):
+            single = hessian_pair(small_model, forget, retain, n, 2, seed=4)
+            assert [m.vector.tobytes() for m in pair] == [m.vector.tobytes() for m in single]
+            assert (pair[0].vector >= 0).all() and (pair[1].vector >= 0).all()
 
     def test_deterministic_per_seed(self, small_model, forget_retain):
         forget, retain = forget_retain
