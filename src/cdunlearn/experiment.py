@@ -15,21 +15,19 @@ derived from them.
 from __future__ import annotations
 
 import csv
-import ctypes
 import dataclasses
 import itertools
 import json
 import multiprocessing
 import numbers
 import os
-import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import metrics
+from . import metrics, nn
 from .data import (
     DataFormatError,
     DataValidationError,
@@ -414,36 +412,6 @@ def fit_attacker(m_orig: CDModel, splits: MiaSplits, seed: int) -> LogisticAttac
     return train_attacker(members, nonmembers, seed=seed)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# OpenBLAS's thread-count queries: NumPy 2 wheels, NumPy 1 wheels, a system OpenBLAS.
-_BLAS_THREAD_QUERIES = (
-    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
-)
-
-
-def _blas_threads() -> int | None:
-    """The threads NumPy's OpenBLAS runs a product on, or None when it cannot
-    be asked (another BLAS, or a platform where the query is not found)."""
-    umath = (sys.modules.get("numpy._core._multiarray_umath")
-             or sys.modules.get("numpy.core._multiarray_umath"))
-    try:
-        lib = ctypes.CDLL(umath.__file__)  # its symbol lookup reaches the BLAS it links
-    except (AttributeError, OSError):
-        return None
-    for symbol in _BLAS_THREAD_QUERIES:
-        query = getattr(lib, symbol, None)
-        if query is not None:
-            query.restype = ctypes.c_int
-            return int(query())
-    return None
-
-
 def _fit_worker(conn, kwargs: dict) -> None:
     """Worker process: send ``train(**kwargs)``'s parameter vector and
     :data:`FIT_RESULTS`, or the exception it raised, over ``conn``."""
@@ -467,10 +435,13 @@ def _retrain_fit(kwargs: dict):
     hyperparameters and counts. On exit the worker is stopped if it still
     runs, and joined. Otherwise ``finish`` runs the fit in-process: with one
     CPU, with BLAS threads that would contend for the CPUs (OpenBLAS's idle
-    threads spin), or with a BLAS that cannot be asked.
+    threads spin), or with a BLAS that cannot be asked. The gate counts no
+    Adam threads: each of the two concurrent fits of a model of at least
+    twice :data:`nn.ADAM_MIN_ENTRIES_PER_THREAD` entries may split its Adam
+    steps over the same CPUs (see :func:`nn.adam_threads`).
     """
-    blas_threads = _blas_threads()
-    if blas_threads is None or _usable_cpus() < 2 * blas_threads:
+    blas_threads = nn.blas_threads()
+    if blas_threads is None or nn.usable_cpus() < 2 * blas_threads:
         yield lambda like: train(**kwargs)[0]
         return
     spawn = multiprocessing.get_context("spawn")

@@ -22,14 +22,24 @@ row-indexed table that is large next to the batch may come back as a
 
 An :class:`ArrayBundle` is flat: its layers are views of one contiguous
 vector from construction on. ``optimizer_step`` updates that vector, and
-Adam's moments, with a few whole-vector operations.
+Adam's moments, with a few whole-vector operations. In a fit of at least
+twice :data:`ADAM_MIN_ENTRIES_PER_THREAD` parameters, Adam's moment decay and
+its update each split over k contiguous ranges on k threads, when the CPUs
+allow it (:func:`adam_threads`). The bits cannot move: each element still gets
+the same correctly rounded IEEE operations, in the same order, on one thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import math
 import numbers
+import os
+import sys
 import time
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterator, Mapping
@@ -44,6 +54,13 @@ PREDICT_ROWS = 512  # chunk alignment of _predict_all
 # crossed over at 250-310 entries per record with 32 columns (decoupled) and
 # at 250-375 with 8 (neuralcdm): about 8 and 32 rows per record.
 ROW_GRAD_MIN_ENTRIES_PER_RECORD = 256
+# Adam's step runs on one thread per this many parameter entries, up to the
+# CPUs BLAS leaves free (adam_threads). On a 2-vCPU x86-64 VM at one BLAS
+# thread, decoupled models of n students x 100 items at embed_dim 32: a lone
+# step on 2 threads lost at n = 2,000 (70k entries, 0.55 -> 0.60 ms) and won
+# from 2,500 (86k); 2-epoch fits at density 0.2 lost at 3,000 (102k, 0.91 ->
+# 0.95-1.12 s), tied at 4,000 (134k) and won from 5,000 (166k, 1.74 -> 1.59 s).
+ADAM_MIN_ENTRIES_PER_THREAD = 2**16
 
 
 def is_count(value, minimum: int) -> bool:
@@ -227,6 +244,47 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# OpenBLAS's thread-count queries: NumPy 2 wheels, NumPy 1 wheels, a system OpenBLAS.
+_BLAS_THREAD_QUERIES = (
+    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
+)
+
+
+def blas_threads() -> int | None:
+    """The threads NumPy's OpenBLAS runs a product on, or None when it cannot
+    be asked (another BLAS, or a platform where the query is not found)."""
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        lib = ctypes.CDLL(umath.__file__)  # its symbol lookup reaches the BLAS it links
+    except (AttributeError, OSError):
+        return None
+    for symbol in _BLAS_THREAD_QUERIES:
+        query = getattr(lib, symbol, None)
+        if query is not None:
+            query.restype = ctypes.c_int
+            return int(query())
+    return None
+
+
+def adam_threads(total_size: int) -> int:
+    """The threads an Adam step over ``total_size`` parameters runs on: one
+    per :data:`ADAM_MIN_ENTRIES_PER_THREAD` entries, at most the usable CPUs
+    over BLAS's threads (OpenBLAS's idle threads spin), and one when BLAS
+    cannot be asked."""
+    blas = blas_threads()
+    if blas is None:
+        return 1
+    return max(1, min(usable_cpus() // blas, total_size // ADAM_MIN_ENTRIES_PER_THREAD))
+
+
 @dataclass
 class OptimizerState:
     """SGD or Adam state for the parameters given to :func:`make_optimizer`.
@@ -234,6 +292,12 @@ class OptimizerState:
     Adam's moments ``m`` and ``v`` are bundles of the parameters' layout.
     ``scratch`` holds two vectors of the parameters' size: one step gathers
     the dense gradient into the first and computes its terms in both.
+    ``parts`` are the contiguous ranges of the vector that Adam's moment
+    decay and update run over, the first on the calling thread and each
+    other one on a thread of ``pool``; with one part there is no pool.
+    Threads change no bit: an element gets the same ufunc operations in
+    every part, and each is correctly rounded, so where a range starts (and
+    which elements fall in a SIMD body or its tail) cannot show.
     """
 
     kind: str
@@ -242,16 +306,33 @@ class OptimizerState:
     step: int = 0
     m: ArrayBundle | None = None
     v: ArrayBundle | None = None
+    parts: tuple[slice, ...] = (slice(None),)
+    pool: Executor | None = None
 
 
-def make_optimizer(kind: str, lr: float, params: ArrayBundle) -> OptimizerState:
-    """A fresh SGD or Adam state for ``params``, which it leaves as it is."""
+def make_optimizer(
+    kind: str, lr: float, params: ArrayBundle, threads: int = 1, pool: Executor | None = None
+) -> OptimizerState:
+    """A fresh SGD or Adam state for ``params``, which it leaves as it is.
+
+    With ``threads`` k >= 2, Adam's whole-vector phases run over k ranges of
+    about equal size, k - 1 of them on ``pool``, which the caller owns and
+    which should have k - 1 threads. SGD runs on the calling thread.
+    """
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
+    if not is_count(threads, 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    if threads > 1 and pool is None:
+        raise ValueError("threads > 1 needs a pool")
     n = params.total_size
     state = OptimizerState(kind=kind, lr=lr, scratch=(np.empty(n), np.empty(n)))
     if kind == "adam":
         state.m, state.v = params.zeros(), params.zeros()
+        if threads > 1:
+            edges = [0, *(n * i // threads // 8 * 8 for i in range(1, threads)), n]  # 64-byte lines
+            state.parts = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+            state.pool = pool
     return state
 
 
@@ -276,6 +357,43 @@ def _gather_dense(
     return slices, row_layers
 
 
+def _adam_decay(part: slice, m: np.ndarray, v: np.ndarray) -> None:
+    ms, vs = m[part], v[part]
+    ms *= ADAM_BETA1
+    vs *= ADAM_BETA2
+
+
+def _adam_update(part: slice, p, m, v, u, t, bc1: float, bc2: float, lr: float) -> None:
+    ps, ms, vs, us, ts = p[part], m[part], v[part], u[part], t[part]
+    np.divide(vs, bc2, out=ts)
+    np.sqrt(ts, out=ts)
+    ts += ADAM_EPS
+    np.divide(ms, bc1, out=us)
+    us *= lr
+    us /= ts
+    ps -= us
+
+
+def _over_parts(state: OptimizerState, phase: Callable[..., None], *args) -> None:
+    """``phase(part, *args)`` for every part of ``state``: the first on this
+    thread, the others on its pool, each in a copy of this thread's context
+    (so NumPy's ``errstate`` holds there too). Returns when all have ended,
+    raising the exception of the first part, in part order, that raised one.
+    ``phase`` calls NumPy ufuncs on its part's views only."""
+    first, *rest = state.parts
+    if not rest:
+        phase(first, *args)
+        return
+    futures = [state.pool.submit(contextvars.copy_context().run, phase, part, *args)
+               for part in rest]
+    try:
+        phase(first, *args)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -> None:
     """Apply one in-place update to ``params`` and ``state``.
 
@@ -284,7 +402,7 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
     over ``params.vector``: the dense gradient layers are gathered run by run
     into a scratch vector, and a :class:`RowGrad` layer is applied to its rows
     alone, with the bits of its dense table (see the comment in the Adam
-    branch).
+    branch). Adam's moment decay and update run over ``state.parts``.
     """
     params.require_same_layout(grads)
     p = params.vector
@@ -315,9 +433,9 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
     # m is (0.9 times one ulp still rounds to one ulp), and a sum is -0.0
     # only when both addends are, so moments that start at +0.0 never become
     # -0.0; v is never negative at all. The decay and the update read every
-    # entry and stay dense.
-    m *= ADAM_BETA1
-    v *= ADAM_BETA2
+    # entry and stay dense; they run over the parts, and the gradient terms,
+    # which the gather and the batch size bound, on this thread between them.
+    _over_parts(state, _adam_decay, m, v)
     for sl in slices:
         g, ts, ms, vs = u[sl], t[sl], m[sl], v[sl]
         np.multiply(g, 1.0 - ADAM_BETA1, out=ts)
@@ -328,22 +446,7 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
     for k, g in row_layers:
         state.m[k][g.rows] += g.values * (1.0 - ADAM_BETA1)
         state.v[k][g.rows] += np.square(g.values) * (1.0 - ADAM_BETA2)
-    np.divide(v, bc2, out=t)
-    np.sqrt(t, out=t)
-    t += ADAM_EPS
-    np.divide(m, bc1, out=u)
-    u *= state.lr
-    u /= t
-    p -= u
-
-
-def example_gradient(wiring, params: ArrayBundle, student: int, item: int, score: float) -> ArrayBundle:
-    """Exact loss gradient for a single example; untouched parameters are 0."""
-    s = np.asarray([student], dtype=np.int64)
-    q = np.asarray([item], dtype=np.int64)
-    p, cache = wiring.forward(params, s, q, train=False)
-    dz = p - np.asarray([score], dtype=np.float64)
-    return dense(wiring.backward(params, cache, dz, mode="sum"))
+    _over_parts(state, _adam_update, p, m, v, u, t, bc1, bc2, state.lr)
 
 
 def sum_sq_grads(
@@ -438,6 +541,8 @@ def fit_params(
     ``monitor_arrays`` with dropout disabled; the best-scoring parameters are
     returned. One RNG seeded with ``seed`` drives initialization, the per-epoch
     shuffle, and dropout masks, so identical inputs give bit-identical output.
+    Adam runs on :func:`adam_threads` threads, whose pool lives as long as
+    the fit: no thread outlives it, whether it returns or raises.
     """
     t0 = time.perf_counter()
     s_tr, q_tr, y_tr = train_arrays
@@ -446,38 +551,39 @@ def fit_params(
         raise ValueError("training set is empty")
     rng = np.random.default_rng(seed)
     params = wiring.init_params(rng)
-    state = make_optimizer(cfg.optimizer, cfg.lr, params)
-
-    best_value = -np.inf
-    best_params = params.copy()
-    best_epoch = 0
-    bad_epochs = 0
-    epochs_run = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        epochs_run = epoch
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            p, cache = wiring.forward(params, s_tr[idx], q_tr[idx], train=True, rng=rng)
-            dz = (p - y_tr[idx]) / len(idx)
-            grads = wiring.backward(params, cache, dz, mode="sum")
-            optimizer_step(params, grads, state)
-            wiring.post_step(params)
-        nonfinite = params.nonfinite_layers()
-        if nonfinite:
-            raise ValueError(
-                f"training diverged: epoch {epoch} left non-finite values in layers {nonfinite}"
-            )
-        value = monitor_fn(_predict_all(wiring, params, monitor_arrays), monitor_arrays[2])
-        if value > best_value + cfg.min_delta:
-            best_value = value
-            best_params = params.copy()
-            best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
+    threads = adam_threads(params.total_size) if cfg.optimizer == "adam" else 1
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+        state = make_optimizer(cfg.optimizer, cfg.lr, params, threads, pool)
+        best_value = -np.inf
+        best_params = params.copy()
+        best_epoch = 0
+        bad_epochs = 0
+        epochs_run = 0
+        for epoch in range(1, cfg.max_epochs + 1):
+            epochs_run = epoch
+            perm = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                p, cache = wiring.forward(params, s_tr[idx], q_tr[idx], train=True, rng=rng)
+                dz = (p - y_tr[idx]) / len(idx)
+                grads = wiring.backward(params, cache, dz, mode="sum")
+                optimizer_step(params, grads, state)
+                wiring.post_step(params)
+            nonfinite = params.nonfinite_layers()
+            if nonfinite:
+                raise ValueError(
+                    f"training diverged: epoch {epoch} left non-finite values in layers {nonfinite}"
+                )
+            value = monitor_fn(_predict_all(wiring, params, monitor_arrays), monitor_arrays[2])
+            if value > best_value + cfg.min_delta:
+                best_value = value
+                best_params = params.copy()
+                best_epoch = epoch
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= cfg.patience:
+                    break
     wall = time.perf_counter() - t0
     return best_params, FitResult(epochs_run, best_epoch, best_value, wall)
 

@@ -28,6 +28,7 @@ from cdunlearn.unlearn import HIFConfig, fim_unlearn, hif_unlearn
 from tests.test_metrics import pairwise_auc
 from tests.test_nn import (
     _random_wiring,
+    example_gradient,
     finite_difference_gradient,
     max_relative_error,
 )
@@ -44,7 +45,7 @@ def test_c01_gradient_exactness_vs_finite_differences():
         s = int(rng.integers(0, wiring.n_students))
         q = int(rng.integers(0, wiring.n_items))
         y = float(rng.integers(0, 2))
-        analytic = nn.example_gradient(wiring, params, s, q, y)
+        analytic = example_gradient(wiring, params, s, q, y)
         fd = finite_difference_gradient(wiring, params, s, q, y, h=1e-5)
         worst = max(worst, max_relative_error(analytic, fd))
     elapsed = time.perf_counter() - start
@@ -64,7 +65,7 @@ def test_c02_fisher_diagonal_matches_per_example_oracle():
     fast = fim_diag(model, records, batch_size=64)
     brute = model.params_.zeros()
     for rec in records:
-        g = nn.example_gradient(
+        g = example_gradient(
             model.wiring_, model.params_, rec.student_id, rec.item_id, rec.score
         )
         for name, values in brute.items():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cdunlearn
-from cdunlearn import data, experiment, synth
+from cdunlearn import data, experiment, nn, synth
 from cdunlearn.cli import main as cli_main
 from cdunlearn.experiment import (
     ALGORITHM_NAMES,
@@ -356,8 +356,8 @@ def _exit_without_result(conn, kwargs):
 
 def _cpus(monkeypatch, n):
     """n usable CPUs and a one-thread BLAS: the worker runs from n = 2 on."""
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: n)
-    monkeypatch.setattr(experiment, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(nn, "usable_cpus", lambda: n)
+    monkeypatch.setattr(nn, "blas_threads", lambda: 1)
 
 
 class TestBaselineFits:
@@ -395,7 +395,7 @@ class TestBaselineFits:
         assert spawned.stages == in_process.stages
 
     def test_blas_threads_are_asked(self):
-        threads = experiment._blas_threads()
+        threads = nn.blas_threads()
         assert threads is None or (type(threads) is int and threads >= 1)
 
     # (usable CPUs, BLAS threads, whether the worker runs): a worker needs as
@@ -406,8 +406,8 @@ class TestBaselineFits:
     ])
     def test_worker_runs_when_each_fit_has_its_cpus(self, small_dataset, monkeypatch,
                                                     cpus, blas, spawns):
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(experiment, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "blas_threads", lambda: blas)
         kwargs = dict(arch_config=CDArchConfig(embed_dim=4, ffn_hidden=(4,)),
                       train_records=small_dataset.records, valid_records=None,
                       qmatrix=small_dataset.qmatrix, train_config=TrainConfig(max_epochs=2))
@@ -744,6 +744,32 @@ class TestCli:
         summary = json.loads((out / "train_summary.json").read_text())
         assert 0.5 <= summary["test_auc"] <= 1.0
         assert (out / "trained_model.ckpt").exists()
+        timing = json.loads((out / "train_timing.json").read_text())
+        assert set(timing) == {"train_seconds"} and timing["train_seconds"] > 0
+        assert "train_seconds" not in summary
+
+    def test_train_and_unlearn_reruns_write_the_same_files(self, tiny_paths, tmp_path):
+        # Wall times go to train_timing.json and unlearn_timing.json alone.
+        responses, qmatrix, _ = tiny_paths
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "responses_path": responses, "qmatrix_path": qmatrix,
+            "training": {"max_epochs": 3}, "algorithms": {"hif": {}, "gradasc": {}},
+        }))
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            args = ["--config", str(config_path), "--out", str(out)]
+            assert cli_main(["train", *args]) == 0
+            assert cli_main(["unlearn", *args, "--model", str(out / "trained_model.ckpt")]) == 0
+        for name in ("trained_model.ckpt", "train_summary.json", "unlearn_report.json",
+                     "hif.ckpt", "gradasc.ckpt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        report = json.loads((outs[0] / "unlearn_report.json").read_text())
+        timing = json.loads((outs[0] / "unlearn_timing.json").read_text())
+        assert set(report) == set(timing) == {"hif", "gradasc"}
+        for name, row in report.items():
+            assert set(row) == {"parameters_modified", "config"}
+            assert set(timing[name]) == {"wall_time_seconds"} and timing[name]["wall_time_seconds"] > 0
 
     def test_algo_flag_overrides_config(self, tiny_paths, tmp_path):
         responses, qmatrix, _ = tiny_paths

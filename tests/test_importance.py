@@ -13,6 +13,8 @@ from cdunlearn.importance import (
     smooth_importance,
 )
 
+from tests.test_nn import example_gradient
+
 
 @pytest.fixture(scope="module")
 def fisher(small_model, small_dataset):
@@ -35,7 +37,7 @@ class TestFisherDiagonal:
         imp = fim_diag(small_model, records, batch_size=50)
         brute = small_model.params_.zeros()
         for rec in records:
-            g = nn.example_gradient(
+            g = example_gradient(
                 small_model.wiring_, small_model.params_,
                 rec.student_id, rec.item_id, rec.score,
             )

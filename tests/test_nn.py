@@ -4,6 +4,10 @@ accumulation, and the checkpoint container."""
 import json
 import math
 import re
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -104,6 +108,15 @@ def _loss_at(wiring, params, s, q, y):
     return nn.bce_loss(float(p[0]), y)
 
 
+def example_gradient(wiring, params, student, item, score):
+    """Exact loss gradient for a single example; untouched parameters are 0."""
+    s = np.asarray([student], dtype=np.int64)
+    q = np.asarray([item], dtype=np.int64)
+    p, cache = wiring.forward(params, s, q, train=False)
+    dz = p - np.asarray([score], dtype=np.float64)
+    return nn.dense(wiring.backward(params, cache, dz, mode="sum"))
+
+
 def finite_difference_gradient(wiring, params, s, q, y, h=1e-5):
     """Central differences of the single-example loss for every parameter."""
     fd = params.zeros()
@@ -186,7 +199,7 @@ class TestBackward:
             s = int(rng.integers(0, 6))
             q = int(rng.integers(0, 5))
             y = float(rng.integers(0, 2))
-            analytic = nn.example_gradient(wiring, params, s, q, y)
+            analytic = example_gradient(wiring, params, s, q, y)
             fd = finite_difference_gradient(wiring, params, s, q, y)
             worst = max(worst, max_relative_error(analytic, fd))
         assert worst < 1e-4
@@ -195,7 +208,7 @@ class TestBackward:
     def test_untouched_rows_have_exact_zero_gradient(self, arch):
         rng = np.random.default_rng(3)
         wiring, params = _random_wiring(rng, arch)
-        g = nn.example_gradient(wiring, params, 2, 3, 1.0)
+        g = example_gradient(wiring, params, 2, 3, 1.0)
         student_rows = np.abs(g["student_emb"]).sum(axis=1)
         assert student_rows[2] > 0
         assert np.all(np.delete(student_rows, 2) == 0.0)
@@ -335,7 +348,7 @@ class TestSquaredGradientAccumulation:
         q = np.full(12, rec.item_id)
         y = np.full(12, float(rec.score))
         acc = nn.accumulate_sq_grads(small_model.wiring_, small_model.params_, s, q, y)
-        single = nn.example_gradient(
+        single = example_gradient(
             small_model.wiring_, small_model.params_, rec.student_id, rec.item_id, rec.score
         )
         for name, values in acc.items():
@@ -349,7 +362,7 @@ class TestSquaredGradientAccumulation:
         )
         brute = small_model.params_.zeros()
         for rec in records:
-            g = nn.example_gradient(
+            g = example_gradient(
                 small_model.wiring_, small_model.params_, rec.student_id, rec.item_id, rec.score
             )
             for name, values in brute.items():
@@ -852,6 +865,158 @@ class TestFusedAdam:
         layout = self.LAYOUTS["rows-between-dense"]
         got = self._run_layout(kind, nn.optimizer_step, layout, write)
         assert_same_state(kind, got, self._run_layout(kind, ref_optimizer_step, layout, write))
+
+
+class TestThreadedAdam:
+    """Adam's decay and update on k threads give the reference bits."""
+
+    @pytest.fixture(params=[2, 3], autouse=True)
+    def threads(self, request, monkeypatch):
+        """nn.make_optimizer makes Adam states whose phases run on k threads."""
+        k, make = request.param, nn.make_optimizer
+        with ThreadPoolExecutor(k - 1) as pool:
+            def threaded(kind, lr, params):
+                state = make(kind, lr, params, k, pool)
+                assert len(state.parts) == k and state.pool is pool
+                return state
+
+            monkeypatch.setattr(nn, "make_optimizer", threaded)
+            yield k
+
+    def test_dense_layout(self):
+        fused = TestFusedAdam()
+        assert_same_state("adam", fused._run("adam", nn.optimizer_step),
+                          fused._run("adam", ref_optimizer_step))
+
+    @pytest.mark.parametrize("case", sorted(TestFusedAdam.ROW_CASES))
+    def test_row_form_layout(self, case, monkeypatch):
+        monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)  # always the row form
+        fused = TestFusedAdam()
+        assert_same_state("adam", fused._run_rows("adam", nn.optimizer_step, case),
+                          fused._run_rows("adam", ref_optimizer_step, case))
+
+    @pytest.mark.parametrize("layout", sorted(TestFusedAdam.LAYOUTS))  # mixed; adjacent rows
+    def test_mixed_layouts(self, layout, monkeypatch):
+        monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)  # always the row form
+        fused, layout = TestFusedAdam(), TestFusedAdam.LAYOUTS[layout]
+        assert_same_state("adam", fused._run_layout("adam", nn.optimizer_step, layout),
+                          fused._run_layout("adam", ref_optimizer_step, layout))
+
+    def test_wide_vector_of_every_magnitude(self):
+        # Parts of about 33k entries, so each part has a SIMD body and a
+        # tail, holding gradients from 1e-150 to 1e150 and exact zeros.
+        def run(step_fn):
+            rng = np.random.default_rng(12)
+            shapes = {"emb": (3_001, 32), "b": (7,)}
+            params = nn.ArrayBundle({k: rng.normal(size=s) for k, s in shapes.items()})
+            state = nn.make_optimizer("adam", 0.01, params)
+            for _ in range(4):
+                grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-150, 150, size=s)
+                         for k, s in shapes.items()}
+                grads["emb"][rng.random(3_001) < 0.5] = 0.0
+                step_fn(params, grads, state)
+            return params, state
+
+        assert_same_state("adam", run(nn.optimizer_step), run(ref_optimizer_step))
+
+
+def test_threaded_adam_under_stress(monkeypatch):
+    # Seven pool threads on this machine's CPUs, switching every microsecond:
+    # a part that another thread wrote, or a step that returned before a
+    # part ended, would move bits.
+    fused, make, switch = TestFusedAdam(), nn.make_optimizer, sys.getswitchinterval()
+    want = fused._run("adam", ref_optimizer_step, steps=200)
+    start = time.perf_counter()
+    try:
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(7) as pool:
+            monkeypatch.setattr(nn, "make_optimizer",
+                                lambda kind, lr, params: make(kind, lr, params, 8, pool))
+            got = fused._run("adam", nn.optimizer_step, steps=200)
+    finally:
+        sys.setswitchinterval(switch)
+    assert time.perf_counter() - start < 60.0
+    assert_same_state("adam", got, want)
+
+
+def _force_adam_threads(monkeypatch, cpus, min_entries=64):
+    """A one-thread BLAS, ``cpus`` usable CPUs and a constant of ``min_entries``;
+    returns the list to which each fit's Adam state adds its number of parts."""
+    monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(nn, "blas_threads", lambda: 1)
+    monkeypatch.setattr(nn, "ADAM_MIN_ENTRIES_PER_THREAD", min_entries)
+    parts, make = [], nn.make_optimizer
+
+    def counting(*args):
+        state = make(*args)
+        parts.append(len(state.parts))
+        return state
+
+    monkeypatch.setattr(nn, "make_optimizer", counting)
+    return parts
+
+
+class TestThreadedFit:
+    @pytest.mark.parametrize("arch", ["decoupled", "neuralcdm"])
+    def test_threads_give_the_same_params_and_fit_result(self, small_dataset, monkeypatch, arch):
+        wiring = build_wiring(CDArchConfig(arch=arch, embed_dim=8, ffn_hidden=(12,)),
+                              80, 10, small_dataset.qmatrix)
+        arrays = records_to_arrays(small_dataset.records)
+        cfg = nn.TrainConfig(max_epochs=4, batch_size=64)
+        fits = {}
+        for cpus in (1, 2, 3):
+            parts = _force_adam_threads(monkeypatch, cpus)
+            params, result = nn.fit_params(wiring, arrays, arrays, cfg, 5, model._monitor_score)
+            assert parts == [cpus]
+            fits[cpus] = params, result
+        (one, first), *threaded = fits.values()
+        for params, result in threaded:
+            assert params.vector.tobytes() == one.vector.tobytes()
+            assert params.layout == one.layout
+            assert (result.epochs_run, result.best_epoch, result.monitor_value) == (
+                first.epochs_run, first.best_epoch, first.monitor_value)
+
+    def test_no_thread_outlives_a_fit(self, small_dataset, monkeypatch):
+        parts = _force_adam_threads(monkeypatch, 2)
+        during, step = [], nn.optimizer_step
+
+        def counting_step(params, grads, state):
+            step(params, grads, state)
+            during.append(threading.active_count())
+
+        monkeypatch.setattr(nn, "optimizer_step", counting_step)
+        before = threading.active_count()
+        CDModel(embed_dim=6, ffn_hidden=(8,), max_epochs=2, seed=1).fit(
+            small_dataset.records, small_dataset.qmatrix)
+        assert threading.active_count() == before < max(during)
+        diverging = CDModel(arch="neuralcdm", embed_dim=6, lr=1e300, max_epochs=3, seed=1)
+        # errstate reaches the pool's threads: no overflow warning ends the fit first
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="training diverged"):
+            diverging.fit(small_dataset.records, small_dataset.qmatrix)
+        assert threading.active_count() == before
+        assert parts == [2, 2]
+
+    # (usable CPUs, BLAS threads, parameters in units of the constant, threads)
+    @pytest.mark.parametrize("cpus, blas, size, threads", [
+        (8, None, 100.0, 1),  # a BLAS that cannot be asked
+        (1, 1, 100.0, 1),     # one CPU
+        (2, 1, 1.99, 1),      # a model under two parts' worth of entries
+        (64, 1, 20_753 / 2**16, 1),  # the benchmark-shaped model
+        (2, 1, 2.0, 2),
+        (3, 2, 100.0, 1),     # BLAS's threads leave no second CPU
+        (4, 2, 100.0, 2),
+        (8, 1, 3.5, 3),
+    ])
+    def test_gate(self, monkeypatch, cpus, blas, size, threads):
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "blas_threads", lambda: blas)
+        assert nn.adam_threads(int(size * nn.ADAM_MIN_ENTRIES_PER_THREAD)) == threads
+
+    def test_threads_need_a_pool(self):
+        params = nn.ArrayBundle({"w": np.zeros(10)})
+        for threads, pool in ((2, None), (0, None), (1.5, None)):
+            with pytest.raises(ValueError, match="thread"):
+                nn.make_optimizer("adam", 0.1, params, threads, pool)
 
 
 RTA_OWNERS = (data, model, importance, mia, unlearn)
