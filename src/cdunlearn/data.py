@@ -20,6 +20,7 @@ same value, and nothing is mutated.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -239,16 +240,59 @@ class MiaSplits:
         return self.retain_train + self.retain_valid
 
 
+_HEADER = b"student_id,item_id,score"
+
+
 def load_responses(path: str) -> Dataset:
     """Parse a response CSV into a :class:`Dataset` with dense 0-based ids.
 
     Record order follows file order. Raises :class:`DataFormatError` with the
     offending line number on parse failures and :class:`DataValidationError`
     for out-of-range scores or ids (an id must fit in int64).
+
+    The file is read once. A plain file (header exactly
+    ``student_id,item_id,score``, then ASCII digits and commas in at least one
+    data line, with ``\n`` or ``\r\n`` line ends) is parsed by one
+    ``np.loadtxt`` call. Every other file, and a plain one which that call or
+    the score check turns down, is parsed row by row. Only the row loop
+    accepts other spellings (spaces, signs, quotes, ``\r`` line ends, a header
+    in other case or spacing) and only it words the errors, so both paths give
+    the same records and raise the same errors.
     """
+    with open(path, "rb") as handle:
+        content = handle.read()
+    table = _plain_table(content)
+    if table is None:
+        raw_students, raw_items, scores = _parse_rows(path, content)
+    else:
+        raw_students, raw_items, scores = table[:, 0], table[:, 1], table[:, 2].astype(np.float64)
+    student_ids, students = np.unique(raw_students, return_inverse=True)
+    item_ids, items = np.unique(raw_items, return_inverse=True)
+    return Dataset(Records(students, items, scores), len(student_ids), len(item_ids))
+
+
+def _plain_table(content: bytes) -> np.ndarray | None:
+    """The (n, 3) int64 table of a plain response file, or None for any other."""
+    header, _, body = content.partition(b"\n")
+    if header.removesuffix(b"\r") != _HEADER or not body.strip(b"\r\n"):
+        return None  # loadtxt warns on a body without a data line
+    if body.translate(None, b"0123456789,\r\n") or body.count(b"\r") != body.count(b"\r\n"):
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != 3 or table[:, 2].max() > 1:  # digits only: no value is negative
+        return None
+    return table
+
+
+def _parse_rows(path: str, content: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of the response file ``content``, parsed row by row as text."""
     expected = ["student_id", "item_id", "score"]
     raw: list[tuple[int, int, int]] = []
-    with open(path, newline="") as handle:
+    # The text layer of ``open(path, newline="")``: same encoding, same line ends.
+    with io.TextIOWrapper(io.BytesIO(content), newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -283,11 +327,7 @@ def load_responses(path: str) -> Dataset:
             raw.append((sid, iid, score))
     if not raw:
         raise DataValidationError(f"{path}: no records")
-
-    raw_students, raw_items, scores = records_to_arrays(raw)
-    student_ids, students = np.unique(raw_students, return_inverse=True)
-    item_ids, items = np.unique(raw_items, return_inverse=True)
-    return Dataset(Records(students, items, scores), len(student_ids), len(item_ids))
+    return records_to_arrays(raw)
 
 
 def load_qmatrix(path: str) -> QMatrix:

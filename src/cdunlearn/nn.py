@@ -38,13 +38,15 @@ import numbers
 import os
 import sys
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 PROB_EPS = 1e-7  # probability clamp applied before logs
 PREDICT_ROWS = 512  # chunk alignment of _predict_all
@@ -389,7 +391,8 @@ def _over_parts(state: OptimizerState, phase: Callable[..., None], *args) -> Non
     try:
         phase(first, *args)
     finally:
-        wait(futures)
+        for future in futures:
+            future.exception()  # waits for the part to end, without raising
     for future in futures:
         future.result()
 
@@ -527,6 +530,16 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _adam_pool(threads: int):
+    """A pool of ``threads - 1`` threads for a fit's Adam parts, or a null
+    context at one thread. Only a threaded fit imports ``concurrent.futures``."""
+    if threads < 2:
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads - 1)
+
+
 def fit_params(
     wiring,
     train_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -552,7 +565,7 @@ def fit_params(
     rng = np.random.default_rng(seed)
     params = wiring.init_params(rng)
     threads = adam_threads(params.total_size) if cfg.optimizer == "adam" else 1
-    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+    with _adam_pool(threads) as pool:
         state = make_optimizer(cfg.optimizer, cfg.lr, params, threads, pool)
         best_value = -np.inf
         best_params = params.copy()

@@ -97,10 +97,11 @@ def write_dataset_csv(dataset: Dataset, responses_path: str, qmatrix_path: str) 
     if dataset.qmatrix is None:
         raise ValueError("dataset has no Q-matrix to write")
     os.makedirs(os.path.dirname(os.path.abspath(responses_path)), exist_ok=True)
-    with open(responses_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["student_id", "item_id", "score"])
-        writer.writerows(zip(*(c.astype(int).tolist() for c in records_to_arrays(dataset.records))))
+    columns = (c.astype(int).tolist() for c in records_to_arrays(dataset.records))
+    rows = "".join([f"{s},{i},{y}\r\n" for s, i, y in zip(*columns)])
+    with open(responses_path, "w", newline="") as f:  # the bytes csv.writer writes
+        f.write("student_id,item_id,score\r\n")
+        f.write(rows)
     with open(qmatrix_path, "w", newline="") as f:
         writer = csv.writer(f)
         for row in dataset.qmatrix.entries:

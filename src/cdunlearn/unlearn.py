@@ -147,7 +147,7 @@ def fisher_pair(
     elsewhere the map agrees with ``fim_diag(model, retain_records)`` to
     rounding.
     """
-    forget = records_to_arrays(forget_records)
+    forget_records, forget = _converted(forget_records)
     retain = records_to_arrays(retain_records)
     _check_disjoint(forget[0], retain[0])
     imp_f = imp_mod.fim_diag(model, forget_records)
@@ -186,7 +186,9 @@ def hessian_pair(
     """
     if not nn.is_count(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    _check_disjoint(records_to_arrays(forget_records)[0], records_to_arrays(retain_records)[0])
+    forget_records, forget = _converted(forget_records)
+    retain_records, retain = _converted(retain_records)
+    _check_disjoint(forget[0], retain[0])
     seed_f, seed_r = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
     counts = n_probe_samples if isinstance(n_probe_samples, tuple) else (n_probe_samples,)
     sides = []
@@ -323,6 +325,27 @@ def hessian_unlearn(
         "hessian", model, forget_records, retain_records, config, report_config,
         lambda *pair_args: hessian_pair(*pair_args, n_probe_samples, n_batches, seed),
     )
+
+
+def _converted(
+    records: Records | Sequence[ResponseRecord],
+) -> tuple[Records | Sequence[ResponseRecord], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``records`` for an estimator, and its columns, from one conversion.
+
+    A record sequence whose values pass :class:`Records`' checks comes back as
+    a ``Records`` over its converted columns, so that the estimator does not
+    convert it again. One that fails them comes back as given, so that the
+    estimator converts it and raises, or not, as it does for that sequence.
+    """
+    columns = records_to_arrays(records)
+    if isinstance(records, Records):
+        return records, columns
+    for column in columns:
+        column.setflags(write=False)  # a Records holds read-only columns without a copy
+    try:
+        return Records(*columns), columns
+    except ValueError:
+        return records, columns
 
 
 def _check_disjoint(forget_students: np.ndarray, retain_students: np.ndarray) -> None:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cdunlearn import synth
+from cdunlearn import data, synth
 from cdunlearn.data import (
     DataFormatError,
     DataValidationError,
@@ -453,6 +453,51 @@ def ref_derive_mia_subsets(partition, split):
     return {name: tuple(recs) for name, recs in buckets.items()}
 
 
+def ref_load_responses(path):
+    """The row-by-row loader, as it was before the np.loadtxt path."""
+    expected = ["student_id", "item_id", "score"]
+    raw = []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file") from None
+        if [c.strip().lower() for c in header] != expected:
+            raise DataFormatError(
+                f"{path}: line 1: expected header {','.join(expected)!r}, "
+                f"got {','.join(header)!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected 3 columns, got {len(row)}"
+                )
+            try:
+                sid, iid, score = (int(c.strip()) for c in row)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: non-integer value in {row!r}"
+                ) from None
+            if not (0 <= sid < 2**63 and 0 <= iid < 2**63):
+                raise DataValidationError(
+                    f"{path}: line {lineno}: ids must be in [0, 2**63 - 1]"
+                )
+            if score not in (0, 1):
+                raise DataValidationError(
+                    f"{path}: line {lineno}: score must be 0 or 1, got {score}"
+                )
+            raw.append((sid, iid, score))
+    if not raw:
+        raise DataValidationError(f"{path}: no records")
+    raw_students, raw_items, scores = records_to_arrays(raw)
+    student_ids, students = np.unique(raw_students, return_inverse=True)
+    item_ids, items = np.unique(raw_items, return_inverse=True)
+    return Dataset(Records(students, items, scores), len(student_ids), len(item_ids))
+
+
 ORACLE_SHAPES = {
     "paper-536x20x8": dict(n_students=536, n_items=20, n_kcs=8, seed=7),
     "sparse-1500x40": dict(n_students=1500, n_items=40, n_kcs=6, seed=3,
@@ -495,3 +540,111 @@ class TestColumnarMatchesTupleReference:
             for name, want in ref_derive_mia_subsets(partition, want_split).items():
                 cell = getattr(got, name)
                 assert isinstance(cell, Records) and tuple(cell) == want, name
+
+
+HEADER = b"student_id,item_id,score"
+TOP = 2**63 - 1
+
+# Plain files, which take the np.loadtxt path.
+PLAIN = {
+    "lf": HEADER + b"\n3,0,1\n1,2,0\n3,2,1\n",
+    "crlf": HEADER + b"\r\n3,0,1\r\n1,2,0\r\n3,2,1\r\n",
+    "no-final-newline": HEADER + b"\n3,0,1\n1,2,0",
+    "blank-lines": HEADER + b"\n\n3,0,1\n\n\n1,2,0\r\n\r\n3,2,1\n\n",
+    "leading-zeros": HEADER + b"\n0003,00,1\n01,002,00\n",
+    "largest-int64-ids": HEADER + b"\n%d,%d,1\n0,0,0\n%d,0,1\n" % (TOP, TOP, TOP),
+    "sparse-ids": HEADER + b"\n100,7,1\n5,7,0\n100,9,1\n900000000000,7,1\n",
+    "one-row": HEADER + b"\r\n7,8,0",
+}
+# Files that only the row loop accepts.
+ROW_LOOP_ONLY = {
+    "space": HEADER + b"\n3,0, 1\n1,2,0\n",
+    "plus": HEADER + b"\n3,0,+1\n1,2,0\n",
+    "quoted": HEADER + b'\n3,0,"1"\n1,2,0\n',
+    "underscore": HEADER + b"\n1_0,0,1\n1,2,0\n",
+    "bare-cr-mid-file": HEADER + b"\n3,0,1\r1,2,0\n3,2,1\n",
+    "bare-cr-at-end": HEADER + b"\n3,0,1\n1,2,0\r",
+    "header-case": b"Student_ID,item_id,SCORE\n3,0,1\n1,2,0\n",
+    "header-case-and-spacing": b"Student_ID, item_id,SCORE\n3,0,1\n1,2,0\n",
+}
+# Files that both paths reject.
+REJECTED = {
+    "score-2": HEADER + b"\n3,0,1\n3,2,2\n",
+    "two-columns": HEADER + b"\n3,0\n1,2\n",
+    "four-columns": HEADER + b"\n3,0,1,1\n1,2,0,0\n",
+    "trailing-comma": HEADER + b"\n3,0,1\n1,2,0,\n",
+    "empty-field": HEADER + b"\n3,0,1\n1,,0\n",
+    "oops": HEADER + b"\n0,0,1\n1,oops,0\n",
+    "id-2**63": HEADER + b"\n%d,0,1\n%d,0,1\n" % (TOP, TOP + 1),
+    "header-only": HEADER + b"\n",
+    "header-and-blank-lines": HEADER + b"\n\n\r\n\n",
+    "empty-file": b"",
+    "bad-header": b"a,b,c\n0,0,1\n",
+}
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoaderMatchesTheRowLoop:
+    """``load_responses`` gives the row loop's dataset, or raises its
+    exception with its message, and only plain files skip the row loop."""
+
+    @pytest.mark.parametrize(
+        "name, content, plain",
+        [pytest.param(name, content, name in PLAIN, id=name)
+         for name, content in {**PLAIN, **ROW_LOOP_ONLY, **REJECTED}.items()],
+    )
+    def test_corpus(self, tmp_path, monkeypatch, name, content, plain):
+        path = tmp_path / "responses.csv"
+        path.write_bytes(content)
+        want = _outcome(ref_load_responses, str(path))
+        parse, row_loops = data._parse_rows, []
+
+        def parse_rows(*args):
+            row_loops.append(name)
+            return parse(*args)
+
+        monkeypatch.setattr(data, "_parse_rows", parse_rows)
+        got = _outcome(load_responses, str(path))
+        assert bool(row_loops) is not plain
+        assert isinstance(want, Dataset) is (name not in REJECTED)
+        assert got == want
+        if isinstance(want, Dataset):
+            assert [c.dtype for c in got.records.columns] == [np.int64, np.int64, np.float64]
+
+    def test_math1_shape_is_plain(self, tmp_path, monkeypatch):
+        ds = synth.generate_dataset(4209, 20, 11, seed=0)
+        synth.write_dataset_csv(ds, str(tmp_path / "r.csv"), str(tmp_path / "q.csv"))
+        monkeypatch.setattr(data, "_parse_rows", None)  # a call would raise
+        loaded = load_responses(str(tmp_path / "r.csv"))
+        assert loaded == Dataset(ds.records, ds.n_students, ds.n_items)
+
+
+def _csv_writer_bytes(dataset, tmp_path):
+    responses, qmatrix = tmp_path / "ref-r.csv", tmp_path / "ref-q.csv"
+    with open(responses, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["student_id", "item_id", "score"])
+        writer.writerows(zip(*(c.astype(int).tolist() for c in dataset.records.columns)))
+    with open(qmatrix, "w", newline="") as f:
+        csv.writer(f).writerows([int(v) for v in row] for row in dataset.qmatrix.entries)
+    return responses.read_bytes(), qmatrix.read_bytes()
+
+
+@pytest.mark.parametrize("shape", [*sorted(ORACLE_SHAPES), "sparse-ids"])
+def test_write_dataset_csv_writes_the_bytes_of_csv_writer(tmp_path, shape):
+    if shape == "sparse-ids":
+        base = synth.generate_dataset(**ORACLE_SHAPES["sparse-1500x40"])
+        s, q, y = base.records.columns
+        records = Records(s * 7919 + 3, q * 3 + 5, y)[::-1] + Records([TOP], [TOP], [1])
+        dataset = Dataset(records, base.n_students + 1, base.n_items + 1, base.qmatrix)
+    else:
+        dataset = synth.generate_dataset(**ORACLE_SHAPES[shape])
+    synth.write_dataset_csv(dataset, str(tmp_path / "r.csv"), str(tmp_path / "q.csv"))
+    got = (tmp_path / "r.csv").read_bytes(), (tmp_path / "q.csv").read_bytes()
+    assert got == _csv_writer_bytes(dataset, tmp_path)

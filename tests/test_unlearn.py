@@ -4,7 +4,9 @@ structural guarantees."""
 import numpy as np
 import pytest
 
-from cdunlearn import nn
+from cdunlearn import data, nn, unlearn
+from cdunlearn import importance as imp_mod
+from cdunlearn.data import Records
 from cdunlearn.experiment import ALGORITHMS, default_grid
 from cdunlearn.model import CDModel
 from cdunlearn.importance import (
@@ -435,6 +437,58 @@ class TestSubtractiveFisher:
         graded = [r._replace(score=2) for r in retain[:5]] + list(retain[5:])
         with pytest.raises(ValueError, match="0 or 1"):
             fisher_pair(small_model, forget, graded)
+
+
+class TestOneConversionPerRecordSet:
+    """``fisher_pair`` and ``hessian_pair`` columnize each record sequence
+    once and give the estimators a ``Records`` over those columns: the bits
+    and the exceptions of a pass that converts again."""
+
+    @staticmethod
+    def _conversions(monkeypatch) -> list[int]:
+        sizes = []
+
+        def counted(records):
+            if not isinstance(records, Records):
+                sizes.append(len(records))
+            return data.records_to_arrays(records)
+
+        for module in (unlearn, imp_mod):
+            monkeypatch.setattr(module, "records_to_arrays", counted)
+        return sizes
+
+    def test_fisher_pair(self, small_model, forget_retain, monkeypatch):
+        forget, retain = forget_retain
+        want = fisher_pair(small_model.copy(), Records(*data.records_to_arrays(forget)),
+                           Records(*data.records_to_arrays(retain)))
+        sizes = self._conversions(monkeypatch)
+        got = fisher_pair(small_model.copy(), forget, retain)
+        assert sizes == [len(forget), len(retain)]
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+    def test_hessian_pair(self, small_model, forget_retain, monkeypatch):
+        forget, retain = forget_retain
+        want = hessian_pair(small_model, *(Records(*data.records_to_arrays(r))
+                                           for r in (forget, retain)), (10, 20), 2, seed=3)
+        sizes = self._conversions(monkeypatch)
+        got = hessian_pair(small_model, forget, retain, (10, 20), 2, seed=3)
+        assert sizes == [len(forget), len(retain)]
+        assert [m.vector.tobytes() for pair in got for m in pair] == [
+            m.vector.tobytes() for pair in want for m in pair
+        ]
+
+    def test_records_that_fail_the_checks_raise_as_before(self, small_model, forget_retain):
+        # These sequences are handed on unconverted; the estimators raise as
+        # they always have for them, not with the Records checks' messages.
+        forget, retain = forget_retain
+        negative = [(-1, 0, 1), *forget[1:]]
+        graded = [(0, 0, 2), *forget[1:]]
+        with pytest.raises(IndexError, match="student id out of range"):
+            fisher_pair(small_model, negative, retain)
+        with pytest.raises(IndexError, match="student id out of range"):
+            hessian_pair(small_model, negative, retain, 2)
+        with pytest.raises(ValueError, match="^scores must be 0 or 1$"):
+            fisher_pair(small_model, graded, retain)
 
 
 def _ratio_rule(params, imp_forget, imp_retain, alpha, lambda_):
