@@ -412,11 +412,13 @@ def fit_attacker(m_orig: CDModel, splits: MiaSplits, seed: int) -> LogisticAttac
     return train_attacker(members, nonmembers, seed=seed)
 
 
-def _fit_worker(conn, kwargs: dict) -> None:
+def _fit_worker(conn, kwargs: dict, cpus: int) -> None:
     """Worker process: send ``train(**kwargs)``'s parameter vector and
-    :data:`FIT_RESULTS`, or the exception it raised, over ``conn``."""
+    :data:`FIT_RESULTS`, or the exception it raised, over ``conn``. The fit's
+    threads fill at most ``cpus`` CPUs (:func:`nn.cpu_share`)."""
     try:
-        model, _ = train(**kwargs)
+        with nn.cpu_share(cpus):
+            model, _ = train(**kwargs)
         conn.send((model.params_.vector, {attr: getattr(model, attr) for attr in FIT_RESULTS}))
     except Exception as exc:  # noqa: BLE001 - the parent raises it in its stage
         conn.send(exc)
@@ -426,27 +428,29 @@ def _fit_worker(conn, kwargs: dict) -> None:
 
 @contextmanager
 def _retrain_fit(kwargs: dict):
-    """Yield ``finish(like) -> CDModel``, the model ``train(**kwargs)`` fits.
+    """Yield ``(finish, cpus)``: ``finish(like) -> CDModel`` is the model
+    ``train(**kwargs)`` fits, and ``cpus`` the CPUs left to a fit that runs
+    meanwhile in this process (None: every usable CPU).
 
     When the usable CPUs number at least twice NumPy's BLAS threads, the fit
     starts at once in a spawned worker process (forking a process that holds
     BLAS threads is unsafe). ``finish`` waits for it, raises its exception
     as itself, or rebuilds the model through ``like``, a model of the same
     hyperparameters and counts. On exit the worker is stopped if it still
-    runs, and joined. Otherwise ``finish`` runs the fit in-process: with one
+    runs, and joined. The two fits share the CPUs out, the worker's threads
+    (:func:`nn.adam_threads`, :func:`nn.sq_sum_threads`) filling half of
+    them, rounded down, and this process's the rest (:func:`nn.cpu_share`).
+    Otherwise ``finish`` runs the fit in-process, on every CPU: with one
     CPU, with BLAS threads that would contend for the CPUs (OpenBLAS's idle
-    threads spin), or with a BLAS that cannot be asked. The gate counts no
-    Adam threads: each of the two concurrent fits of a model of at least
-    twice :data:`nn.ADAM_MIN_ENTRIES_PER_THREAD` entries may split its Adam
-    steps over the same CPUs (see :func:`nn.adam_threads`).
+    threads spin), or with a BLAS that cannot be asked.
     """
-    blas_threads = nn.blas_threads()
-    if blas_threads is None or nn.usable_cpus() < 2 * blas_threads:
-        yield lambda like: train(**kwargs)[0]
+    blas_threads, cpus = nn.blas_threads(), nn.usable_cpus()
+    if blas_threads is None or cpus < 2 * blas_threads:
+        yield (lambda like: train(**kwargs)[0]), None
         return
     spawn = multiprocessing.get_context("spawn")
     receiver, sender = spawn.Pipe(duplex=False)
-    worker = spawn.Process(target=_fit_worker, args=(sender, kwargs))
+    worker = spawn.Process(target=_fit_worker, args=(sender, kwargs, cpus // 2))
 
     def finish(like: CDModel) -> CDModel:
         try:
@@ -466,7 +470,7 @@ def _retrain_fit(kwargs: dict):
         finally:
             sender.close()
         try:
-            yield finish
+            yield finish, cpus - cpus // 2
         finally:
             # After finish the worker has nothing left to send; before, its
             # result is no longer wanted.
@@ -478,9 +482,9 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     """Run the shared pipeline stages once: data, both baseline models, attacker.
 
     The retrained model's fit runs in a worker process while the original
-    model trains, when the CPUs allow it (see :func:`_retrain_fit`); both
-    paths give the same bits, and each fit's ``fit_seconds_`` is its own
-    wall time.
+    model trains, when the CPUs allow it, each fit on its share of the CPUs
+    (see :func:`_retrain_fit`); both paths give the same bits, and each
+    fit's ``fit_seconds_`` is its own wall time.
     """
     stages: list[str] = []
     dataset, split, partition, mia_splits = prepare_data(config)
@@ -499,10 +503,10 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     )
     with ExitStack() as worker:
         with _stage("train-retrain"):
-            finish_retrain = worker.enter_context(
+            finish_retrain, cpus = worker.enter_context(
                 _retrain_fit({**fit, "train_records": mia_splits.retain_train_valid})
             )
-        with _stage("train-original"):
+        with _stage("train-original"), nn.cpu_share(cpus):
             orig_records = (
                 mia_splits.forget_train
                 + mia_splits.retain_train
@@ -683,7 +687,9 @@ def sweep(
     whole-set Fisher sum (see :func:`fisher_pair`). A point is feasible
     when its utility AUC is within ``epsilon_utility`` (not NaN) of the
     original model's; among feasible points the winner minimizes the distance
-    of its attack AUC from the retrained model's.
+    of its attack AUC from the retrained model's. A sweep ends by handing the
+    heap pages its points freed back to the system (:func:`nn.trim_heap`):
+    at 10,000 students, 20-30 MB that the C library would keep resident.
     """
     if not _number(epsilon_utility) or np.isnan(epsilon_utility):
         raise ConfigError(f"epsilon_utility must be a number, got {epsilon_utility!r}")
@@ -765,6 +771,7 @@ def sweep(
     if best is not None:
         model, ureport = apply_algorithm(ctx, best.algorithm, best.params)
         best_entry = ctx.entry_for(best.algorithm, model, ureport)
+    nn.trim_heap()
     return SweepResult(
         points=points,
         best=best,

@@ -124,8 +124,7 @@ class _Wiring:
         drops: list[np.ndarray | None] = []
         h = x
         for l in range(n_dense - 1):
-            z = h @ params[f"ffn_W_{l}"].T + params[f"ffn_b_{l}"]
-            a = nn.sigmoid(z)
+            a = self._dense_layer(params, l, h)
             acts.append(a)
             if train and self.dropout > 0.0:
                 if rng is None:
@@ -137,32 +136,45 @@ class _Wiring:
                 drops.append(None)
                 h = a
             inputs.append(h)
-        l = n_dense - 1
-        z_out = h @ params[f"ffn_W_{l}"].T + params[f"ffn_b_{l}"]
-        p = nn.sigmoid(z_out[:, 0])
+        p = self._dense_layer(params, n_dense - 1, h)[:, 0]
         return p, inputs, acts, drops
 
-    def _ffn_backward(self, params, grads, inputs, acts, drops, dz, squared):
-        """Backpropagate dz (B,) through the dense stack; returns dL/d(input)."""
-        n_dense = len(self.dims) - 1
+    @staticmethod
+    def _dense_layer(params, l, h):
+        """sigmoid(h @ W_l.T + b_l), with the bias added and the sigmoid taken
+        in place in the product: the pre-activation is not kept."""
+        z = h @ params[f"ffn_W_{l}"].T
+        z += params[f"ffn_b_{l}"]
+        return nn.sigmoid(z, out=z)
+
+    def _ffn_backward(self, params, grads, cache, dz, squared):
+        """Backpropagate dz (B,) through the dense stack; returns dL/d(input).
+        Takes the layers' inputs and activations out of ``cache`` and drops
+        each once it is used; an activation becomes ``1 - a`` in place."""
+        inputs, acts, drops = cache.pop("inputs"), cache.pop("acts"), cache.pop("drops")
         delta = dz[:, None]
-        for l in reversed(range(n_dense)):
-            x = inputs[l]
+        for l in reversed(range(len(self.dims) - 1)):
+            x = inputs.pop()
             if squared:
-                grads[f"ffn_W_{l}"] = np.square(delta).T @ np.square(x)
-                grads[f"ffn_b_{l}"] = np.square(delta).sum(axis=0)
+                sq_delta = np.square(delta)
+                grads[f"ffn_W_{l}"] = sq_delta.T @ np.square(x)
+                grads[f"ffn_b_{l}"] = sq_delta.sum(axis=0)
+                del sq_delta
             else:
                 grads[f"ffn_W_{l}"] = delta.T @ x
                 grads[f"ffn_b_{l}"] = delta.sum(axis=0)
+            del x
             dx = delta @ params[f"ffn_W_{l}"]
-            if l > 0:
-                if drops[l - 1] is not None:
-                    dx = dx * drops[l - 1]
-                a = acts[l - 1]
-                delta = dx * a * (1.0 - a)
-            else:
+            if l == 0:
                 return dx
-        return dx  # unreachable: n_dense >= 1
+            mask, a = drops.pop(), acts.pop()
+            if mask is not None:
+                dx *= mask
+            dx *= a
+            dx *= np.subtract(1.0, a, out=a)
+            delta = dx
+            del mask, a
+        raise AssertionError("unreachable: the stack has at least one layer")
 
 
 class DecoupledWiring(_Wiring):
@@ -189,22 +201,21 @@ class DecoupledWiring(_Wiring):
     @staticmethod
     def _over_kcs(params: nn.ArrayBundle, rows: np.ndarray, bias: str) -> np.ndarray:
         """sigmoid(rows @ E_C.T + bias): per-KC proficiency or difficulty."""
-        return nn.sigmoid(rows @ params["kc_emb"].T + params[bias])
+        z = rows @ params["kc_emb"].T
+        z += params[bias]
+        return nn.sigmoid(z, out=z)
 
     def forward(self, params, students, items, train=False, rng=None):
         students, items = self._indices(students, items)
-        e_s = params["student_emb"][students]
-        e_q = params["exercise_emb"][items]
-        prof = self._over_kcs(params, e_s, "prof_bias")
-        diff = self._over_kcs(params, e_q, "diff_bias")
+        prof = self._over_kcs(params, params["student_emb"][students], "prof_bias")
+        diff = self._over_kcs(params, params["exercise_emb"][items], "diff_bias")
         qmask = self.qrows[items]
-        gap = (prof - diff) * qmask
+        gap = prof - diff
+        gap *= qmask
         p, inputs, acts, drops = self._ffn_forward(params, gap, train, rng)
         cache = {
             "students": students,
             "items": items,
-            "e_s": e_s,
-            "e_q": e_q,
             "prof": prof,
             "diff": diff,
             "qmask": qmask,
@@ -217,34 +228,40 @@ class DecoupledWiring(_Wiring):
     def backward(self, params, cache, dz, mode="sum"):
         squared = self._squared(mode)
         grads: dict[str, np.ndarray] = {}
-        dgap = self._ffn_backward(
-            params, grads, cache["inputs"], cache["acts"], cache["drops"], dz, squared
-        )
-        prof, diff, qmask = cache["prof"], cache["diff"], cache["qmask"]
-        e_s, e_q = cache["e_s"], cache["e_q"]
+        dgap = self._ffn_backward(params, grads, cache, dz, squared)
+        prof, diff, qmask = cache.pop("prof"), cache.pop("diff"), cache.pop("qmask")
         masked = dgap * qmask
         d_ap = masked * prof * (1.0 - prof)
         d_ad = -masked * diff * (1.0 - diff)
-        kc = params["kc_emb"]
-        d_rows_s = d_ap @ kc
-        d_rows_q = d_ad @ kc
+        students, items = cache["students"], cache["items"]
+        # the embedding rows are gathered again rather than cached: a copy is exact
+        e_s, e_q = params["student_emb"][students], params["exercise_emb"][items]
         if squared:
-            grads["prof_bias"] = np.square(d_ap).sum(axis=0)
-            grads["diff_bias"] = np.square(d_ad).sum(axis=0)
-            # per-example kc gradient is d_ap[b,k]*e_s[b] + d_ad[b,k]*e_q[b]
-            grads["kc_emb"] = (
-                np.einsum("bk,bd->kd", np.square(d_ap), np.square(e_s))
-                + 2.0 * np.einsum("bk,bd->kd", d_ap * d_ad, e_s * e_q)
-                + np.einsum("bk,bd->kd", np.square(d_ad), np.square(e_q))
-            )
-            d_rows_s = np.square(d_rows_s)
-            d_rows_q = np.square(d_rows_q)
+            sq_ap, sq_ad = np.square(d_ap), np.square(d_ad)
+            grads["prof_bias"] = sq_ap.sum(axis=0)
+            grads["diff_bias"] = sq_ad.sum(axis=0)
+            # per-example kc gradient is d_ap[b,k]*e_s[b] + d_ad[b,k]*e_q[b];
+            # its square sums to A + 2B + C, added in that order
+            cross = 2.0 * np.einsum("bk,bd->kd", d_ap * d_ad, e_s * e_q)
+            kc_grad = np.einsum("bk,bd->kd", sq_ap, np.square(e_s, out=e_s))
+            kc_grad += cross
+            kc_grad += np.einsum("bk,bd->kd", sq_ad, np.square(e_q, out=e_q))
+            grads["kc_emb"] = kc_grad
         else:
             grads["prof_bias"] = d_ap.sum(axis=0)
             grads["diff_bias"] = d_ad.sum(axis=0)
             grads["kc_emb"] = d_ap.T @ e_s + d_ad.T @ e_q
-        [grads["student_emb"]] = nn.row_grads(self.n_students, cache["students"], d_rows_s)
-        [grads["exercise_emb"]] = nn.row_grads(self.n_items, cache["items"], d_rows_q)
+        del e_s, e_q
+        kc = params["kc_emb"]
+        d_rows_s = d_ap @ kc
+        d_rows_q = d_ad @ kc
+        if squared:
+            np.square(d_rows_s, out=d_rows_s)
+            np.square(d_rows_q, out=d_rows_q)
+        [grads["student_emb"]] = nn.row_grads(self.n_students, students, d_rows_s,
+                                              always_rows=squared)
+        [grads["exercise_emb"]] = nn.row_grads(self.n_items, items, d_rows_q,
+                                               always_rows=squared)
         return self._ordered(grads)
 
 
@@ -272,11 +289,16 @@ class MonotonicCdmWiring(_Wiring):
 
     def forward(self, params, students, items, train=False, rng=None):
         students, items = self._indices(students, items)
-        mastery = nn.sigmoid(params["student_emb"][students])
-        difficulty = nn.sigmoid(params["diff_emb"][items])
-        disc = nn.sigmoid(params["disc_emb"][items])
+        # each lookup is a copy, which becomes its sigmoid in place
+        mastery = params["student_emb"][students]
+        difficulty = params["diff_emb"][items]
+        disc = params["disc_emb"][items]
+        for logits in (mastery, difficulty, disc):
+            nn.sigmoid(logits, out=logits)
         qmask = self.qrows[items]
-        x = qmask * (mastery - difficulty) * disc
+        x = mastery - difficulty
+        x *= qmask
+        x *= disc
         p, inputs, acts, drops = self._ffn_forward(params, x, train, rng)
         cache = {
             "students": students,
@@ -294,11 +316,9 @@ class MonotonicCdmWiring(_Wiring):
     def backward(self, params, cache, dz, mode="sum"):
         squared = self._squared(mode)
         grads: dict[str, np.ndarray] = {}
-        dx = self._ffn_backward(
-            params, grads, cache["inputs"], cache["acts"], cache["drops"], dz, squared
-        )
-        mastery, difficulty = cache["mastery"], cache["difficulty"]
-        disc, qmask = cache["disc"], cache["qmask"]
+        dx = self._ffn_backward(params, grads, cache, dz, squared)
+        mastery, difficulty = cache.pop("mastery"), cache.pop("difficulty")
+        disc, qmask = cache.pop("disc"), cache.pop("qmask")
         d_mastery = dx * qmask * disc
         d_difficulty = -d_mastery
         d_disc = (dx * qmask * (mastery - difficulty)).sum(axis=1, keepdims=True)
@@ -306,10 +326,13 @@ class MonotonicCdmWiring(_Wiring):
         d_md = d_difficulty * difficulty * (1.0 - difficulty)
         d_mc = d_disc * disc * (1.0 - disc)
         if squared:
-            d_ms, d_md, d_mc = np.square(d_ms), np.square(d_md), np.square(d_mc)
+            for d in (d_ms, d_md, d_mc):
+                np.square(d, out=d)
         students, items = cache["students"], cache["items"]
-        [grads["student_emb"]] = nn.row_grads(self.n_students, students, d_ms)
-        grads["diff_emb"], grads["disc_emb"] = nn.row_grads(self.n_items, items, d_md, d_mc)
+        [grads["student_emb"]] = nn.row_grads(self.n_students, students, d_ms,
+                                              always_rows=squared)
+        grads["diff_emb"], grads["disc_emb"] = nn.row_grads(self.n_items, items, d_md, d_mc,
+                                                            always_rows=squared)
         return self._ordered(grads)
 
 

@@ -16,9 +16,11 @@ where ``dz`` holds per-example values of d(loss)/d(final pre-activation).
 with ``mode="sum"`` the sum over the batch of per-example gradients scaled by
 ``dz``, with ``mode="sq_sum"`` the sum of their elementwise squares.
 Parameters not touched by any example in the batch are exactly zero. A
-row-indexed table that is large next to the batch may come back as a
-:class:`RowGrad`, which holds only the rows the batch touched (see
-:func:`row_grads`); :func:`dense` turns such a map into a bundle.
+row-indexed table that is large next to the batch, and every one in
+``sq_sum`` mode, may come back as a :class:`RowGrad`, which holds only the
+rows the batch touched (see :func:`row_grads`); :func:`dense` turns such a
+map into a bundle. ``backward`` uses the cache up, freeing what it holds as
+it goes, so a cache serves one ``backward`` call.
 
 An :class:`ArrayBundle` is flat: its layers are views of one contiguous
 vector from construction on. ``optimizer_step`` updates that vector, and
@@ -27,6 +29,8 @@ twice :data:`ADAM_MIN_ENTRIES_PER_THREAD` parameters, Adam's moment decay and
 its update each split over k contiguous ranges on k threads, when the CPUs
 allow it (:func:`adam_threads`). The bits cannot move: each element still gets
 the same correctly rounded IEEE operations, in the same order, on one thread.
+:func:`sum_sq_grads` likewise runs its batches on threads
+(:func:`sq_sum_threads`) and adds them up in batch order.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numbers
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
@@ -63,6 +67,14 @@ ROW_GRAD_MIN_ENTRIES_PER_RECORD = 256
 # from 2,500 (86k); 2-epoch fits at density 0.2 lost at 3,000 (102k, 0.91 ->
 # 0.95-1.12 s), tied at 4,000 (134k) and won from 5,000 (166k, 1.74 -> 1.59 s).
 ADAM_MIN_ENTRIES_PER_THREAD = 2**16
+# sum_sq_grads runs on one thread per this many batches, up to the CPUs BLAS
+# leaves free (sq_sum_threads). On a 2-vCPU x86-64 VM at one BLAS thread, with
+# the default widths, 2 threads beat one from 2 batches of 4,096 records up
+# (-21% to -33% at 2 batches, -29% to -38% at 8). A pool thread keeps up to
+# one batch's working set resident in its malloc arena, though (trim_heap),
+# so a pass of 3 batches or fewer stays on one thread: the 536-student
+# model's largest, the 6,881-record union, is 2.
+SQ_SUM_MIN_BATCHES_PER_THREAD = 2
 
 
 def is_count(value, minimum: int) -> bool:
@@ -70,8 +82,10 @@ def is_count(value, minimum: int) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
 
 
-def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    """Numerically stable logistic function.
+def sigmoid(x: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray | float:
+    """Numerically stable logistic function, into ``out`` when given (which
+    may be ``x`` itself, so a pre-activation nothing else holds becomes its
+    activation in place).
 
     ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` otherwise,
     computed in one pass: ``e = exp(-|x|)`` is ``exp(-x)`` or ``exp(x)`` exactly,
@@ -83,13 +97,14 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
     if not x.ndim:
         return float(sigmoid(x.reshape(1))[0])
-    e = np.abs(x)
+    nonnegative = x >= 0
+    e = np.abs(x, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0)
-    e += 1.0
-    out /= e
-    return out
+    denominator = e + 1.0
+    np.maximum(e, nonnegative, out=e)
+    e /= denominator
+    return e
 
 
 def scatter_rows(n_rows: int, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -132,20 +147,21 @@ GradMap = Mapping[str, "np.ndarray | RowGrad"]
 
 
 def row_grads(
-    n_rows: int, index: np.ndarray, *per_record: np.ndarray
+    n_rows: int, index: np.ndarray, *per_record: np.ndarray, always_rows: bool = False
 ) -> list[np.ndarray | RowGrad]:
     """For each ``(batch, d)`` array of ``per_record``, the gradient of an
     ``n_rows``-row table to whose row ``index[b]`` record ``b`` adds its row.
 
     When the tables hold at least :data:`ROW_GRAD_MIN_ENTRIES_PER_RECORD`
-    entries, all together, per record of the batch, each comes back as a
-    :class:`RowGrad`, whose cost follows the batch and not the table, and
-    otherwise as the dense :func:`scatter_rows` table. The row form runs
-    ``scatter_rows`` over the batch's unique rows, so each row sums the same
-    values in the same order and ``RowGrad.dense()`` gives the dense bits.
+    entries, all together, per record of the batch, or ``always_rows`` is
+    set, each comes back as a :class:`RowGrad`, whose cost follows the batch
+    and not the table, and otherwise as the dense :func:`scatter_rows` table.
+    The row form runs ``scatter_rows`` over the batch's unique rows, so each
+    row sums the same values in the same order and ``RowGrad.dense()`` gives
+    the dense bits.
     """
     entries = n_rows * sum(values.shape[1] for values in per_record)
-    if entries < ROW_GRAD_MIN_ENTRIES_PER_RECORD * len(index):
+    if not always_rows and entries < ROW_GRAD_MIN_ENTRIES_PER_RECORD * len(index):
         return [scatter_rows(n_rows, index, values) for values in per_record]
     rows, inverse = np.unique(index, return_inverse=True)
     return [RowGrad(n_rows, rows, scatter_rows(len(rows), inverse, v)) for v in per_record]
@@ -276,15 +292,109 @@ def blas_threads() -> int | None:
     return None
 
 
-def adam_threads(total_size: int) -> int:
-    """The threads an Adam step over ``total_size`` parameters runs on: one
-    per :data:`ADAM_MIN_ENTRIES_PER_THREAD` entries, at most the usable CPUs
-    over BLAS's threads (OpenBLAS's idle threads spin), and one when BLAS
-    cannot be asked."""
+# The CPUs the thread gates may fill in this context (cpu_share); None means
+# every usable CPU.
+_CPU_SHARE: contextvars.ContextVar[int | None] = contextvars.ContextVar("cpu_share", default=None)
+
+
+@contextmanager
+def cpu_share(cpus: int | None) -> Iterator[None]:
+    """Within the block, and in the threads it starts, the thread gates fill
+    at most ``cpus`` CPUs (an integer >= 1), for a caller that runs other
+    work next to it; None means every usable CPU."""
+    if cpus is not None and not is_count(cpus, 1):
+        raise ValueError(f"cpus must be an integer >= 1 or None, got {cpus!r}")
+    token = _CPU_SHARE.set(cpus)
+    try:
+        yield
+    finally:
+        _CPU_SHARE.reset(token)
+
+
+def _threads(work: int, min_work_per_thread: int) -> int:
+    """One thread per ``min_work_per_thread`` units of ``work``, at most the
+    CPUs of this context over BLAS's threads (OpenBLAS's idle threads spin),
+    and one when BLAS cannot be asked."""
+    by_work = work // min_work_per_thread
+    if by_work < 2:
+        return 1
     blas = blas_threads()
     if blas is None:
         return 1
-    return max(1, min(usable_cpus() // blas, total_size // ADAM_MIN_ENTRIES_PER_THREAD))
+    cpus = _CPU_SHARE.get() or usable_cpus()
+    return max(1, min(cpus // blas, by_work))
+
+
+def adam_threads(total_size: int) -> int:
+    """The threads an Adam step over ``total_size`` parameters runs on: one
+    per :data:`ADAM_MIN_ENTRIES_PER_THREAD` entries (see :func:`_threads`)."""
+    return _threads(total_size, ADAM_MIN_ENTRIES_PER_THREAD)
+
+
+def sq_sum_threads(n_records: int, batch_size: int = 4096) -> int:
+    """The threads :func:`sum_sq_grads` runs ``n_records`` records on: one per
+    :data:`SQ_SUM_MIN_BATCHES_PER_THREAD` batches (see :func:`_threads`)."""
+    return _threads(-(-n_records // batch_size), SQ_SUM_MIN_BATCHES_PER_THREAD)
+
+
+def _over_chunks(
+    run: Callable[[slice], object], chunks: list[slice], threads: int,
+    take: Callable[[object], None],
+) -> None:
+    """``take(run(chunk))`` for every chunk, with ``take`` called in chunk
+    order on this thread.
+
+    With ``threads`` k >= 2 the chunks go in rounds of k: the first of a
+    round runs on this thread and the others on a pool of k - 1 threads,
+    each in a copy of this thread's context (so NumPy's ``errstate`` holds
+    there too), and the round is taken once all of it has ended. So at most
+    k chunks are in flight, and no thread outlives the call, whether it
+    returns or raises; a raise is the exception of the first chunk, in chunk
+    order, that raised one (or of ``take``). A threaded call imports
+    ``concurrent.futures`` and, once its pool has ended, hands the freed
+    pages back (:func:`trim_heap`).
+    """
+    if threads < 2 or len(chunks) < 2:
+        for chunk in chunks:
+            take(run(chunk))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        with ThreadPoolExecutor(threads - 1) as pool:
+            for start in range(0, len(chunks), threads):
+                first, *rest = chunks[start : start + threads]
+                futures = [pool.submit(contextvars.copy_context().run, run, chunk)
+                           for chunk in rest]
+                try:
+                    result = run(first)
+                finally:
+                    for future in futures:
+                        future.exception()  # waits for the chunk to end, without raising
+                take(result)
+                for future in futures:
+                    take(future.result())
+    finally:
+        trim_heap()
+
+
+def trim_heap() -> None:
+    """Hand the free pages of the C heap back to the system, where the C
+    library is glibc (``malloc_trim``); elsewhere do nothing.
+
+    glibc keeps freed memory resident up to a threshold that grows with the
+    largest block the process has freed, so after loading a data set it may
+    keep tens of MB. ``malloc_trim`` returns the main heap's free pages and
+    every arena's free chunks, but not the free top of a thread's arena:
+    a pool thread keeps up to one chunk's working set resident.
+    """
+    try:
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except (OSError, TypeError):  # no C library to ask
+        return
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 @dataclass
@@ -462,8 +572,12 @@ def sum_sq_grads(
 ) -> ArrayBundle:
     """Sum over the dataset of squared per-example loss gradients.
 
-    Batches are processed in dataset order and each batch reduces in a fixed
-    order, so the result is reproducible bit-for-bit on one machine.
+    Each batch of ``batch_size`` records, in dataset order, reduces in a
+    fixed order, and the batches are added into the total in dataset order,
+    so the result is reproducible bit-for-bit on one machine. The batches run
+    on :func:`sq_sum_threads` threads (see :func:`_over_chunks`), at most one
+    batch in flight per thread; that changes no bit, since each batch makes
+    the same calls on the same inputs and the adds keep their order.
     """
     if not is_count(batch_size, 1):
         raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
@@ -471,17 +585,22 @@ def sum_sq_grads(
     if n == 0:
         raise ValueError("dataset is empty")
     total = params.zeros()
-    for start in range(0, n, batch_size):
-        sl = slice(start, start + batch_size)
+
+    def batch(sl: slice) -> GradMap:
         p, cache = wiring.forward(params, students[sl], items[sl], train=False)
-        dz = p - scores[sl]
-        batch = wiring.backward(params, cache, dz, mode="sq_sum")
+        p -= scores[sl]  # d(loss)/d(pre-activation)
+        return wiring.backward(params, cache, p, mode="sq_sum")
+
+    def add(grads: GradMap) -> None:  # on this thread, in batch order
         for k, v in total.items():
-            g = batch[k]
+            g = grads[k]
             if isinstance(g, RowGrad):  # exact: v + 0.0 == v, as v >= 0
                 v[g.rows] += g.values
             else:
                 v += g
+
+    batches = [slice(start, start + batch_size) for start in range(0, n, batch_size)]
+    _over_chunks(batch, batches, sq_sum_threads(n, batch_size), add)
     return total
 
 
@@ -606,14 +725,18 @@ def _predict_all(
     params: ArrayBundle,
     arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Dropout-free predictions for every row, in chunks of 512 to 1,023 rows.
+    """Dropout-free predictions for every row, in chunks of 512 to 1,023 rows,
+    on the calling thread.
 
     Chunks start at multiples of :data:`PREDICT_ROWS` and the last one takes
     the remainder, so no chunk is smaller than 512 rows unless the whole set
     is. BLAS picks its kernel by row count, and chunks of a few rows gave bits
     that differed from one ``forward`` over every row; aligned chunks of 512
     rows or more gave the same bits. Small chunks also keep the temporaries
-    of a forward pass in memory that is reused from chunk to chunk.
+    of a forward pass in memory that is reused from chunk to chunk. They are
+    too small for threads: a forward of 512 rows holds the GIL for much of
+    its time, and 38,800 rows whose chunks went to 2 threads one at a time
+    took 9-41% longer than on one (2-vCPU x86-64 VM, one BLAS thread).
     """
     s, q, _ = arrays
     n = len(s)

@@ -343,15 +343,47 @@ class TestRunExperiment:
         assert status == {"status": "failed", "stage": "train-attacker"}
 
 
-def _fit_on_no_records(conn, kwargs):
+def _fit_on_no_records(conn, kwargs, cpus):
     """The fit worker given an empty training set: its fit raises ValueError.
     Module-level, so that a spawned worker can import it."""
-    experiment._fit_worker(conn, {**kwargs, "train_records": kwargs["train_records"][:0]})
+    experiment._fit_worker(conn, {**kwargs, "train_records": kwargs["train_records"][:0]}, cpus)
 
 
-def _exit_without_result(conn, kwargs):
+def _exit_without_result(conn, kwargs, cpus):
     """A fit worker that dies before it sends anything."""
     os._exit(3)
+
+
+def _recording_adam_threads(owner):
+    """Replace ``owner.adam_threads`` (owner: the nn module, or a monkeypatch
+    of it) by the gate itself, recording each answer; returns the record."""
+    asked, gate = [], nn.adam_threads
+
+    def recording(total_size):
+        asked.append(gate(total_size))
+        return asked[-1]
+
+    owner.setattr(nn, "adam_threads", recording)
+    return asked
+
+
+def _fit_recording_threads(conn, kwargs, cpus):
+    """The fit worker on a one-thread BLAS, 64 usable CPUs and a gate that
+    splits any model, writing the Adam threads its fit asked for to the file
+    named by CDUNLEARN_TEST_THREADS: only its CPU share can bound them."""
+    patch = pytest.MonkeyPatch()
+    patch.setattr(nn, "blas_threads", lambda: 1)
+    patch.setattr(nn, "usable_cpus", lambda: 64)
+    patch.setattr(nn, "ADAM_MIN_ENTRIES_PER_THREAD", 1)
+    asked, train = _recording_adam_threads(patch), experiment.train
+
+    def recording_train(**kw):  # writes before the worker sends, as it may be stopped then
+        fitted = train(**kw)
+        Path(os.environ["CDUNLEARN_TEST_THREADS"]).write_text(json.dumps(asked))
+        return fitted
+
+    patch.setattr(experiment, "train", recording_train)
+    experiment._fit_worker(conn, kwargs, cpus)
 
 
 def _cpus(monkeypatch, n):
@@ -412,10 +444,26 @@ class TestBaselineFits:
                       train_records=small_dataset.records, valid_records=None,
                       qmatrix=small_dataset.qmatrix, train_config=TrainConfig(max_epochs=2))
         like, _ = experiment.train(**kwargs)
-        with experiment._retrain_fit(kwargs) as finish:
+        with experiment._retrain_fit(kwargs) as (finish, share):
             assert len(multiprocessing.active_children()) == spawns
             model = finish(like)
         assert model.params_.vector.tobytes() == like.params_.vector.tobytes()
+        assert multiprocessing.active_children() == []
+        assert share == (cpus - cpus // 2 if spawns else None)
+
+    # (usable CPUs, Adam threads of the in-process fit, of the worker's fit):
+    # the two fits share the CPUs out, the worker taking half, rounded down.
+    @pytest.mark.parametrize("cpus, parent, worker", [(2, 1, 1), (3, 2, 1), (4, 2, 2)])
+    def test_each_fit_asks_for_its_share_of_the_cpus(self, tiny_paths, monkeypatch, tmp_path,
+                                                     cpus, parent, worker):
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(nn, "ADAM_MIN_ENTRIES_PER_THREAD", 1)  # every model splits
+        asked = _recording_adam_threads(monkeypatch)
+        monkeypatch.setattr(experiment, "_fit_worker", _fit_recording_threads)
+        monkeypatch.setenv("CDUNLEARN_TEST_THREADS", str(tmp_path / "threads.json"))
+        build_context(_tiny_config(tiny_paths, f"share_{cpus}", training={"max_epochs": 2}))
+        assert asked == [parent]
+        assert json.loads((tmp_path / "threads.json").read_text()) == [worker]
         assert multiprocessing.active_children() == []
 
     def test_worker_failure_names_train_retrain(self, tiny_paths, tmp_path, monkeypatch):

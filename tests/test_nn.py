@@ -222,6 +222,7 @@ class TestBackward:
         p, cache = wiring.forward(params, np.array([1]), np.array([2]))
         dz = p - np.array([1.0])
         g1 = wiring.backward(params, cache, dz, mode="sum")
+        _, cache = wiring.forward(params, np.array([1]), np.array([2]))  # backward used it up
         g2 = wiring.backward(params, cache, 2.0 * dz, mode="sum")
         for name, values in g1.items():
             assert np.allclose(2.0 * values, g2[name], rtol=1e-14, atol=0.0)
@@ -372,14 +373,27 @@ class TestSquaredGradientAccumulation:
             assert np.allclose(values, brute[name], rtol=1e-10, atol=1e-300)
 
     def test_row_form_gives_the_dense_bits(self, small_model, small_dataset, monkeypatch):
-        # batch 2 puts the 80x8 student table on the row side of row_grads
+        # a squared pass takes the row form for every table, the 80x8 student
+        # table at batch 2 among them
         s, q, y = records_to_arrays(small_dataset.records[:150])
         args = (small_model.wiring_, small_model.params_, s, q, y, 2)
         rows = nn.sum_sq_grads(*args)
-        monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", np.inf)  # always dense
+        monkeypatch.setattr(nn, "row_grads", dense_row_grads)
         dense = nn.sum_sq_grads(*args)
         for name, values in dense.items():
             assert_same_bits(rows[name], values)
+
+    @pytest.mark.parametrize("arch", ["decoupled", "neuralcdm"])
+    def test_squared_pass_takes_the_row_form(self, small_dataset, arch):
+        wiring = build_wiring(CDArchConfig(arch=arch, embed_dim=4, ffn_hidden=(4,)),
+                              80, 10, small_dataset.qmatrix)
+        params = wiring.init_params(np.random.default_rng(1))
+        s, q, y = records_to_arrays(small_dataset.records[:64])
+        for mode, form in (("sum", np.ndarray), ("sq_sum", nn.RowGrad)):
+            p, cache = wiring.forward(params, s, q)
+            grads = wiring.backward(params, cache, p - y, mode=mode)
+            assert all(type(grads[name]) is form for name in wiring.row_index)
+            assert set(cache) == {"students", "items"}  # backward used the rest up
 
     def test_unused_parameter_importance_is_zero(self, small_model, small_dataset):
         # only records of students 0..9: rows 10.. must come out exactly 0
@@ -587,14 +601,22 @@ class TestCheckpointContainer:
 # give the same bits; these are kept only as oracles.
 
 
-def ref_sigmoid(x):
+def ref_sigmoid(x, out=None):
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
+    result = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    result[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
+    result[~pos] = ex / (1.0 + ex)
+    if out is not None:
+        out[...] = result
+        return out
+    return result if result.ndim else float(result)
+
+
+def dense_row_grads(n_rows, index, *per_record, always_rows=False):
+    """``nn.row_grads`` that always gives the dense table."""
+    return [nn.scatter_rows(n_rows, index, values) for values in per_record]
 
 
 def ref_scatter_rows(n_rows, index, rows):
@@ -695,6 +717,16 @@ class TestSigmoidKernel:
         nn.sigmoid(x)
         assert_same_bits(x, before)
 
+    def test_in_place_gives_the_same_bits(self):
+        x = np.concatenate([np.array(self.SPECIAL),
+                            np.random.default_rng(3).normal(0.0, 30.0, size=500)])
+        want = nn.sigmoid(x)
+        out = np.empty_like(x)
+        assert nn.sigmoid(x, out=out) is out
+        assert_same_bits(out, want)
+        assert nn.sigmoid(x, out=x) is x
+        assert_same_bits(x, want)
+
 
 class TestScatterRows:
     def test_duplicate_indices_match_add_at(self):
@@ -755,6 +787,13 @@ class TestRowGradSelection:
         rows = np.zeros((256, 32))
         assert type(nn.row_grads(536, index, rows)[0]) is np.ndarray
         assert isinstance(nn.row_grads(10_000, index, rows)[0], nn.RowGrad)
+
+    def test_always_rows(self):
+        index = np.array([3, 0, 3])
+        rows = np.arange(6.0).reshape(3, 2)
+        [got] = nn.row_grads(4, index, rows, always_rows=True)
+        assert isinstance(got, nn.RowGrad) and got.rows.tolist() == [0, 3]
+        assert_same_bits(got.dense(), nn.scatter_rows(4, index, rows))
 
 
 class TestFusedAdam:
@@ -1017,6 +1056,146 @@ class TestThreadedFit:
         for threads, pool in ((2, None), (0, None), (1.5, None)):
             with pytest.raises(ValueError, match="thread"):
                 nn.make_optimizer("adam", 0.1, params, threads, pool)
+
+
+def ref_sum_sq_grads(wiring, params, s, q, y, batch_size):
+    """The serial loop: each batch's squared gradients, dense, added in order."""
+    total = np.zeros(params.total_size)
+    for start in range(0, len(y), batch_size):
+        sl = slice(start, start + batch_size)
+        p, cache = wiring.forward(params, s[sl], q[sl], train=False)
+        total += nn.dense(wiring.backward(params, cache, p - y[sl], mode="sq_sum")).vector
+    return total
+
+
+@pytest.fixture(scope="module", params=["decoupled", "neuralcdm"])
+def sq_setup(request):
+    """A wiring with random parameters over 40 students and 700 random records."""
+    rng = np.random.default_rng(21)
+    cfg = CDArchConfig(arch=request.param, embed_dim=6, ffn_hidden=(8, 5), dropout=0.0)
+    wiring = build_wiring(cfg, 40, 9, _random_qmatrix(rng, 9, 4))
+    params = wiring.init_params(np.random.default_rng(22))
+    for _, values in params.items():
+        values[...] = rng.uniform(-0.8, 0.8, size=values.shape)
+    wiring.post_step(params)
+    n = 700
+    return wiring, params, (rng.integers(0, 40, n), rng.integers(0, 9, n),
+                            (rng.random(n) < 0.6).astype(float))
+
+
+class TestThreadedSquaredPass:
+    """sum_sq_grads on k threads gives the serial loop's bits."""
+
+    @pytest.fixture(params=[2, 3], autouse=True)
+    def threads(self, request, monkeypatch):
+        """sum_sq_grads runs on k threads, whatever the CPUs."""
+        k = request.param
+        monkeypatch.setattr(nn, "sq_sum_threads", lambda n_records, batch_size=4096: k)
+        return k
+
+    @staticmethod
+    def _recording_threads(monkeypatch, wiring):
+        ran_on, forward = set(), wiring.forward
+
+        def recording(*args, **kwargs):
+            ran_on.add(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(wiring, "forward", recording)
+        return ran_on
+
+    # (records, batch size): an uneven last batch, even batches, fewer
+    # records than one batch, and one record per batch
+    @pytest.mark.parametrize("n, batch_size", [(700, 64), (640, 64), (50, 64), (9, 1)])
+    @pytest.mark.parametrize("form", ["rows", "dense"])
+    def test_matches_the_serial_loop(self, sq_setup, threads, monkeypatch, n, batch_size, form):
+        wiring, params, (s, q, y) = sq_setup
+        if form == "dense":
+            monkeypatch.setattr(nn, "row_grads", dense_row_grads)
+        want = ref_sum_sq_grads(wiring, params, s[:n], q[:n], y[:n], batch_size)
+        ran_on = self._recording_threads(monkeypatch, wiring)
+        before = threading.active_count()
+        got = nn.sum_sq_grads(wiring, params, s[:n], q[:n], y[:n], batch_size)
+        assert threading.active_count() == before
+        assert_same_bits(got.vector, want)
+        # a pool thread may take two chunks of a round when the first ends early
+        assert (len(ran_on) > 1) == (n > batch_size) and len(ran_on) <= threads
+
+    def test_out_of_range_id_in_a_worker_batch_raises_index_error(self, sq_setup):
+        wiring, params, (s, q, y) = sq_setup
+        s = s.copy()
+        s[70] = 40  # the second batch, which a pool thread runs
+        before = threading.active_count()
+        with pytest.raises(IndexError, match="student id out of range"):
+            nn.sum_sq_grads(wiring, params, s, q, y, 64)
+        assert threading.active_count() == before
+
+    def test_errstate_reaches_the_worker_batches(self, sq_setup, monkeypatch):
+        # a forward that overflows in the second batch only, on a pool thread
+        wiring, params, (s, q, y) = sq_setup
+        forward = wiring.forward
+
+        def overflowing(params, students, items, train=False, rng=None):
+            if students.ctypes.data == s[64:].ctypes.data:
+                np.exp(np.array([1000.0]))
+            return forward(params, students, items, train=train, rng=rng)
+
+        monkeypatch.setattr(wiring, "forward", overflowing)
+        before = threading.active_count()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            nn.sum_sq_grads(wiring, params, s, q, y, 64)
+        assert threading.active_count() == before
+
+
+def test_threaded_squared_pass_under_stress(sq_setup, monkeypatch):
+    # Eight threads on this machine's CPUs, switching every microsecond: a
+    # batch added out of order, or a round taken before it ended, would move
+    # bits.
+    wiring, params, (s, q, y) = sq_setup
+    want = ref_sum_sq_grads(wiring, params, s, q, y, 4)
+    monkeypatch.setattr(nn, "sq_sum_threads", lambda n_records, batch_size=4096: 8)
+    switch, start = sys.getswitchinterval(), time.perf_counter()
+    try:
+        sys.setswitchinterval(1e-6)
+        got = nn.sum_sq_grads(wiring, params, s, q, y, 4)
+    finally:
+        sys.setswitchinterval(switch)
+    assert time.perf_counter() - start < 60.0
+    assert_same_bits(got.vector, want)
+
+
+class TestSquaredPassGate:
+    # (usable CPUs, BLAS threads, records, threads)
+    @pytest.mark.parametrize("cpus, blas, records, threads", [
+        (8, None, 156_920, 1),  # a BLAS that cannot be asked
+        (1, 1, 156_920, 1),     # one CPU
+        (64, 1, 6_881, 1),      # the 536-student union, 2 batches
+        (64, 1, 3 * 4096, 1),   # 3 batches
+        (64, 1, 3 * 4096 + 1, 2),
+        (2, 1, 38_374, 2),      # the 6,000-student unlearn in CI
+        (2, 1, 156_920, 2),     # the 10,000-student benchmark
+        (3, 2, 156_920, 1),     # BLAS's threads leave no second CPU
+        (8, 1, 156_920, 8),
+    ])
+    def test_gate(self, monkeypatch, cpus, blas, records, threads):
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "blas_threads", lambda: blas)
+        assert nn.sq_sum_threads(records) == threads
+
+    def test_a_cpu_share_bounds_every_gate(self, monkeypatch):
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(nn, "blas_threads", lambda: 1)
+        big = 100 * nn.ADAM_MIN_ENTRIES_PER_THREAD
+        assert (nn.adam_threads(big), nn.sq_sum_threads(156_920)) == (8, 8)
+        with nn.cpu_share(3):
+            assert (nn.adam_threads(big), nn.sq_sum_threads(156_920)) == (3, 3)
+            with nn.cpu_share(None):
+                assert nn.adam_threads(big) == 8
+        assert nn.adam_threads(big) == 8
+        for bad in (0, 1.5, True):
+            with pytest.raises(ValueError, match="cpus"):
+                with nn.cpu_share(bad):
+                    pass
 
 
 RTA_OWNERS = (data, model, importance, mia, unlearn)
