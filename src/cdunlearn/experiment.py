@@ -438,8 +438,9 @@ def _retrain_fit(kwargs: dict):
     as itself, or rebuilds the model through ``like``, a model of the same
     hyperparameters and counts. On exit the worker is stopped if it still
     runs, and joined. The two fits share the CPUs out, the worker's threads
-    (:func:`nn.adam_threads`, :func:`nn.sq_sum_threads`) filling half of
-    them, rounded down, and this process's the rest (:func:`nn.cpu_share`).
+    (:func:`nn.adam_threads`, :func:`nn.sq_sum_threads`,
+    :func:`nn.predict_threads`) filling half of them, rounded down, and this
+    process's the rest (:func:`nn.cpu_share`).
     Otherwise ``finish`` runs the fit in-process, on every CPU: with one
     CPU, with BLAS threads that would contend for the CPUs (OpenBLAS's idle
     threads spin), or with a BLAS that cannot be asked.

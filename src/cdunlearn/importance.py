@@ -63,17 +63,20 @@ _WHOLE_SET_SUMS: "weakref.WeakKeyDictionary[CDModel, tuple[bytes, nn.ArrayBundle
 
 
 def whole_set_sq_grads(
-    model: CDModel, students: np.ndarray, items: np.ndarray, scores: np.ndarray
+    model: CDModel, *sides: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> nn.ArrayBundle:
-    """Sum of squared per-example loss gradients over the records given as
-    columns, memoized per model.
+    """Sum of squared per-example loss gradients over the records of
+    ``sides``, each given as its (students, items, scores) columns, memoized
+    per model.
 
     The records are summed in a canonical order (by student, item, score), so
     the sum depends only on the parameters and on the multiset of records: a
     memoized sum has the bits of a fresh one. The memo keeps one entry per
     model, keyed by a digest of the parameter bytes and the sorted records; a
     different multiset, or parameters changed in place, recompute it. The
-    returned arrays are read-only. Scores must be 0 or 1.
+    sort keys are built side by side into one vector, so the union's columns
+    are never concatenated. The returned arrays are read-only. Scores must
+    be 0 or 1.
 
     The pass runs on :func:`nn.sq_sum_threads` threads with the bits of one
     (see :func:`nn.sum_sq_grads`); sorted by student, each 4,096-record batch
@@ -83,12 +86,22 @@ def whole_set_sq_grads(
     """
     model._require_fitted()
     wiring = model.wiring_
-    s, q = wiring._indices(students, items)
-    if len(scores) == 0:
+    indexed = [wiring._indices(students, items) for students, items, _ in sides]
+    n = sum(len(scores) for _, _, scores in sides)
+    if n == 0:
         raise ValueError("importance needs a nonempty dataset")
-    if not ((scores == 0.0) | (scores == 1.0)).all():
-        raise ValueError("scores must be 0 or 1")
-    keys = np.sort((s * wiring.n_items + q) * 2 + scores.astype(np.int64))
+    keys = np.empty(n, dtype=np.int64)
+    start = 0
+    for (s, q), (_, _, scores) in zip(indexed, sides):
+        if not ((scores == 0.0) | (scores == 1.0)).all():
+            raise ValueError("scores must be 0 or 1")
+        part = keys[start : start + len(scores)]
+        np.multiply(s, wiring.n_items, out=part)
+        part += q
+        part *= 2
+        part += scores == 1.0
+        start += len(scores)
+    keys.sort()
     digest = hashlib.sha256(wiring.qrows.tobytes())
     digest.update(repr(model.params_.layout).encode())
     digest.update(model.params_.vector.data)
@@ -127,10 +140,10 @@ def smooth_importance(
     missing = [name for name, _ in imp.layout if name not in layer_means]
     if missing:
         raise ValueError(f"layer means missing for {missing}")
-    sizes = [values.size for _, values in imp.items()]
-    smoothed = (1.0 - beta) * imp.vector
-    smoothed += np.repeat([beta * layer_means[name] for name, _ in imp.layout], sizes)
-    return imp.with_vector(smoothed)
+    smoothed = imp.with_vector((1.0 - beta) * imp.vector)
+    for name, values in smoothed.items():
+        values += beta * layer_means[name]
+    return smoothed
 
 
 def _require_count(name: str, value) -> None:

@@ -30,7 +30,10 @@ its update each split over k contiguous ranges on k threads, when the CPUs
 allow it (:func:`adam_threads`). The bits cannot move: each element still gets
 the same correctly rounded IEEE operations, in the same order, on one thread.
 :func:`sum_sq_grads` likewise runs its batches on threads
-(:func:`sq_sum_threads`) and adds them up in batch order.
+(:func:`sq_sum_threads`) and adds them up in batch order, and
+:func:`_predict_all` its chunks of rows (:func:`predict_threads`), each into
+its own slice of the result. All three go through one runner,
+:func:`_over_chunks`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +56,14 @@ if TYPE_CHECKING:
     from concurrent.futures import Executor
 
 PROB_EPS = 1e-7  # probability clamp applied before logs
-PREDICT_ROWS = 512  # chunk alignment of _predict_all
+# _predict_all runs its rows in chunks of PREDICT_ROWS on one thread and of
+# PREDICT_CHUNK_ROWS on several, the last chunk taking a remainder under
+# PREDICT_ROWS: no chunk is smaller than that unless the whole set is (see
+# _predict_all for why it matters to the bits). On one thread (2-vCPU x86-64
+# VM, one BLAS thread) 6,891 rows of the 536-student model took 6.2 ms in
+# chunks of 512 rows and 8.6 ms in chunks of 2,048.
+PREDICT_ROWS = 512
+PREDICT_CHUNK_ROWS = 2048
 # row_grads gives a table its gradient as a RowGrad when it holds at least this
 # many entries per record of the batch, and the dense scatter_rows table
 # otherwise. Per-batch training-step times at batch 256 (2-vCPU x86-64 VM)
@@ -75,6 +85,13 @@ ADAM_MIN_ENTRIES_PER_THREAD = 2**16
 # so a pass of 3 batches or fewer stays on one thread: the 536-student
 # model's largest, the 6,881-record union, is 2.
 SQ_SUM_MIN_BATCHES_PER_THREAD = 2
+# _predict_all runs on one thread per this many full chunks, up to the CPUs
+# BLAS leaves free (predict_threads). On a 2-vCPU x86-64 VM at one BLAS
+# thread, 38,773 rows at embed_dim 32 took 37.5-41.8 ms on one thread, and on
+# 2 threads 22.6-33 ms in chunks of 2,048 rows, 30-36 ms in chunks of 1,024
+# and more again in chunks of 8,192. With 2 chunks per thread, every set of
+# the 536-student model (6,891 rows at most) stays on one thread.
+PREDICT_MIN_CHUNKS_PER_THREAD = 2
 
 
 def is_count(value, minimum: int) -> bool:
@@ -337,45 +354,61 @@ def sq_sum_threads(n_records: int, batch_size: int = 4096) -> int:
     return _threads(-(-n_records // batch_size), SQ_SUM_MIN_BATCHES_PER_THREAD)
 
 
+def predict_threads(n_rows: int) -> int:
+    """The threads :func:`_predict_all` runs ``n_rows`` rows on: one per
+    :data:`PREDICT_MIN_CHUNKS_PER_THREAD` chunks of
+    :data:`PREDICT_CHUNK_ROWS` rows (see :func:`_threads`)."""
+    return _threads(n_rows // PREDICT_CHUNK_ROWS, PREDICT_MIN_CHUNKS_PER_THREAD)
+
+
+def _ignore(result: object) -> None:
+    pass
+
+
 def _over_chunks(
-    run: Callable[[slice], object], chunks: list[slice], threads: int,
-    take: Callable[[object], None],
+    run: Callable[[slice], object], chunks: Sequence[slice], threads: int,
+    take: Callable[[object], None] = _ignore, pool: Executor | None = None,
 ) -> None:
     """``take(run(chunk))`` for every chunk, with ``take`` called in chunk
-    order on this thread.
+    order on this thread: the one thread runner of Adam's step, of
+    :func:`sum_sq_grads` and of :func:`_predict_all`.
 
     With ``threads`` k >= 2 the chunks go in rounds of k: the first of a
-    round runs on this thread and the others on a pool of k - 1 threads,
-    each in a copy of this thread's context (so NumPy's ``errstate`` holds
-    there too), and the round is taken once all of it has ended. So at most
-    k chunks are in flight, and no thread outlives the call, whether it
+    round runs on this thread and the others on ``pool``, each in a copy of
+    this thread's context (so NumPy's ``errstate`` and :func:`cpu_share`
+    hold there too), and the round is taken once all of it has ended. So at
+    most k chunks are in flight, and no chunk outlives the call, whether it
     returns or raises; a raise is the exception of the first chunk, in chunk
-    order, that raised one (or of ``take``). A threaded call imports
-    ``concurrent.futures`` and, once its pool has ended, hands the freed
-    pages back (:func:`trim_heap`).
+    order, that raised one (or of ``take``). ``pool`` is owned by the
+    caller and should have at least k - 1 threads. Without one, the call
+    makes a pool of k - 1 threads that ends with it, importing
+    ``concurrent.futures``, and then hands the freed pages back
+    (:func:`trim_heap`).
     """
     if threads < 2 or len(chunks) < 2:
         for chunk in chunks:
             take(run(chunk))
         return
-    from concurrent.futures import ThreadPoolExecutor
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
 
-    try:
-        with ThreadPoolExecutor(threads - 1) as pool:
-            for start in range(0, len(chunks), threads):
-                first, *rest = chunks[start : start + threads]
-                futures = [pool.submit(contextvars.copy_context().run, run, chunk)
-                           for chunk in rest]
-                try:
-                    result = run(first)
-                finally:
-                    for future in futures:
-                        future.exception()  # waits for the chunk to end, without raising
-                take(result)
-                for future in futures:
-                    take(future.result())
-    finally:
-        trim_heap()
+        try:
+            with ThreadPoolExecutor(threads - 1) as own:
+                _over_chunks(run, chunks, threads, take, own)
+        finally:
+            trim_heap()
+        return
+    for start in range(0, len(chunks), threads):
+        first, *rest = chunks[start : start + threads]
+        futures = [pool.submit(contextvars.copy_context().run, run, chunk) for chunk in rest]
+        try:
+            result = run(first)
+        finally:
+            for future in futures:
+                future.exception()  # waits for the chunk to end, without raising
+        take(result)
+        for future in futures:
+            take(future.result())
 
 
 def trim_heap() -> None:
@@ -486,27 +519,6 @@ def _adam_update(part: slice, p, m, v, u, t, bc1: float, bc2: float, lr: float) 
     ps -= us
 
 
-def _over_parts(state: OptimizerState, phase: Callable[..., None], *args) -> None:
-    """``phase(part, *args)`` for every part of ``state``: the first on this
-    thread, the others on its pool, each in a copy of this thread's context
-    (so NumPy's ``errstate`` holds there too). Returns when all have ended,
-    raising the exception of the first part, in part order, that raised one.
-    ``phase`` calls NumPy ufuncs on its part's views only."""
-    first, *rest = state.parts
-    if not rest:
-        phase(first, *args)
-        return
-    futures = [state.pool.submit(contextvars.copy_context().run, phase, part, *args)
-               for part in rest]
-    try:
-        phase(first, *args)
-    finally:
-        for future in futures:
-            future.exception()  # waits for the part to end, without raising
-    for future in futures:
-        future.result()
-
-
 def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -> None:
     """Apply one in-place update to ``params`` and ``state``.
 
@@ -515,7 +527,8 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
     over ``params.vector``: the dense gradient layers are gathered run by run
     into a scratch vector, and a :class:`RowGrad` layer is applied to its rows
     alone, with the bits of its dense table (see the comment in the Adam
-    branch). Adam's moment decay and update run over ``state.parts``.
+    branch). Adam's moment decay and update run over ``state.parts``, one
+    per thread (:func:`_over_chunks`, on ``state.pool``).
     """
     params.require_same_layout(grads)
     p = params.vector
@@ -548,7 +561,8 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
     # -0.0; v is never negative at all. The decay and the update read every
     # entry and stay dense; they run over the parts, and the gradient terms,
     # which the gather and the batch size bound, on this thread between them.
-    _over_parts(state, _adam_decay, m, v)
+    threads = len(state.parts)
+    _over_chunks(lambda part: _adam_decay(part, m, v), state.parts, threads, pool=state.pool)
     for sl in slices:
         g, ts, ms, vs = u[sl], t[sl], m[sl], v[sl]
         np.multiply(g, 1.0 - ADAM_BETA1, out=ts)
@@ -559,7 +573,8 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
     for k, g in row_layers:
         state.m[k][g.rows] += g.values * (1.0 - ADAM_BETA1)
         state.v[k][g.rows] += np.square(g.values) * (1.0 - ADAM_BETA2)
-    _over_parts(state, _adam_update, p, m, v, u, t, bc1, bc2, state.lr)
+    _over_chunks(lambda part: _adam_update(part, p, m, v, u, t, bc1, bc2, state.lr),
+                 state.parts, threads, pool=state.pool)
 
 
 def sum_sq_grads(
@@ -649,9 +664,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _adam_pool(threads: int):
-    """A pool of ``threads - 1`` threads for a fit's Adam parts, or a null
-    context at one thread. Only a threaded fit imports ``concurrent.futures``."""
+def _fit_pool(threads: int):
+    """A pool of ``threads - 1`` threads for a fit, or a null context at one
+    thread. Only a threaded fit imports ``concurrent.futures``."""
     if threads < 2:
         return nullcontext()
     from concurrent.futures import ThreadPoolExecutor
@@ -673,8 +688,11 @@ def fit_params(
     ``monitor_arrays`` with dropout disabled; the best-scoring parameters are
     returned. One RNG seeded with ``seed`` drives initialization, the per-epoch
     shuffle, and dropout masks, so identical inputs give bit-identical output.
-    Adam runs on :func:`adam_threads` threads, whose pool lives as long as
-    the fit: no thread outlives it, whether it returns or raises.
+    Adam runs on :func:`adam_threads` threads and the monitor predictions on
+    :func:`predict_threads`, both on one pool that lives as long as the fit
+    and has a thread fewer than the larger of the two: no second pool is
+    alive during the fit, and no thread outlives it, whether it returns or
+    raises.
     """
     t0 = time.perf_counter()
     s_tr, q_tr, y_tr = train_arrays
@@ -684,7 +702,7 @@ def fit_params(
     rng = np.random.default_rng(seed)
     params = wiring.init_params(rng)
     threads = adam_threads(params.total_size) if cfg.optimizer == "adam" else 1
-    with _adam_pool(threads) as pool:
+    with _fit_pool(max(threads, predict_threads(len(monitor_arrays[0])))) as pool:
         state = make_optimizer(cfg.optimizer, cfg.lr, params, threads, pool)
         best_value = -np.inf
         best_params = params.copy()
@@ -706,7 +724,8 @@ def fit_params(
                 raise ValueError(
                     f"training diverged: epoch {epoch} left non-finite values in layers {nonfinite}"
                 )
-            value = monitor_fn(_predict_all(wiring, params, monitor_arrays), monitor_arrays[2])
+            probs = _predict_all(wiring, params, monitor_arrays, pool)
+            value = monitor_fn(probs, monitor_arrays[2])
             if value > best_value + cfg.min_delta:
                 best_value = value
                 best_params = params.copy()
@@ -724,24 +743,37 @@ def _predict_all(
     wiring,
     params: ArrayBundle,
     arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
+    pool: Executor | None = None,
 ) -> np.ndarray:
-    """Dropout-free predictions for every row, in chunks of 512 to 1,023 rows,
-    on the calling thread.
+    """Dropout-free predictions for every row, on :func:`predict_threads`
+    threads, in chunks of :data:`PREDICT_ROWS` rows on one thread and of
+    :data:`PREDICT_CHUNK_ROWS` rows on several.
 
-    Chunks start at multiples of :data:`PREDICT_ROWS` and the last one takes
-    the remainder, so no chunk is smaller than 512 rows unless the whole set
-    is. BLAS picks its kernel by row count, and chunks of a few rows gave bits
-    that differed from one ``forward`` over every row; aligned chunks of 512
-    rows or more gave the same bits. Small chunks also keep the temporaries
-    of a forward pass in memory that is reused from chunk to chunk. They are
-    too small for threads: a forward of 512 rows holds the GIL for much of
-    its time, and 38,800 rows whose chunks went to 2 threads one at a time
-    took 9-41% longer than on one (2-vCPU x86-64 VM, one BLAS thread).
+    Chunks start at multiples of their size, and the last one takes a
+    remainder under :data:`PREDICT_ROWS`, so no chunk is smaller than 512
+    rows unless the whole set is. BLAS picks its kernel by row count, and
+    chunks of a few rows gave bits that differed from one ``forward`` over
+    every row; aligned chunks of 512 rows or more gave the same bits, so the
+    chunk size moves none. Nor do threads: each chunk makes the calls it
+    makes on one thread and writes only its own slice of the result, and
+    nothing is summed across chunks. ``pool``, owned by the caller (a fit),
+    should have at least a thread fewer than :func:`predict_threads`;
+    without it a threaded call makes its own (see :func:`_over_chunks`).
+    Chunks of 512 rows are too small for threads, whose turns at the GIL
+    they then mostly wait for, and chunks of 2,048 rows are slower than
+    those of 512 on one thread; they keep the working set a pool thread
+    leaves in its malloc arena to a few MB.
     """
     s, q, _ = arrays
     n = len(s)
     out = np.empty(n, dtype=np.float64)
-    edges = [0, *range(PREDICT_ROWS, n - PREDICT_ROWS + 1, PREDICT_ROWS), n]
-    for start, stop in zip(edges, edges[1:]):
-        out[start:stop], _ = wiring.forward(params, s[start:stop], q[start:stop], train=False)
+    threads = predict_threads(n)
+    size = PREDICT_CHUNK_ROWS if threads > 1 else PREDICT_ROWS
+    edges = [0, *range(size, n - PREDICT_ROWS + 1, size), n]
+
+    def predict(chunk: slice) -> None:
+        out[chunk], _ = wiring.forward(params, s[chunk], q[chunk], train=False)
+
+    chunks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    _over_chunks(predict, chunks, threads, pool=pool)
     return out

@@ -92,15 +92,47 @@ def generate_dataset(
     )
 
 
+def _digits(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal digits of a column of nonnegative int64 values, as ASCII
+    bytes right-aligned in a ``(len(column), width)`` array, and the mask of
+    the bytes that are digits (every value keeps at least its last one)."""
+    width = len(str(int(column.max()))) if len(column) else 1
+    digits = np.empty((len(column), width), np.uint8)
+    rest = column
+    for j in range(width - 1, -1, -1):
+        rest, digits[:, j] = np.divmod(rest, 10)
+    digits += ord("0")
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return digits, (column[:, None] >= powers) | (powers == 1)
+
+
+def _text(n: int, text: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``text`` in each of ``n`` rows, as :func:`_digits` lays out a field."""
+    return np.tile(np.frombuffer(text, np.uint8), (n, 1)), np.ones((n, len(text)), bool)
+
+
+def _response_lines(students: np.ndarray, items: np.ndarray, scores: np.ndarray) -> bytes:
+    """The lines ``"{student},{item},{score}\\r\\n"`` of int64 columns, as
+    bytes: each line is laid out in one fixed-width row of a byte matrix,
+    and one masked copy drops the positions no digit fills."""
+    n = len(scores)
+    fields = [_digits(students), _text(n, b","), _digits(items), _text(n, b","),
+              _digits(scores), _text(n, b"\r\n")]
+    text = np.hstack([chars for chars, _ in fields])
+    return text[np.hstack([keep for _, keep in fields])].tobytes()
+
+
 def write_dataset_csv(dataset: Dataset, responses_path: str, qmatrix_path: str) -> None:
-    """Write a dataset in the CSV formats the loaders expect."""
+    """Write a dataset in the CSV formats the loaders expect: the bytes
+    ``csv.writer`` writes for the integer columns, built by digit arithmetic
+    on them."""
     if dataset.qmatrix is None:
         raise ValueError("dataset has no Q-matrix to write")
     os.makedirs(os.path.dirname(os.path.abspath(responses_path)), exist_ok=True)
-    columns = (c.astype(int).tolist() for c in records_to_arrays(dataset.records))
-    rows = "".join([f"{s},{i},{y}\r\n" for s, i, y in zip(*columns)])
-    with open(responses_path, "w", newline="") as f:  # the bytes csv.writer writes
-        f.write("student_id,item_id,score\r\n")
+    columns = (c.astype(np.int64) for c in records_to_arrays(dataset.records))
+    rows = _response_lines(*columns)
+    with open(responses_path, "wb") as f:
+        f.write(b"student_id,item_id,score\r\n")
         f.write(rows)
     with open(qmatrix_path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -103,9 +103,11 @@ def select_and_attenuate(
     if unknown:
         raise ValueError(f"excluded layers not in model: {sorted(unknown)}")
     sizes = [values.size for _, values in params.items()]
-    selected = imp_forget.vector > alpha * imp_retain.vector
+    threshold = alpha * imp_retain.vector
+    selected = imp_forget.vector > threshold
     selected &= np.repeat([k not in excluded_layers for k, _ in params.layout], sizes)
-    out = params.copy()
+    out = params.with_vector(threshold)  # the threshold's buffer, reused
+    out.vector[...] = params.vector
     out.vector[selected] *= 1.0 - lambda_
     return out, int(np.count_nonzero(selected))
 
@@ -150,20 +152,23 @@ def fisher_pair(
     forget_records, forget = _converted(forget_records)
     retain = records_to_arrays(retain_records)
     _check_disjoint(forget[0], retain[0])
-    imp_f = imp_mod.fim_diag(model, forget_records)
-    union = [np.concatenate(pair) for pair in zip(forget, retain)]
-    total = imp_mod.whole_set_sq_grads(model, *union)
+    total = imp_mod.whole_set_sq_grads(model, forget, retain)
     n_f, n_r = len(forget[2]), len(retain[2])
+    indexed = {"students": retain[0], "items": retain[1]}
+    unindexed = {
+        name: np.bincount(indexed[index], minlength=len(total[name])) == 0
+        for name, index in model.wiring_.row_index.items()
+    }
+    del retain, indexed  # the retain columns end before the maps begin
+    imp_f = imp_mod.fim_diag(model, forget_records)
     total.require_same_layout(imp_f)
     retained = n_f * imp_f.vector
     np.subtract(total.vector, retained, out=retained)
     np.maximum(retained, 0.0, out=retained)
     retained *= 1.0 / n_r
     imp_r = total.with_vector(retained)
-    indexed = {"students": retain[0], "items": retain[1]}
-    for name, index in model.wiring_.row_index.items():
-        rows = imp_r[name]
-        rows[np.bincount(indexed[index], minlength=len(rows)) == 0] = 0.0
+    for name, rows in unindexed.items():
+        imp_r[name][rows] = 0.0
     return imp_f, imp_r
 
 

@@ -636,9 +636,18 @@ def _csv_writer_bytes(dataset, tmp_path):
     return responses.read_bytes(), qmatrix.read_bytes()
 
 
-@pytest.mark.parametrize("shape", [*sorted(ORACLE_SHAPES), "sparse-ids"])
+EDGE_IDS = [0, 9, 10, 99, 100, TOP]
+
+
+@pytest.mark.parametrize("shape", [*sorted(ORACLE_SHAPES), "sparse-ids", "edge-ids", "one-row"])
 def test_write_dataset_csv_writes_the_bytes_of_csv_writer(tmp_path, shape):
-    if shape == "sparse-ids":
+    qmatrix = synth.generate_qmatrix(3, 2, np.random.default_rng(0))
+    if shape == "edge-ids":  # every digit count's first and last id, both ways round
+        records = Records(EDGE_IDS, EDGE_IDS[::-1], [0, 1, 1, 0, 1, 0])
+        dataset = Dataset(records, TOP, TOP, qmatrix)
+    elif shape == "one-row":
+        dataset = Dataset(Records([7], [0], [1]), 8, 1, qmatrix)
+    elif shape == "sparse-ids":
         base = synth.generate_dataset(**ORACLE_SHAPES["sparse-1500x40"])
         s, q, y = base.records.columns
         records = Records(s * 7919 + 3, q * 3 + 5, y)[::-1] + Records([TOP], [TOP], [1])

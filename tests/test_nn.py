@@ -1035,6 +1035,32 @@ class TestThreadedFit:
         assert threading.active_count() == before
         assert parts == [2, 2]
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_monitor_predictions_run_on_the_fits_pool(self, small_dataset, monkeypatch, k):
+        # Chunks of 64 rows put the monitor pass on k threads too; it must
+        # use the fit's pool of k - 1 threads, not a second pool.
+        _force_adam_threads(monkeypatch, k)
+        monkeypatch.setattr(nn, "PREDICT_ROWS", 16)
+        monkeypatch.setattr(nn, "PREDICT_CHUNK_ROWS", 64)
+        wiring = build_wiring(CDArchConfig(embed_dim=8, ffn_hidden=(12,)), 80, 10,
+                              small_dataset.qmatrix)
+        arrays = records_to_arrays(small_dataset.records)
+        assert nn.predict_threads(len(arrays[0])) == k
+        alive, ran_on, forward = [], set(), wiring.forward
+
+        def recording(params, students, items, train=False, rng=None):
+            if not train:
+                alive.append(threading.active_count())
+                ran_on.add(threading.get_ident())
+            return forward(params, students, items, train=train, rng=rng)
+
+        monkeypatch.setattr(wiring, "forward", recording)
+        before = threading.active_count()
+        nn.fit_params(wiring, arrays, arrays, nn.TrainConfig(max_epochs=3), 5,
+                      model._monitor_score)
+        assert len(ran_on) > 1 and max(alive) <= before + k - 1
+        assert threading.active_count() == before
+
     # (usable CPUs, BLAS threads, parameters in units of the constant, threads)
     @pytest.mark.parametrize("cpus, blas, size, threads", [
         (8, None, 100.0, 1),  # a BLAS that cannot be asked
@@ -1278,9 +1304,13 @@ class TestPredictAll:
         want, _ = wiring.forward(params, s[:n], q[:n], train=False)
         assert_same_bits(nn._predict_all(wiring, params, (s[:n], q[:n], y[:n])), want)
 
-    @pytest.mark.parametrize("n", [0, *PREDICT_SIZES])
-    def test_chunks_are_aligned_and_hold_512_to_1023_rows(self, predict_setup, monkeypatch, n):
+    @staticmethod
+    def _chunk_sizes(predict_setup, monkeypatch, n, threads):
+        """The row counts, in row order, of the chunks ``_predict_all`` runs
+        ``n`` rows in on ``threads`` threads, after checking that they cover
+        the rows, each once."""
         wiring, params, (s, q, y) = predict_setup
+        monkeypatch.setattr(nn, "predict_threads", lambda n_rows: threads)
         forward = wiring.forward
         chunks = []
 
@@ -1290,9 +1320,149 @@ class TestPredictAll:
 
         monkeypatch.setattr(wiring, "forward", recording_forward)
         nn._predict_all(wiring, params, (s[:n], q[:n], y[:n]))
+        chunks.sort(key=lambda chunk: chunk.ctypes.data)  # each is a view of s
         assert np.array_equal(np.concatenate(chunks), s[:n])  # in order, each row once
-        sizes = [len(chunk) for chunk in chunks]
+        return [len(chunk) for chunk in chunks]
+
+    @pytest.mark.parametrize("n", [0, *PREDICT_SIZES])
+    def test_chunks_are_aligned_and_hold_512_to_1023_rows(self, predict_setup, monkeypatch, n):
+        # on one thread
+        sizes = self._chunk_sizes(predict_setup, monkeypatch, n, 1)
         assert max(sizes) <= 1023
         if n >= 512:
             assert min(sizes) >= 512
         assert all(start % 512 == 0 for start in np.cumsum([0, *sizes[:-1]]))
+
+    @pytest.mark.parametrize("n", [0, *PREDICT_SIZES, 2559, 2560, 4607, 4608, 6891, 38_773])
+    def test_threaded_chunks_hold_2048_rows_but_the_last(self, predict_setup, monkeypatch, n):
+        sizes = self._chunk_sizes(predict_setup, monkeypatch, n, 2)
+        *full, last = sizes
+        assert all(size == nn.PREDICT_CHUNK_ROWS == 2048 for size in full)
+        assert min(n, 512) <= last <= 2048 + 511
+        assert nn.PREDICT_CHUNK_ROWS % nn.PREDICT_ROWS == 0
+
+
+def ref_predict(wiring, params, s, q):
+    """The one-thread loop of 512-row chunks, the last taking the remainder."""
+    n = len(s)
+    out = np.empty(n)
+    edges = [0, *range(512, n - 512 + 1, 512), n]
+    for a, b in zip(edges, edges[1:]):
+        out[a:b], _ = wiring.forward(params, s[a:b], q[a:b], train=False)
+    return out
+
+
+class TestThreadedPredict:
+    """_predict_all on k threads gives the bits of the one-thread loop."""
+
+    @pytest.fixture(params=[2, 3], autouse=True)
+    def threads(self, request, monkeypatch):
+        """_predict_all runs on k threads, whatever the CPUs."""
+        k = request.param
+        monkeypatch.setattr(nn, "predict_threads", lambda n_rows: k)
+        return k
+
+    # an uneven last chunk, even chunks with a merged remainder, and fewer
+    # rows than one chunk
+    @pytest.mark.parametrize("n", [10_000, 8_500, 1_543])
+    @pytest.mark.parametrize("pool", ["own", "caller's"])
+    def test_matches_the_serial_loop_and_one_forward(
+        self, predict_setup, monkeypatch, threads, n, pool
+    ):
+        wiring, params, (s, q, y) = predict_setup
+        want = ref_predict(wiring, params, s[:n], q[:n])
+        assert_same_bits(wiring.forward(params, s[:n], q[:n], train=False)[0], want)
+        ran_on, forward = set(), wiring.forward
+
+        def recording(*args, **kwargs):
+            ran_on.add(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(wiring, "forward", recording)
+        before = threading.active_count()
+        if pool == "own":
+            got = nn._predict_all(wiring, params, (s[:n], q[:n], y[:n]))
+            assert threading.active_count() == before
+        else:
+            with ThreadPoolExecutor(threads - 1) as owned:
+                got = nn._predict_all(wiring, params, (s[:n], q[:n], y[:n]), owned)
+                assert threading.active_count() <= before + threads - 1
+        assert_same_bits(got, want)
+        assert (len(ran_on) > 1) == (n >= 2 * nn.PREDICT_CHUNK_ROWS) and len(ran_on) <= threads
+
+    def test_out_of_range_id_in_a_worker_chunk_raises_index_error(self, predict_setup):
+        wiring, params, (s, q, y) = predict_setup
+        s = s[:5000].copy()
+        s[2100] = wiring.n_students  # the second chunk, which a pool thread runs
+        before = threading.active_count()
+        with pytest.raises(IndexError, match="student id out of range"):
+            nn._predict_all(wiring, params, (s, q[:5000], y[:5000]))
+        assert threading.active_count() == before
+
+    def test_errstate_reaches_the_worker_chunks(self, predict_setup, monkeypatch):
+        # a forward that overflows in the second chunk only, on a pool thread
+        wiring, params, (s, q, y) = predict_setup
+        forward = wiring.forward
+
+        def overflowing(params, students, items, train=False, rng=None):
+            if students.ctypes.data == s[2048:].ctypes.data:
+                np.exp(np.array([1000.0]))
+            return forward(params, students, items, train=train, rng=rng)
+
+        monkeypatch.setattr(wiring, "forward", overflowing)
+        before = threading.active_count()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            nn._predict_all(wiring, params, (s[:5000], q[:5000], y[:5000]))
+        assert threading.active_count() == before
+
+
+def test_threaded_predict_under_stress(predict_setup, monkeypatch):
+    # Eight threads on this machine's CPUs, switching every microsecond: a
+    # chunk written into another's slice, or a pass that returned before a
+    # chunk ended, would move bits.
+    wiring, params, (s, q, y) = predict_setup
+    n = 20_000
+    want = ref_predict(wiring, params, s[:n], q[:n])
+    monkeypatch.setattr(nn, "predict_threads", lambda n_rows: 8)
+    switch, start = sys.getswitchinterval(), time.perf_counter()
+    try:
+        sys.setswitchinterval(1e-6)
+        got = nn._predict_all(wiring, params, (s[:n], q[:n], y[:n]))
+    finally:
+        sys.setswitchinterval(switch)
+    assert time.perf_counter() - start < 60.0
+    assert_same_bits(got, want)
+
+
+def test_no_chunk_outlives_a_raising_call_on_a_callers_pool():
+    ended = []
+
+    def run(chunk):
+        if chunk.start == 0:
+            raise ValueError("the first chunk")
+        time.sleep(0.2)
+        ended.append(chunk.start)
+
+    with ThreadPoolExecutor(1) as pool:
+        with pytest.raises(ValueError, match="the first chunk"):
+            nn._over_chunks(run, [slice(0, 1), slice(1, 2)], 2, pool=pool)
+        assert ended == [1]
+
+
+class TestPredictGate:
+    # (usable CPUs, BLAS threads, rows, threads)
+    @pytest.mark.parametrize("cpus, blas, rows, threads", [
+        (8, None, 38_773, 1),  # a BLAS that cannot be asked
+        (1, 1, 38_773, 1),     # one CPU
+        (64, 1, 6_891, 1),     # the 536-student model's largest set, 3 chunks
+        (64, 1, 4 * 2048 - 1, 1),
+        (64, 1, 4 * 2048, 2),
+        (2, 1, 12_000, 2),     # the 6,000-student monitor set in CI
+        (2, 1, 38_773, 2),     # the 10,000-student benchmark's audit
+        (3, 2, 38_773, 1),     # BLAS's threads leave no second CPU
+        (8, 1, 38_773, 8),
+    ])
+    def test_gate(self, monkeypatch, cpus, blas, rows, threads):
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "blas_threads", lambda: blas)
+        assert nn.predict_threads(rows) == threads
