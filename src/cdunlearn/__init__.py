@@ -36,7 +36,6 @@ from .nn import TrainConfig
 from .shrinkage import (
     closed_form_mse,
     optimal_beta,
-    recommend_beta,
     simulate_mse,
 )
 from .unlearn import (
@@ -87,7 +86,6 @@ __all__ = [
     "TrainConfig",
     "closed_form_mse",
     "optimal_beta",
-    "recommend_beta",
     "simulate_mse",
     "HIFConfig",
     "UnlearnReport",

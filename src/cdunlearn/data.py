@@ -159,6 +159,10 @@ class QMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    def __reduce__(self):
+        # Through the constructor, so that a pickle or deep copy stays read-only.
+        return QMatrix, (self.entries,)
+
     @property
     def n_items(self) -> int:
         return self.entries.shape[0]

@@ -21,7 +21,7 @@ import json
 import multiprocessing
 import numbers
 import os
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -43,7 +43,7 @@ from .data import (
     split_records,
 )
 from .mia import LogisticAttacker, evaluate_attack, extract_features, train_attacker
-from .model import FIT_RESULTS, CDArchConfig, CDModel, build_wiring, train
+from .model import CDArchConfig, CDModel, build_wiring, train
 from .nn import TrainConfig, is_count
 from .unlearn import (
     HIFConfig,
@@ -413,68 +413,72 @@ def fit_attacker(m_orig: CDModel, splits: MiaSplits, seed: int) -> LogisticAttac
 
 
 def _fit_worker(conn, kwargs: dict, cpus: int) -> None:
-    """Worker process: send ``train(**kwargs)``'s parameter vector and
-    :data:`FIT_RESULTS`, or the exception it raised, over ``conn``. The fit's
-    threads fill at most ``cpus`` CPUs (:func:`nn.cpu_share`)."""
+    """Worker process: send the model ``train(**kwargs)`` fits, or the
+    exception it raised, over ``conn``. The fit's threads fill at most
+    ``cpus`` CPUs (:func:`nn.cpu_share`)."""
     try:
         with nn.cpu_share(cpus):
             model, _ = train(**kwargs)
-        conn.send((model.params_.vector, {attr: getattr(model, attr) for attr in FIT_RESULTS}))
+        conn.send(model)
     except Exception as exc:  # noqa: BLE001 - the parent raises it in its stage
         conn.send(exc)
     finally:
         conn.close()
 
 
-@contextmanager
-def _retrain_fit(kwargs: dict):
-    """Yield ``(finish, cpus)``: ``finish(like) -> CDModel`` is the model
-    ``train(**kwargs)`` fits, and ``cpus`` the CPUs left to a fit that runs
-    meanwhile in this process (None: every usable CPU).
+def _fit_baselines(fit: dict, orig_records, retain_records) -> tuple[CDModel, CDModel]:
+    """``(m_orig, m_retrain)``: the models ``train(**fit)`` fits on
+    ``orig_records`` and on ``retain_records``, each fit failing in its stage,
+    ``train-original`` or ``train-retrain``.
 
-    When the usable CPUs number at least twice NumPy's BLAS threads, the fit
-    starts at once in a spawned worker process (forking a process that holds
-    BLAS threads is unsafe). ``finish`` waits for it, raises its exception
-    as itself, or rebuilds the model through ``like``, a model of the same
-    hyperparameters and counts. On exit the worker is stopped if it still
-    runs, and joined. The two fits share the CPUs out, the worker's threads
-    (:func:`nn.adam_threads`, :func:`nn.sq_sum_threads`,
-    :func:`nn.predict_threads`) filling half of them, rounded down, and this
-    process's the rest (:func:`nn.cpu_share`).
-    Otherwise ``finish`` runs the fit in-process, on every CPU: with one
-    CPU, with BLAS threads that would contend for the CPUs (OpenBLAS's idle
+    When the usable CPUs number at least twice NumPy's BLAS threads, the
+    retrain starts first, in a spawned worker process (forking a process that
+    holds BLAS threads is unsafe), and the original fits meanwhile in this
+    one; the worker's threads (:func:`nn.adam_threads`,
+    :func:`nn.sq_sum_threads`, :func:`nn.predict_threads`) fill half of the
+    CPUs, rounded down, and this process's the rest (:func:`nn.cpu_share`).
+    The worker sends back its fitted model or its exception, which is raised
+    here as itself; on every exit the worker is stopped, if it still runs,
+    and joined.
+    Otherwise both fit here, the original first, on every CPU: with one CPU,
+    with BLAS threads that would contend for the CPUs (OpenBLAS's idle
     threads spin), or with a BLAS that cannot be asked.
     """
     blas_threads, cpus = nn.blas_threads(), nn.usable_cpus()
     if blas_threads is None or cpus < 2 * blas_threads:
-        yield (lambda like: train(**kwargs)[0]), None
-        return
+        with _stage("train-original"):
+            m_orig, _ = train(train_records=orig_records, **fit)
+        with _stage("train-retrain"):
+            m_retrain, _ = train(train_records=retain_records, **fit)
+        return m_orig, m_retrain
     spawn = multiprocessing.get_context("spawn")
     receiver, sender = spawn.Pipe(duplex=False)
-    worker = spawn.Process(target=_fit_worker, args=(sender, kwargs, cpus // 2))
-
-    def finish(like: CDModel) -> CDModel:
-        try:
-            result = receiver.recv()
-        except EOFError:
-            worker.join()
-            raise RuntimeError(
-                f"the fit worker exited with code {worker.exitcode} and no result"
-            ) from None
-        if isinstance(result, BaseException):
-            raise result
-        return like.with_fit(*result)
-
+    worker = spawn.Process(
+        target=_fit_worker, args=(sender, {**fit, "train_records": retain_records}, cpus // 2)
+    )
     with receiver:
+        with _stage("train-retrain"):
+            try:
+                worker.start()
+            finally:
+                sender.close()
         try:
-            worker.start()
+            with _stage("train-original"), nn.cpu_share(cpus - cpus // 2):
+                m_orig, _ = train(train_records=orig_records, **fit)
+            with _stage("train-retrain"):
+                try:
+                    m_retrain = receiver.recv()
+                except EOFError:
+                    worker.join()
+                    raise RuntimeError(
+                        f"the fit worker exited with code {worker.exitcode} and no result"
+                    ) from None
+                if isinstance(m_retrain, BaseException):
+                    raise m_retrain
+            return m_orig, m_retrain
         finally:
-            sender.close()
-        try:
-            yield finish, cpus - cpus // 2
-        finally:
-            # After finish the worker has nothing left to send; before, its
-            # result is no longer wanted.
+            # Once it has sent, the worker has nothing left to do; before,
+            # its result is no longer wanted.
             worker.terminate()
             worker.join()
 
@@ -484,7 +488,7 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
 
     The retrained model's fit runs in a worker process while the original
     model trains, when the CPUs allow it, each fit on its share of the CPUs
-    (see :func:`_retrain_fit`); both paths give the same bits, and each
+    (see :func:`_fit_baselines`); both paths give the same bits, and each
     fit's ``fit_seconds_`` is its own wall time.
     """
     stages: list[str] = []
@@ -502,25 +506,15 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
         n_students=dataset.n_students,
         n_items=dataset.n_items,
     )
-    with ExitStack() as worker:
-        with _stage("train-retrain"):
-            finish_retrain, cpus = worker.enter_context(
-                _retrain_fit({**fit, "train_records": mia_splits.retain_train_valid})
-            )
-        with _stage("train-original"), nn.cpu_share(cpus):
-            orig_records = (
-                mia_splits.forget_train
-                + mia_splits.retain_train
-                + mia_splits.forget_valid
-                + mia_splits.retain_valid
-            )
-            m_orig, t_orig = train(train_records=orig_records, **fit)
-        stages.append("train-original")
-
-        with _stage("train-retrain"):
-            m_retrain = finish_retrain(m_orig)
-            t_retrain = m_retrain.fit_seconds_
-        stages.append("train-retrain")
+    orig_records = (
+        mia_splits.forget_train
+        + mia_splits.retain_train
+        + mia_splits.forget_valid
+        + mia_splits.retain_valid
+    )
+    m_orig, m_retrain = _fit_baselines(fit, orig_records, mia_splits.retain_train_valid)
+    t_orig, t_retrain = m_orig.fit_seconds_, m_retrain.fit_seconds_
+    stages += ["train-original", "train-retrain"]
 
     with _stage("train-attacker"):
         attacker = fit_attacker(m_orig, mia_splits, config.seed_attack)

@@ -491,15 +491,6 @@ class CDModel:
         clone.params_ = params
         return clone
 
-    def with_fit(self, vector: np.ndarray, fit: dict) -> "CDModel":
-        """A fitted copy of this model with the parameter vector ``vector``, in
-        this model's layout, and the :data:`FIT_RESULTS` ``fit``: another fit
-        of the same hyperparameters and counts, rebuilt from its plain values."""
-        clone = self.with_params(self.params_.with_vector(vector))
-        for attr in FIT_RESULTS:
-            setattr(clone, attr, fit[attr])
-        return clone
-
     def copy(self) -> "CDModel":
         self._require_fitted()
         return self.with_params(self.params_.copy())

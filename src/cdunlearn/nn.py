@@ -219,6 +219,14 @@ class ArrayBundle:
             self._arrays[k] = vec[offset : offset + size].reshape(shape)
             offset += size
 
+    # A pickle or deep copy holds the vector once and makes the layers views
+    # of its copy again.
+    def __getstate__(self):
+        return self.vector, self.layout
+
+    def __setstate__(self, state) -> None:
+        self._place(*state)
+
     @property
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         """The layers' ids and shapes, in layer order."""

@@ -84,6 +84,8 @@ def load_bundle(path: str) -> tuple[dict[str, np.ndarray], dict]:
             raise ContainerError(
                 f"{path}: array entry {entry!r} needs a 'name' and a 'shape' of counts >= 0"
             )
+        if name in arrays:
+            raise ContainerError(f"{path}: array {name!r} is named twice")
         count = math.prod(shape)
         if offset + 8 * count > len(blob):
             raise ContainerError(f"{path}: truncated array {name!r}")

@@ -11,11 +11,9 @@ error over the layer is strictly smaller than leaving the observations alone.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from . import nn
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -130,29 +128,3 @@ def optimal_beta(p: int, sum_sq_dev: float, sigma_sq: float) -> float:
     beta = p * sigma_sq / (sum_sq_dev + p * sigma_sq + sigma_sq)
     return float(min(max(beta, 0.0), 1.0))
 
-
-class BetaRecommendation(NamedTuple):
-    beta: float
-    degenerate: bool  # True when all layer values coincide (no spread to fit)
-
-
-def recommend_beta(imp: nn.ArrayBundle, layer_id: str, sigma_sq: float) -> BetaRecommendation:
-    """Advisory data-driven smoothing factor for one layer.
-
-    Plugs the layer's sample spread into ``(p - 2) * sigma^2 / sum((v - mean)^2)``
-    and clamps to [0, 1]. The caller supplies ``sigma_sq``, the noise variance
-    of each per-parameter value, for example a per-example estimate from the
-    fourth powers of the gradients. The layer's own spread cannot stand in for
-    it: that gives ``(p - 2) / (p - 1)`` whatever the layer holds. Requires at
-    least 3 parameters in the layer.
-    """
-    _require_positive("sigma_sq", sigma_sq)
-    values = imp[layer_id].ravel()
-    p = values.size
-    if p < 3:
-        raise ValueError(f"layer {layer_id!r} has {p} parameters; need >= 3")
-    sum_sq_dev = float(np.square(values - values.mean()).sum())
-    if sum_sq_dev == 0.0:
-        return BetaRecommendation(beta=1.0, degenerate=True)
-    beta = (p - 2) * sigma_sq / sum_sq_dev
-    return BetaRecommendation(beta=float(min(max(beta, 0.0), 1.0)), degenerate=False)

@@ -440,16 +440,21 @@ class TestBaselineFits:
                                                     cpus, blas, spawns):
         monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(nn, "blas_threads", lambda: blas)
-        kwargs = dict(arch_config=CDArchConfig(embed_dim=4, ffn_hidden=(4,)),
-                      train_records=small_dataset.records, valid_records=None,
-                      qmatrix=small_dataset.qmatrix, train_config=TrainConfig(max_epochs=2))
-        like, _ = experiment.train(**kwargs)
-        with experiment._retrain_fit(kwargs) as (finish, share):
-            assert len(multiprocessing.active_children()) == spawns
-            model = finish(like)
-        assert model.params_.vector.tobytes() == like.params_.vector.tobytes()
+        fit = dict(arch_config=CDArchConfig(embed_dim=4, ffn_hidden=(4,)), valid_records=None,
+                   qmatrix=small_dataset.qmatrix, train_config=TrainConfig(max_epochs=2))
+        alone, _ = experiment.train(train_records=small_dataset.records, **fit)
+        seen, train = [], experiment.train
+
+        def in_process(**kw):  # the workers alive and the CPU share as a fit here starts
+            seen.append((len(multiprocessing.active_children()), nn._CPU_SHARE.get()))
+            return train(**kw)
+
+        monkeypatch.setattr(experiment, "train", in_process)
+        fitted = experiment._fit_baselines(fit, small_dataset.records, small_dataset.records)
+        assert seen == ([(1, cpus - cpus // 2)] if spawns else [(0, None)] * 2)
+        for model in fitted:
+            assert model.params_.vector.tobytes() == alone.params_.vector.tobytes()
         assert multiprocessing.active_children() == []
-        assert share == (cpus - cpus // 2 if spawns else None)
 
     # (usable CPUs, Adam threads of the in-process fit, of the worker's fit):
     # the two fits share the CPUs out, the worker taking half, rounded down.

@@ -1,6 +1,8 @@
 """Architecture behavior: masking, decoupling, proficiency, training quality,
 and the monotonic mastery-table variant."""
 
+import copy
+import pickle
 from dataclasses import asdict
 
 import numpy as np
@@ -239,3 +241,21 @@ def test_with_params_needs_the_model_layer_order(small_model):
     reordered = nn.ArrayBundle(dict(reversed(list(small_model.params_.items()))))
     with pytest.raises(ValueError, match="layout"):
         small_model.with_params(reordered)
+
+
+@pytest.mark.parametrize("arch", ["decoupled", "neuralcdm"])
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+def test_a_copied_model_keeps_its_bits_views_and_read_only_qmatrix(small_dataset, arch, how):
+    # The fit worker sends its model back pickled.
+    model = CDModel(arch=arch, embed_dim=6, ffn_hidden=(6,), max_epochs=2, seed=4)
+    model.fit(small_dataset.records, small_dataset.qmatrix)
+    copied = pickle.loads(pickle.dumps(model)) if how == "pickle" else copy.deepcopy(model)
+    assert copied.params_.vector.tobytes() == model.params_.vector.tobytes()
+    assert copied.params_.layout == model.params_.layout
+    assert not np.shares_memory(copied.params_.vector, model.params_.vector)
+    for _, layer in copied.params_.items():
+        assert np.shares_memory(layer, copied.params_.vector)
+    assert not copied.qmatrix_.entries.flags.writeable
+    assert np.array_equal(copied.qmatrix_.entries, model.qmatrix_.entries)
+    records = small_dataset.records[:40]
+    assert model.predict_proba(records).tobytes() == copied.predict_proba(records).tobytes()

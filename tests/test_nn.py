@@ -531,6 +531,13 @@ class TestCheckpointContainer:
         with pytest.raises(serialize.ContainerError, match="trailing"):
             serialize.load_bundle(str(path))
 
+    def test_array_named_twice_rejected(self, tmp_path):
+        path = tmp_path / "twice.bin"
+        serialize.save_bundle(str(path), {"a": np.arange(3.0), "b": np.arange(3.0)}, {})
+        rewrite_header(path, lambda h: _rename_array(h, "b", "a"))
+        with pytest.raises(serialize.ContainerError, match="array 'a' is named twice"):
+            serialize.load_bundle(str(path))
+
     @pytest.mark.parametrize(
         "edit",
         [

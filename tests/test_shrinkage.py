@@ -4,12 +4,9 @@ shrink weight."""
 import numpy as np
 import pytest
 
-from cdunlearn import nn
 from cdunlearn.shrinkage import (
-    BetaRecommendation,
     closed_form_mse,
     optimal_beta,
-    recommend_beta,
     simulate_mse,
 )
 
@@ -245,52 +242,6 @@ class TestImprovementRange:
         result = _one(beta=0.5, p=p, true_means=means, trials=5_000)
         assert result["mse_adjusted"] > result["mse_naive"]
         assert closed_form_mse(p, means, 1.0, 0.5) > p * 1.0
-
-
-class TestRecommendBeta:
-    def test_small_layer_rejected(self):
-        imp = nn.ArrayBundle({"tiny": np.array([0.1, 0.2])})
-        with pytest.raises(ValueError, match=">= 3"):
-            recommend_beta(imp, "tiny", sigma_sq=1.0)
-
-    def test_constant_layer_is_degenerate(self):
-        imp = nn.ArrayBundle({"flat": np.full(10, 0.4)})
-        rec = recommend_beta(imp, "flat", sigma_sq=1.0)
-        assert rec == BetaRecommendation(beta=1.0, degenerate=True)
-
-    def test_planted_noise_recovers_optimal_weight(self):
-        rng = np.random.default_rng(8)
-        p, sigma = 500, 0.3
-        means = rng.uniform(2.0, 3.0, size=p)  # keep observations positive
-        observed = means + rng.standard_normal(p) * sigma
-        imp = nn.ArrayBundle({"layer": observed})
-        rec = recommend_beta(imp, "layer", sigma_sq=sigma**2)
-        truth = optimal_beta(p, float(np.square(means - means.mean()).sum()), sigma**2)
-        assert abs(rec.beta - truth) <= 0.25 * truth
-        assert not rec.degenerate
-
-    def test_clamped_into_unit_interval(self):
-        rng = np.random.default_rng(9)
-        imp = nn.ArrayBundle({"layer": rng.standard_normal(20) * 1e-3 + 5.0})
-        rec = recommend_beta(imp, "layer", sigma_sq=100.0)
-        assert rec.beta == 1.0
-
-    def test_equal_sizes_different_spreads_give_different_weights(self):
-        rng = np.random.default_rng(10)
-        noise = rng.standard_normal(50)
-        imp = nn.ArrayBundle({"tight": 10.0 + 0.5 * noise, "wide": 10.0 + 2.0 * noise})
-        tight = recommend_beta(imp, "tight", sigma_sq=0.1)
-        wide = recommend_beta(imp, "wide", sigma_sq=0.1)
-        assert 0.0 < wide.beta < tight.beta < 1.0
-        assert tight.beta == pytest.approx(16 * wide.beta)
-        with pytest.raises(TypeError):  # the layer's own spread is no noise estimate
-            recommend_beta(imp, "tight")
-
-    @pytest.mark.parametrize("sigma_sq", [0.0, -1.0, float("nan"), float("inf")])
-    def test_nonpositive_noise_variance_rejected(self, sigma_sq):
-        imp = nn.ArrayBundle({"layer": np.linspace(0.0, 1.0, 10)})
-        with pytest.raises(ValueError, match="sigma_sq must be positive"):
-            recommend_beta(imp, "layer", sigma_sq=sigma_sq)
 
 
 def test_sweep_rows_share_common_draws():
