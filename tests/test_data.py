@@ -1,7 +1,9 @@
 """Ingestion, record splitting, and the student-level MIA partition."""
 
+import copy
 import csv
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -120,6 +122,15 @@ class TestLoadQMatrix:
         ds = synth.generate_dataset(10, 5, 3, seed=0)
         with pytest.raises(DataValidationError):
             ds.with_qmatrix(QMatrix(np.ones((4, 3))))
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_a_copy_keeps_its_entries_read_only(self, frcsub_paths, how):
+        qm = load_qmatrix(frcsub_paths[1])
+        copied = pickle.loads(pickle.dumps(qm)) if how == "pickle" else copy.deepcopy(qm)
+        assert isinstance(copied, QMatrix)
+        assert np.array_equal(copied.entries, qm.entries)
+        assert not np.shares_memory(copied.entries, qm.entries)
+        assert not copied.entries.flags.writeable
 
 
 class TestSplitRecords:

@@ -1,8 +1,10 @@
 """Numeric core: losses, optimizers, exact gradients, squared-gradient
 accumulation, and the checkpoint container."""
 
+import copy
 import json
 import math
+import pickle
 import re
 import sys
 import threading
@@ -246,6 +248,8 @@ def _saved_and_loaded(small_model, tmp_path):
 BUNDLE_ROUTES = {
     "constructor": lambda m, tmp: nn.ArrayBundle(_bundle_with_odd_bits()),
     "copy": lambda m, tmp: nn.ArrayBundle(_bundle_with_odd_bits()).copy(),
+    "pickle": lambda m, tmp: pickle.loads(pickle.dumps(nn.ArrayBundle(_bundle_with_odd_bits()))),
+    "deepcopy": lambda m, tmp: copy.deepcopy(nn.ArrayBundle(_bundle_with_odd_bits())),
     "zeros": lambda m, tmp: nn.ArrayBundle(_bundle_with_odd_bits()).zeros(),
     "with_vector": lambda m, tmp: m.params_.with_vector(np.arange(m.params_.total_size)[::-1]),
     "fim_diag": lambda m, tmp: importance.fim_diag(m, [(0, 0, 1)]),
@@ -279,6 +283,18 @@ class TestArrayBundleLayout:
         for k, values in given.items():
             assert_same_bits(bundle[k], values)
             assert not np.shares_memory(bundle[k], values)
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_a_copy_keeps_the_bits_and_its_layers_follow_its_vector(self, how):
+        bundle = nn.ArrayBundle(_bundle_with_odd_bits())
+        copied = pickle.loads(pickle.dumps(bundle)) if how == "pickle" else copy.deepcopy(bundle)
+        assert copied.layout == bundle.layout
+        assert_same_bits(copied.vector, bundle.vector)
+        assert not np.shares_memory(copied.vector, bundle.vector)
+        copied.vector += 1.0
+        for k, values in copied.items():
+            assert_same_bits(values, bundle[k] + 1.0)
+        assert_same_bits(bundle.vector, nn.ArrayBundle(_bundle_with_odd_bits()).vector)
 
     def test_vector_operations_keep_the_bits(self):
         bundle = nn.ArrayBundle(_bundle_with_odd_bits())
