@@ -23,7 +23,7 @@ import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,34 +62,67 @@ SCHEMA_VERSION = 1
 
 
 class Algorithm(NamedTuple):
-    """How a config spells one unlearning algorithm."""
+    """How a config spells one unlearning algorithm, and how it runs (see :func:`sweep`)."""
 
     defaults: dict  # key -> default value
     optional: set  # keys taken without a default
     grid: dict  # the stock sweep grid: key -> values, the first axis outermost
+    run: Callable  # (model, forget, retain, params) -> (unlearned model, UnlearnReport)
+    family: Callable | None = None  # params -> the key of what the estimate reads
+    estimate: Callable | None = None  # (model, forget, retain, points) -> a pair per point
 
 
+def _hif_config(params: dict) -> HIFConfig:
+    """The attenuation that resolved ``params`` ask for; beta defaults to 0."""
+    return HIFConfig(params["alpha"], params["lambda_"], params.get("beta", 0.0),
+                     params.get("excluded_layers", frozenset()))
+
+
+def _seeded(spec: Algorithm, params: dict, seed: int) -> dict:
+    """``params``, with ``seed`` for an unset seed if the algorithm takes one."""
+    return {"seed": seed, **params} if "seed" in spec.optional else params
+
+
+def _fisher_estimate(model, forget, retain, points):
+    return [fisher_pair(model, forget, retain)] * len(points)
+
+
+def _hessian_estimate(model, forget, retain, points):
+    """One :func:`hessian_pair` call over the family's distinct probe counts."""
+    counts = tuple(dict.fromkeys(p["n_probe_samples"] for p in points))
+    pairs = hessian_pair(model, forget, retain, counts, points[0]["n_batches"], points[0]["seed"])
+    return [pairs[counts.index(p["n_probe_samples"])] for p in points]
+
+
+# Each run names its function at call time, so that a wrapped module attribute is the one called.
 ALGORITHMS: dict[str, Algorithm] = {
     "hif": Algorithm(
         {"alpha": 1.3, "lambda_": 0.5, "beta": 0.1},
         {"excluded_layers"},
         {"alpha": (1.3, 2.0, 2.5, 5.0), "lambda_": (0.1, 0.3, 0.5, 0.8),
          "beta": (0.02, 0.05, 0.1, 0.3, 0.5)},
+        lambda model, forget, retain, p: hif_unlearn(model, forget, retain, _hif_config(p)),
+        lambda p: (), _fisher_estimate,
     ),
     "fim": Algorithm(
         {"alpha": 1.3, "lambda_": 0.5},
         {"excluded_layers"},
         {"alpha": (1.3, 2.0, 2.5, 5.0), "lambda_": (0.1, 0.3, 0.5, 0.8)},
+        lambda model, forget, retain, p: fim_unlearn(model, forget, retain, **p),
+        lambda p: (), _fisher_estimate,
     ),
     "gradasc": Algorithm(
         {"lr": 1e-4, "steps": 3},
         set(),
         {"lr": (1e-5, 5e-5, 1e-4), "steps": (1, 3, 5)},
+        lambda model, forget, retain, p: gradient_ascent_unlearn(model, forget, **p),
     ),
     "hessian": Algorithm(
         {"alpha": 1.3, "lambda_": 0.5, "n_probe_samples": 20, "n_batches": 1},
         {"excluded_layers", "seed"},
         {"n_probe_samples": (10, 20, 40), "n_batches": (1, 2)},
+        lambda model, forget, retain, p: hessian_unlearn(model, forget, retain, **p),
+        lambda p: (p["n_batches"], p["seed"]), _hessian_estimate,
     ),
 }
 ALGORITHM_NAMES = tuple(ALGORITHMS)
@@ -149,8 +182,8 @@ _VALUE_RULES = {
 def resolve_params(name: str, params: dict, architecture: CDArchConfig) -> dict:
     """``params`` merged over the algorithm's defaults. An unknown algorithm
     or key, a value the algorithm would reject, or an excluded layer that
-    ``architecture`` does not have raises :class:`ConfigError`; fim and
-    hessian are checked at beta 0."""
+    ``architecture`` does not have raises :class:`ConfigError`; an algorithm
+    without a beta is checked at beta 0 (:func:`_hif_config`)."""
     spec = _algorithm(name)
     unknown = set(params) - set(spec.defaults) - spec.optional
     if unknown:
@@ -162,7 +195,7 @@ def resolve_params(name: str, params: dict, architecture: CDArchConfig) -> dict:
             raise ConfigError(f"algorithm {name!r}: {key} must be {want}, got {value!r}")
     if "alpha" in resolved:
         try:
-            HIFConfig(resolved["alpha"], resolved["lambda_"], resolved.get("beta", 0.0))
+            _hif_config(resolved)
         except ValueError as exc:
             raise ConfigError(f"algorithm {name!r}: {exc}") from None
     # The layer ids depend on the architecture alone, not on the data's counts.
@@ -193,7 +226,7 @@ class ExperimentConfig:
     unlearn_ratio: float = 0.1
     architecture: CDArchConfig = field(default_factory=CDArchConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
-    algorithms: dict[str, dict] = field(default_factory=lambda: {"hif": {}})
+    algorithms: dict[str, dict] = field(default_factory=lambda: {ALGORITHM_NAMES[0]: {}})  # hif
     seed_data: int = 0
     seed_model: int = 0
     seed_attack: int = 0
@@ -547,20 +580,11 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
 def run_algorithm(
     model: CDModel, splits: MiaSplits, name: str, params: dict, seed: int
 ) -> tuple[CDModel, UnlearnReport]:
-    """Unlearn the forget students of ``splits`` from ``model`` with one
-    algorithm and its :func:`resolve_params` parameters; ``seed`` is hessian's
-    probe seed unless ``params`` sets one."""
-    forget = splits.forget_train_valid
-    retain = splits.retain_train_valid
-    if name == "hif":
-        return hif_unlearn(model, forget, retain, HIFConfig(**params))
-    if name == "fim":
-        return fim_unlearn(model, forget, retain, **params)
-    if name == "gradasc":
-        return gradient_ascent_unlearn(model, forget, **params)
-    if name == "hessian":
-        return hessian_unlearn(model, forget, retain, **{"seed": seed, **params})
-    raise ConfigError(f"unknown algorithm {name!r}")
+    """Unlearn the forget students of ``splits`` from ``model`` by the entry's
+    ``run`` on :func:`resolve_params` parameters, an unset seed defaulting to ``seed``."""
+    spec = _algorithm(name)
+    return spec.run(model, splits.forget_train_valid, splits.retain_train_valid,
+                    _seeded(spec, params, seed))
 
 
 def apply_algorithm(
@@ -662,29 +686,21 @@ def sweep(
 ) -> SweepResult:
     """Grid-search unlearning hyperparameters over a shared trained context.
 
-    The original/retrained models and the attacker are trained once. For the
-    Fisher-guided algorithms (hif, fim) the two Fisher maps are also computed
-    once and every grid point runs only :func:`attenuate`, which is sound
-    because attenuation is a pure function of (model, maps, config). So do
-    the hessian points: each ``(n_batches, seed)`` family, the seed defaulting
-    as in :func:`apply_algorithm`, is estimated once by one
-    :func:`hessian_pair` call over its distinct probe counts (a k-probe
-    estimate is the first k probes of a longer run), which gives each point
-    the bits :func:`apply_algorithm` would. ``points`` keeps grid order. Every
-    grid point goes through :func:`resolve_params`, as a run's config does,
-    before anything is trained, so an unknown key or a bad value raises
-    :class:`ConfigError`, as do ``grids`` that are not a mapping of algorithm
-    to a list of parameter objects or that name an algorithm not in
-    ``config.algorithms``. The selected best config is then re-run end to
-    end through :func:`apply_algorithm` to confirm its metrics and measure
-    honest wall time (:meth:`SweepResult.timing_dict`); like any
-    request on the same model and records, the re-run reuses the memoized
-    whole-set Fisher sum (see :func:`fisher_pair`). A point is feasible
-    when its utility AUC is within ``epsilon_utility`` (not NaN) of the
-    original model's; among feasible points the winner minimizes the distance
-    of its attack AUC from the retrained model's. A sweep ends by handing the
-    heap pages its points freed back to the system (:func:`nn.trim_heap`):
-    at 10,000 students, 20-30 MB that the C library would keep resident.
+    Every grid point goes through :func:`resolve_params` before anything is
+    trained, and ``grids`` must map algorithms of ``config.algorithms`` to
+    lists of parameter objects; else :class:`ConfigError`. The models and
+    the attacker are trained once. Points whose entries have the same
+    ``estimate`` and ``family`` key (the seed defaulting as in
+    :func:`run_algorithm`) share one estimate call, and each then runs one
+    :func:`attenuate`, a pure function that gives the bits
+    :func:`apply_algorithm` would; every other point runs through
+    :func:`apply_algorithm`. ``points`` keeps grid order. A point is
+    feasible when its utility AUC is within ``epsilon_utility`` (not NaN) of
+    the original model's. The feasible point whose attack AUC is nearest the
+    retrained model's is re-run through :func:`apply_algorithm` for its wall
+    time (:meth:`SweepResult.timing_dict`). The sweep ends by handing freed
+    heap pages back to the system (:func:`nn.trim_heap`): at 10,000
+    students, 20-30 MB that the C library would keep resident.
     """
     if not _number(epsilon_utility) or np.isnan(epsilon_utility):
         raise ConfigError(f"epsilon_utility must be a number, got {epsilon_utility!r}")
@@ -697,68 +713,52 @@ def sweep(
     unknown = sorted(set(grids) - set(config.algorithms))
     if unknown:
         raise ConfigError(f"grid names algorithms {unknown} that the config does not run")
-    algo_grids: dict[str, list[dict]] = {}
+    requests: list[tuple[str, dict]] = []  # (algorithm, resolved point), in grid order
     for name, base in config.algorithms.items():
         grid = grids.get(name, default_grid(name))
         if not grid:
             raise ConfigError(f"empty grid for algorithm {name!r}")
-        algo_grids[name] = [
-            resolve_params(name, {**base, **point}, config.architecture) for point in grid
-        ]
+        requests += [(name, resolve_params(name, {**base, **point}, config.architecture))
+                     for point in grid]
     if ctx is None:
         ctx = build_context(config)
-    # The record sets are built per estimate, not held through the point loop:
-    # at 10k students the retain set is megabytes.
+    families: dict[tuple, dict[int, dict]] = {}  # (estimate, key) -> request index -> point
+    for i, (name, params) in enumerate(requests):
+        spec = ALGORITHMS[name]
+        if spec.estimate is not None:
+            seeded = _seeded(spec, params, ctx.config.seed_model)
+            families.setdefault((spec.estimate, spec.family(seeded)), {})[i] = seeded
+    pairs = {}  # request index -> its (forget, retain) importance pair
     splits = ctx.mia_splits
-
-    fisher = None
-    if any(name in ("hif", "fim") for name in algo_grids):
-        fisher = fisher_pair(ctx.m_orig, splits.forget_train_valid, splits.retain_train_valid)
-
-    def family(params: dict) -> tuple[int, int]:
-        """What a hessian estimate reads besides its probe count; the seed
-        defaults as in :func:`apply_algorithm`."""
-        return params["n_batches"], params.get("seed", ctx.config.seed_model)
-
-    families: dict[tuple[int, int], dict[int, None]] = {}  # family -> its probe counts
-    for params in algo_grids.get("hessian", ()):
-        families.setdefault(family(params), {})[params["n_probe_samples"]] = None
-    hessian = {}  # (n_batches, seed, n_probe_samples) -> the |Hessian| pair
-    for (n_batches, seed), counts in families.items():
-        pairs = hessian_pair(ctx.m_orig, splits.forget_train_valid, splits.retain_train_valid,
-                             tuple(counts), n_batches, seed)
-        hessian.update({(n_batches, seed, n): pair for n, pair in zip(counts, pairs)})
+    for (estimate, _), family in families.items():
+        # The record sets are built per estimate, not held through the point
+        # loop: at 10k students the retain set is megabytes.
+        pairs.update(zip(family, estimate(ctx.m_orig, splits.forget_train_valid,
+                                          splits.retain_train_valid, list(family.values()))))
 
     retrain_mia = ctx.retrain_entry.mia_auc
     orig_auc = ctx.orig_entry.utility_auc
     points: list[SweepPoint] = []
-    for name, grid in algo_grids.items():
-        for params in grid:
-            if name == "gradasc":
-                model, ureport = apply_algorithm(ctx, name, params)
-                n_modified = ureport.parameters_modified
-            else:
-                pair = (hessian[(*family(params), params["n_probe_samples"])]
-                        if name == "hessian" else fisher)
-                attenuation = HIFConfig(
-                    params["alpha"], params["lambda_"], params.get("beta", 0.0),
-                    params.get("excluded_layers", frozenset()),
-                )
-                model, n_modified = attenuate(ctx.m_orig, *pair, attenuation)
-            entry = ctx.entry_for(name, model)
-            points.append(
-                SweepPoint(
-                    algorithm=name,
-                    params=params,
-                    utility_auc=entry.utility_auc,
-                    utility_acc=entry.utility_acc,
-                    mia_auc=entry.mia_auc,
-                    mia_acc=entry.mia_acc,
-                    parameters_modified=int(n_modified),
-                    mia_gap=abs(entry.mia_auc - retrain_mia),
-                    feasible=entry.utility_auc >= orig_auc - epsilon_utility,
-                )
+    for i, (name, params) in enumerate(requests):
+        if i in pairs:
+            model, n_modified = attenuate(ctx.m_orig, *pairs[i], _hif_config(params))
+        else:
+            model, ureport = apply_algorithm(ctx, name, params)
+            n_modified = ureport.parameters_modified
+        entry = ctx.entry_for(name, model)
+        points.append(
+            SweepPoint(
+                algorithm=name,
+                params=params,
+                utility_auc=entry.utility_auc,
+                utility_acc=entry.utility_acc,
+                mia_auc=entry.mia_auc,
+                mia_acc=entry.mia_acc,
+                parameters_modified=int(n_modified),
+                mia_gap=abs(entry.mia_auc - retrain_mia),
+                feasible=entry.utility_auc >= orig_auc - epsilon_utility,
             )
+        )
 
     feasible = [p for p in points if p.feasible]
     best = min(feasible, key=lambda p: p.mia_gap) if feasible else None

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cdunlearn
-from cdunlearn import data, experiment, nn, synth
+from cdunlearn import data, experiment, importance, nn, synth
 from cdunlearn.cli import main as cli_main
 from cdunlearn.experiment import (
     ALGORITHM_NAMES,
@@ -30,6 +30,7 @@ from cdunlearn.experiment import (
 )
 from cdunlearn.model import CDArchConfig, CDModel
 from cdunlearn.nn import TrainConfig
+from cdunlearn.unlearn import UnlearnReport
 
 from tests.test_nn import MALFORMED_CHECKPOINTS, rewrite_header
 
@@ -516,7 +517,8 @@ class TestBaselineFits:
 
 @pytest.fixture(scope="module")
 def sweep_ctx(tiny_paths):
-    config = _tiny_config(tiny_paths, "sweep_ctx", algorithms={"hif": {}, "fim": {}})
+    config = _tiny_config(tiny_paths, "sweep_ctx",
+                          algorithms={"hif": {}, "fim": {}, "gradasc": {}})
     return config, build_context(config)
 
 
@@ -571,18 +573,66 @@ class TestSweep:
         with pytest.raises(ValueError, match=key):
             sweep(config, grids={name: [point]}, ctx=ctx, epsilon_utility=-1.0)
 
-    def test_fisher_points_match_apply_algorithm(self, sweep_ctx):
+    def test_fisher_points_match_apply_algorithm(self, sweep_ctx, monkeypatch):
         config, ctx = sweep_ctx
         grids = {
             "hif": [{"alpha": 2.0, "lambda_": 0.8, "beta": 0.3}],
             "fim": [{"alpha": 1.3, "lambda_": 0.5, "excluded_layers": ["kc_emb"]}],
+            "gradasc": [{"lr": 5e-5, "steps": 1}],
         }
+        models = []
+        entry_for = ctx.entry_for
+        monkeypatch.setattr(ctx, "entry_for",
+                            lambda tag, model: models.append(model) or entry_for(tag, model))
         result = sweep(config, grids=grids, ctx=ctx, epsilon_utility=-1.0)
-        for point in result.points:
-            model, ureport = apply_algorithm(ctx, point.algorithm, point.params)
-            direct = ctx.entry_for(point.algorithm, model, ureport)
+        monkeypatch.undo()
+        assert [p.algorithm for p in result.points] == ["hif", "fim", "gradasc"]
+        for point, model in zip(result.points, models, strict=True):
+            direct, ureport = apply_algorithm(ctx, point.algorithm, point.params)
+            entry = ctx.entry_for(point.algorithm, direct, ureport)
+            assert model.params_.vector.tobytes() == direct.params_.vector.tobytes()
             assert point.parameters_modified == ureport.parameters_modified > 0
-            assert (point.utility_auc, point.mia_auc) == (direct.utility_auc, direct.mia_auc)
+            assert (point.utility_auc, point.mia_auc) == (entry.utility_auc, entry.mia_auc)
+
+    def test_hif_and_fim_share_one_fisher_estimate(self, sweep_ctx, monkeypatch):
+        # A separate estimate per algorithm would pass every bit test: its
+        # second whole-set sum is a memo hit. Only the forget-side pass shows it.
+        config, ctx = sweep_ctx
+        grids = {
+            "hif": [{"alpha": 1.3, "lambda_": 0.5, "beta": 0.1}, {"alpha": 2.0, "beta": 0.0}],
+            "fim": [{"alpha": 1.3, "lambda_": 0.5}, {"alpha": 5.0, "lambda_": 0.8}],
+            "gradasc": [{"lr": 1e-5, "steps": 1}],
+        }
+        fim_diag, calls = importance.fim_diag, []
+        monkeypatch.setattr(importance, "fim_diag",
+                            lambda *args, **kwargs: calls.append(1) or fim_diag(*args, **kwargs))
+        result = sweep(config, grids=grids, ctx=ctx, epsilon_utility=-1.0)
+        assert len(result.points) == 5 and result.best is None
+        assert len(calls) == 1
+
+    def test_a_new_algorithm_needs_only_its_table_entry(self, tiny_paths, sweep_ctx, monkeypatch):
+        def run(model, forget, retain, params):
+            return model.copy(), UnlearnReport("noop", 0, 0.0, dict(params))
+
+        monkeypatch.setitem(experiment.ALGORITHMS, "noop", experiment.Algorithm({}, set(), {}, run))
+        config = _tiny_config(tiny_paths, "sweep_noop", algorithms={"noop": {}})
+        ctx = sweep_ctx[1]
+        assert config.algorithms == {"noop": {}}
+        orig_bytes = ctx.m_orig.params_.vector.tobytes()
+        model, report = experiment.run_algorithm(ctx.m_orig, ctx.mia_splits, "noop", {}, 0)
+        assert report.parameters_modified == 0
+        assert model.params_.vector.tobytes() == orig_bytes
+        models = []
+        entry_for = ctx.entry_for
+        monkeypatch.setattr(ctx, "entry_for",
+                            lambda tag, model, *report: models.append(model)
+                            or entry_for(tag, model, *report))
+        result = sweep(config, ctx=ctx)
+        assert [(p.algorithm, p.params, p.parameters_modified) for p in result.points] == [
+            ("noop", {}, 0)
+        ]
+        assert result.best_entry.parameters_modified == 0  # the re-run of the one stock point
+        assert [m.params_.vector.tobytes() for m in models] == [orig_bytes] * 2
 
     def test_hessian_points_match_apply_algorithm(self, hessian_sweep_ctx, monkeypatch):
         config, ctx = hessian_sweep_ctx
