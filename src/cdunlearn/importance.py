@@ -130,7 +130,7 @@ def smooth_importance(
     imp: nn.ArrayBundle, layer_means: dict[str, float], beta: float
 ) -> nn.ArrayBundle:
     """Convex combination of each value with its layer mean:
-    ``(1 - beta) * value + beta * layer_mean``.
+    ``(1 - beta) * value + beta * layer_mean``, in a new bundle.
 
     ``beta=0`` returns the input values bit-for-bit; ``beta=1`` floods every
     layer with its mean. The within-layer mean is invariant for any beta.

@@ -24,16 +24,19 @@ it goes, so a cache serves one ``backward`` call.
 
 An :class:`ArrayBundle` is flat: its layers are views of one contiguous
 vector from construction on. ``optimizer_step`` updates that vector, and
-Adam's moments, with a few whole-vector operations. In a fit of at least
-twice :data:`ADAM_MIN_ENTRIES_PER_THREAD` parameters, Adam's moment decay and
-its update each split over k contiguous ranges on k threads, when the CPUs
-allow it (:func:`adam_threads`). The bits cannot move: each element still gets
-the same correctly rounded IEEE operations, in the same order, on one thread.
-:func:`sum_sq_grads` likewise runs its batches on threads
+Adam's moments, with a few whole-vector operations. Adam's step has a
+gradient-free phase (the moment decay, and the update of every row the batch
+does not touch) and a gradient phase (the batch's terms, the update of what
+it touches, and ``p -= u``). In a fit of at least twice
+:data:`ADAM_MIN_ENTRIES_PER_THREAD` parameters, when the CPUs allow it
+(:func:`adam_threads`), the gradient-free phase runs in chunks on the fit's
+pool during the batch's forward and backward, which read only the
+parameters (:func:`_alongside`). The bits cannot move: each element still
+gets the same correctly rounded IEEE operations, in the same order, on one
+thread. :func:`sum_sq_grads` likewise runs its batches on threads
 (:func:`sq_sum_threads`) and adds them up in batch order, and
 :func:`_predict_all` its chunks of rows (:func:`predict_threads`), each into
-its own slice of the result. All three go through one runner,
-:func:`_over_chunks`.
+its own slice of the result, both through :func:`_over_chunks`.
 """
 
 from __future__ import annotations
@@ -77,6 +80,11 @@ ROW_GRAD_MIN_ENTRIES_PER_RECORD = 256
 # from 2,500 (86k); 2-epoch fits at density 0.2 lost at 3,000 (102k, 0.91 ->
 # 0.95-1.12 s), tied at 4,000 (134k) and won from 5,000 (166k, 1.74 -> 1.59 s).
 ADAM_MIN_ENTRIES_PER_THREAD = 2**16
+# Adam's gradient-free phase runs in chunks of about this many entries, which
+# a threaded state's threads share (make_optimizer). On one thread (2-vCPU
+# x86-64 VM) a step of the 326k-entry deletions-m model took 1.77-1.86 ms in
+# chunks of 2**15 entries and 1.79-1.87 ms in one; with 2**13 it took 1.93-2.14.
+ADAM_CHUNK_ENTRIES = 2**15
 # sum_sq_grads runs on one thread per this many batches, up to the CPUs BLAS
 # leaves free (sq_sum_threads). On a 2-vCPU x86-64 VM at one BLAS thread, with
 # the default widths, 2 threads beat one from 2 batches of 4,096 records up
@@ -378,8 +386,8 @@ def _over_chunks(
     take: Callable[[object], None] = _ignore, pool: Executor | None = None,
 ) -> None:
     """``take(run(chunk))`` for every chunk, with ``take`` called in chunk
-    order on this thread: the one thread runner of Adam's step, of
-    :func:`sum_sq_grads` and of :func:`_predict_all`.
+    order on this thread: the thread runner of :func:`sum_sq_grads` and of
+    :func:`_predict_all`.
 
     With ``threads`` k >= 2 the chunks go in rounds of k: the first of a
     round runs on this thread and the others on ``pool``, each in a copy of
@@ -443,14 +451,16 @@ class OptimizerState:
     """SGD or Adam state for the parameters given to :func:`make_optimizer`.
 
     Adam's moments ``m`` and ``v`` are bundles of the parameters' layout.
-    ``scratch`` holds two vectors of the parameters' size: one step gathers
-    the dense gradient into the first and computes its terms in both.
-    ``parts`` are the contiguous ranges of the vector that Adam's moment
-    decay and update run over, the first on the calling thread and each
-    other one on a thread of ``pool``; with one part there is no pool.
-    Threads change no bit: an element gets the same ufunc operations in
-    every part, and each is correctly rounded, so where a range starts (and
-    which elements fall in a SIMD body or its tail) cannot show.
+    ``scratch`` holds two vectors of the parameters' size, ``u`` and ``t``:
+    a step gathers the dense gradient into ``u``, computes its terms and the
+    update in both, and ends with ``p -= u``. Adam's step has two phases (see
+    :func:`optimizer_step`). The gradient-free one runs over ``chunks``,
+    contiguous ``(start, stop)`` ranges of the vector, on ``threads``
+    threads: the calling one and ``threads - 1`` of ``pool``, which the
+    caller owns. It computes the update over ``row_spans``, the ranges of the
+    layers whose last gradient came as a :class:`RowGrad`. ``ahead`` says
+    that step ``step``'s gradient-free phase has run and its gradient phase
+    has not.
     """
 
     kind: str
@@ -459,8 +469,11 @@ class OptimizerState:
     step: int = 0
     m: ArrayBundle | None = None
     v: ArrayBundle | None = None
-    parts: tuple[slice, ...] = (slice(None),)
+    chunks: tuple[tuple[int, int], ...] = ()
+    threads: int = 1
     pool: Executor | None = None
+    row_spans: frozenset[tuple[int, int]] = frozenset()
+    ahead: bool = False
 
 
 def make_optimizer(
@@ -468,9 +481,10 @@ def make_optimizer(
 ) -> OptimizerState:
     """A fresh SGD or Adam state for ``params``, which it leaves as it is.
 
-    With ``threads`` k >= 2, Adam's whole-vector phases run over k ranges of
-    about equal size, k - 1 of them on ``pool``, which the caller owns and
-    which should have k - 1 threads. SGD runs on the calling thread.
+    Adam's gradient-free phase runs in chunks of about
+    :data:`ADAM_CHUNK_ENTRIES` entries. With ``threads`` k >= 2, k threads
+    share them, k - 1 of them ``pool``'s, which the caller owns and which
+    should have k - 1 threads. SGD runs on the calling thread.
     """
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
@@ -482,49 +496,129 @@ def make_optimizer(
     state = OptimizerState(kind=kind, lr=lr, scratch=(np.empty(n), np.empty(n)))
     if kind == "adam":
         state.m, state.v = params.zeros(), params.zeros()
-        if threads > 1:
-            edges = [0, *(n * i // threads // 8 * 8 for i in range(1, threads)), n]  # 64-byte lines
-            state.parts = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
-            state.pool = pool
+        count = max(1, round(n / ADAM_CHUNK_ENTRIES))
+        edges = [0, *(n * i // count // 8 * 8 for i in range(1, count)), n]  # 64-byte lines
+        state.chunks = tuple(zip(edges, edges[1:]))
+        state.threads, state.pool = threads, pool
     return state
 
 
 def _gather_dense(
     params: ArrayBundle, grads: GradMap, out: np.ndarray
-) -> tuple[list[slice], list[tuple[str, RowGrad]]]:
+) -> tuple[list[slice], list[tuple[slice, RowGrad]]]:
     """Copy each run of adjacent dense layers of ``grads`` into ``out``, at the
     offsets those layers have in ``params.vector``, with one ``concatenate``
-    per run. Returns the runs' slices and the :class:`RowGrad` layers."""
+    per run. Returns the runs' slices and the :class:`RowGrad` layers, each
+    with its slice of the vector."""
     slices, row_layers = [], []
     offset = 0
     for is_rows, run in groupby(params.items(), lambda kv: isinstance(grads[kv[0]], RowGrad)):
         ids = [k for k, _ in run]
-        size = sum(params[k].size for k in ids)
         if is_rows:
-            row_layers += [(k, grads[k]) for k in ids]
+            for k in ids:
+                row_layers.append((slice(offset, offset + params[k].size), grads[k]))
+                offset += params[k].size
         else:
-            sl = slice(offset, offset + size)
+            sl = slice(offset, offset + sum(params[k].size for k in ids))
             np.concatenate([grads[k].ravel() for k in ids], out=out[sl])
             slices.append(sl)
-        offset += size
+            offset = sl.stop
     return slices, row_layers
 
 
-def _adam_decay(part: slice, m: np.ndarray, v: np.ndarray) -> None:
-    ms, vs = m[part], v[part]
-    ms *= ADAM_BETA1
-    vs *= ADAM_BETA2
+def _bias_corrections(step: int) -> tuple[float, float]:
+    return 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
 
 
-def _adam_update(part: slice, p, m, v, u, t, bc1: float, bc2: float, lr: float) -> None:
-    ps, ms, vs, us, ts = p[part], m[part], v[part], u[part], t[part]
-    np.divide(vs, bc2, out=ts)
-    np.sqrt(ts, out=ts)
-    ts += ADAM_EPS
-    np.divide(ms, bc1, out=us)
-    us *= lr
-    us /= ts
-    ps -= us
+def _adam_update(m, v, u, t, bc1: float, bc2: float, lr: float) -> None:
+    """``u = lr * (m / bc1) / (sqrt(v / bc2) + eps)`` elementwise, through
+    ``t``. A divide by a bias correction that has rounded to 1.0 is skipped,
+    as ``x / 1.0`` is ``x`` bit for bit: ``bc1`` from step 356 on, ``bc2``
+    from step 37,412 on."""
+    if bc2 == 1.0:
+        np.sqrt(v, out=t)
+    else:
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+    t += ADAM_EPS
+    if bc1 == 1.0:
+        np.multiply(m, lr, out=u)
+    else:
+        np.divide(m, bc1, out=u)
+        u *= lr
+    u /= t
+
+
+def _start_adam_step(state: OptimizerState) -> Callable[[tuple[int, int]], None]:
+    """Count the next Adam step; returns its gradient-free phase over one
+    chunk ``(a, b)``: decay ``m`` and ``v`` there and compute the update
+    where the chunk meets ``state.row_spans``. It writes ``m``, ``v`` and
+    the scratch vectors, and never the parameters."""
+    state.step += 1
+    state.ahead = True
+    bc1, bc2 = _bias_corrections(state.step)
+    assert state.m is not None and state.v is not None
+    m, v = state.m.vector, state.v.vector
+    u, t = state.scratch
+    spans, lr = state.row_spans, state.lr
+
+    def gradient_free(chunk: tuple[int, int]) -> None:
+        a, b = chunk
+        ms, vs = m[a:b], v[a:b]
+        ms *= ADAM_BETA1
+        vs *= ADAM_BETA2
+        for c, d in spans:
+            lo, hi = max(a, c), min(b, d)
+            if lo < hi:
+                _adam_update(m[lo:hi], v[lo:hi], u[lo:hi], t[lo:hi], bc1, bc2, lr)
+
+    return gradient_free
+
+
+@contextmanager
+def _alongside(
+    run: Callable[[tuple[int, int]], None], chunks: Sequence[tuple[int, int]],
+    threads: int, pool: Executor | None,
+) -> Iterator[None]:
+    """``run(chunk)`` for every chunk, on ``threads - 1`` threads of ``pool``
+    while the block runs on this thread, each in a copy of this thread's
+    context. When the block ends, this thread runs the chunks no thread has
+    taken yet (all of them at one thread), waits for the rest and raises the
+    first exception a pool thread's chunks raised, if any. When the block
+    raises, the chunks not yet taken are dropped and the block's exception
+    is raised once the others have ended. Either way no chunk outlives the
+    block.
+    """
+    queued = list(reversed(chunks))  # each thread takes chunks with one atomic pop
+
+    def drain() -> None:
+        while True:
+            try:
+                chunk = queued.pop()
+            except IndexError:
+                return
+            run(chunk)
+
+    assert threads < 2 or pool is not None
+    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(threads - 1)]
+    try:
+        yield
+    except BaseException:
+        queued.clear()
+        raise
+    else:
+        drain()
+    finally:
+        for future in futures:
+            future.exception()  # waits for the thread's chunks to end, without raising
+    for future in futures:
+        future.result()
+
+
+def _gradient_free(state: OptimizerState):
+    """The next Adam step's gradient-free phase alongside the block, on
+    ``state.threads`` threads (see :func:`_alongside`)."""
+    return _alongside(_start_adam_step(state), state.chunks, state.threads, state.pool)
 
 
 def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -> None:
@@ -535,10 +629,22 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
     over ``params.vector``: the dense gradient layers are gathered run by run
     into a scratch vector, and a :class:`RowGrad` layer is applied to its rows
     alone, with the bits of its dense table (see the comment in the Adam
-    branch). Adam's moment decay and update run over ``state.parts``, one
-    per thread (:func:`_over_chunks`, on ``state.pool``).
+    branch).
+
+    Adam's step has two phases. The gradient-free one decays both moments
+    everywhere and computes the update over the layers whose last gradient
+    came as a RowGrad; it writes ``state`` alone and may run before the
+    gradient is known, as :func:`fit_params` runs it, on its pool, during
+    the batch's forward and backward. This call runs it first, on
+    ``state.threads`` threads, when the caller has not. The gradient phase
+    adds the batch's terms to the dense layers and the touched rows,
+    computes the update there (and over a RowGrad layer the first phase did
+    not cover) and subtracts it from the parameters.
     """
     params.require_same_layout(grads)
+    if state.kind == "adam" and not state.ahead:
+        with _gradient_free(state):
+            pass  # the chunks no pool thread took run here as the block ends
     p = params.vector
     u, t = state.scratch
     slices, row_layers = _gather_dense(params, grads, u)
@@ -547,15 +653,14 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
             g, ps = u[sl], p[sl]
             g *= state.lr
             ps -= g
-        for k, g in row_layers:
-            params[k][g.rows] -= state.lr * g.values  # p - 0.0 == p, also for p == -0.0
+        for sl, g in row_layers:
+            p[sl].reshape(g.shape)[g.rows] -= state.lr * g.values  # p - 0.0 == p, also for p == -0.0
         return
-    state.step += 1
-    bc1 = 1.0 - ADAM_BETA1**state.step
-    bc2 = 1.0 - ADAM_BETA2**state.step
+    state.ahead = False
+    bc1, bc2 = _bias_corrections(state.step)
     assert state.m is not None and state.v is not None
     m, v = state.m.vector, state.v.vector
-    # In place, with the operations of
+    # With the gradient-free phase, in place, with the operations of
     #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g**2
     #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
     # in that order for every element, through the two scratch vectors u
@@ -566,11 +671,9 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
     # the bits: x + 0.0 == x for every x but -0.0. beta1*m is -0.0 only when
     # m is (0.9 times one ulp still rounds to one ulp), and a sum is -0.0
     # only when both addends are, so moments that start at +0.0 never become
-    # -0.0; v is never negative at all. The decay and the update read every
-    # entry and stay dense; they run over the parts, and the gradient terms,
-    # which the gather and the batch size bound, on this thread between them.
-    threads = len(state.parts)
-    _over_chunks(lambda part: _adam_decay(part, m, v), state.parts, threads, pool=state.pool)
+    # -0.0; v is never negative at all. So the update the gradient-free
+    # phase computed for an untouched row is final, and a touched row's is
+    # computed again, from its moments with the batch's terms.
     for sl in slices:
         g, ts, ms, vs = u[sl], t[sl], m[sl], v[sl]
         np.multiply(g, 1.0 - ADAM_BETA1, out=ts)
@@ -578,11 +681,23 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
         np.square(g, out=ts)
         ts *= 1.0 - ADAM_BETA2
         vs += ts
-    for k, g in row_layers:
-        state.m[k][g.rows] += g.values * (1.0 - ADAM_BETA1)
-        state.v[k][g.rows] += np.square(g.values) * (1.0 - ADAM_BETA2)
-    _over_chunks(lambda part: _adam_update(part, p, m, v, u, t, bc1, bc2, state.lr),
-                 state.parts, threads, pool=state.pool)
+        _adam_update(ms, vs, g, ts, bc1, bc2, state.lr)
+    for sl, g in row_layers:
+        ms, vs = m[sl].reshape(g.shape), v[sl].reshape(g.shape)
+        if (sl.start, sl.stop) not in state.row_spans:
+            ms[g.rows] += g.values * (1.0 - ADAM_BETA1)
+            vs[g.rows] += np.square(g.values) * (1.0 - ADAM_BETA2)
+            _adam_update(m[sl], v[sl], u[sl], t[sl], bc1, bc2, state.lr)
+            continue
+        mr, vr = ms[g.rows], vs[g.rows]
+        mr += g.values * (1.0 - ADAM_BETA1)
+        vr += np.square(g.values) * (1.0 - ADAM_BETA2)
+        ms[g.rows], vs[g.rows] = mr, vr
+        ur, tr = np.empty_like(mr), np.empty_like(mr)
+        _adam_update(mr, vr, ur, tr, bc1, bc2, state.lr)
+        u[sl].reshape(g.shape)[g.rows] = ur
+    p -= u
+    state.row_spans = frozenset((sl.start, sl.stop) for sl, _ in row_layers)
 
 
 def sum_sq_grads(
@@ -700,7 +815,11 @@ def fit_params(
     :func:`predict_threads`, both on one pool that lives as long as the fit
     and has a thread fewer than the larger of the two: no second pool is
     alive during the fit, and no thread outlives it, whether it returns or
-    raises.
+    raises. On k >= 2 threads each Adam step's gradient-free phase starts on
+    the pool before the batch's forward; this thread runs the forward and
+    the backward, then the chunks still queued, waits for the rest and runs
+    the gradient phase (see :func:`optimizer_step`). A forward or backward
+    that raises drops the queued chunks and waits for the running ones.
     """
     t0 = time.perf_counter()
     s_tr, q_tr, y_tr = train_arrays
@@ -722,9 +841,10 @@ def fit_params(
             perm = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
-                p, cache = wiring.forward(params, s_tr[idx], q_tr[idx], train=True, rng=rng)
-                dz = (p - y_tr[idx]) / len(idx)
-                grads = wiring.backward(params, cache, dz, mode="sum")
+                with _gradient_free(state) if state.threads > 1 else nullcontext():
+                    p, cache = wiring.forward(params, s_tr[idx], q_tr[idx], train=True, rng=rng)
+                    dz = (p - y_tr[idx]) / len(idx)
+                    grads = wiring.backward(params, cache, dz, mode="sum")
                 optimizer_step(params, grads, state)
                 wiring.post_step(params)
             nonfinite = params.nonfinite_layers()

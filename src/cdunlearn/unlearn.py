@@ -92,8 +92,28 @@ def select_and_attenuate(
     included) is not the parameters', or when a map holds NaN, ±inf or a
     negative entry, naming the layer.
     """
+    return _attenuate_into(imp_forget.copy(), params, imp_retain, alpha, lambda_, excluded_layers)
+
+
+# _attenuate_into compares alpha * retain with forget in chunks of this many
+# entries, so that no map-sized threshold is ever held.
+_SELECT_CHUNK = 2**15
+
+
+def _attenuate_into(
+    forget: nn.ArrayBundle,
+    params: nn.ArrayBundle,
+    imp_retain: nn.ArrayBundle,
+    alpha: float,
+    lambda_: float,
+    excluded_layers: frozenset[str],
+) -> tuple[nn.ArrayBundle, int]:
+    """:func:`select_and_attenuate` over the forget map ``forget``, whose
+    buffer the caller gives up: the result is written into it. The threshold
+    ``alpha * retain`` is formed a chunk at a time, so the call holds no
+    map-sized array but a selection mask."""
     HIFConfig(alpha, lambda_, 0.0)
-    for imp in (imp_forget, imp_retain):
+    for imp in (forget, imp_retain):
         params.require_same_layout(imp)
         imp_mod.require_finite(imp)
         if (imp.vector < 0).any():
@@ -102,14 +122,18 @@ def select_and_attenuate(
     unknown = excluded_layers - {layer_id for layer_id, _ in params.layout}
     if unknown:
         raise ValueError(f"excluded layers not in model: {sorted(unknown)}")
+    f, r = forget.vector, imp_retain.vector
+    selected = np.empty(f.size, dtype=bool)
+    threshold = np.empty(min(f.size, _SELECT_CHUNK))
+    for a in range(0, f.size, _SELECT_CHUNK):
+        b = min(a + _SELECT_CHUNK, f.size)
+        np.multiply(alpha, r[a:b], out=threshold[: b - a])
+        np.greater(f[a:b], threshold[: b - a], out=selected[a:b])
     sizes = [values.size for _, values in params.items()]
-    threshold = alpha * imp_retain.vector
-    selected = imp_forget.vector > threshold
     selected &= np.repeat([k not in excluded_layers for k, _ in params.layout], sizes)
-    out = params.with_vector(threshold)  # the threshold's buffer, reused
-    out.vector[...] = params.vector
-    out.vector[selected] *= 1.0 - lambda_
-    return out, int(np.count_nonzero(selected))
+    f[...] = params.vector
+    f[selected] *= 1.0 - lambda_
+    return params.with_vector(f), int(np.count_nonzero(selected))
 
 
 def attenuate(
@@ -120,14 +144,15 @@ def attenuate(
 ) -> tuple[CDModel, int]:
     """The shared unlearning step: smooth the forget-side importance toward its
     layer means (weight ``config.beta``; ``beta=0`` keeps it bit-unchanged),
-    then apply :func:`select_and_attenuate`. Pure in its arguments, so one
-    estimated pair can serve many configs. Returns the model and the number
-    of parameters selected.
+    then apply :func:`select_and_attenuate`, writing the result into the
+    smoothed map's buffer. Pure in its arguments, so one estimated pair can
+    serve many configs. Returns the model and the number of parameters
+    selected.
     """
     means = imp_mod.layer_importance(imp_forget)
     smoothed = imp_mod.smooth_importance(imp_forget, means, config.beta)
-    new_params, n_selected = select_and_attenuate(
-        model.params_, smoothed, imp_retain, config.alpha, config.lambda_, config.excluded_layers
+    new_params, n_selected = _attenuate_into(
+        smoothed, model.params_, imp_retain, config.alpha, config.lambda_, config.excluded_layers
     )
     return model.with_params(new_params), n_selected
 

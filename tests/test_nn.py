@@ -906,6 +906,30 @@ class TestFusedAdam:
         assert_same_state(kind, self._run_layout(kind, nn.optimizer_step, layout),
                           self._run_layout(kind, ref_optimizer_step, layout))
 
+    # 1 - beta1**step first rounds to 1.0 at step 356 and 1 - beta2**step at
+    # step 37,412; from there a step skips the divide by it.
+    @pytest.mark.parametrize("first, last", [(340, 370), (37_400, 37_420)])
+    def test_steps_where_a_bias_correction_reaches_one(self, first, last, monkeypatch):
+        monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)  # always the row form
+        assert 1.0 - nn.ADAM_BETA1**355 < 1.0 == 1.0 - nn.ADAM_BETA1**356
+        assert 1.0 - nn.ADAM_BETA2**37_411 < 1.0 == 1.0 - nn.ADAM_BETA2**37_412
+        layout = self.LAYOUTS["rows-between-dense"]
+        rng = np.random.default_rng(first)
+        params = nn.ArrayBundle({k: rng.normal(size=shape) for k, shape, _ in layout})
+        got = params, nn.make_optimizer("adam", 0.01, params)
+        want = params.copy(), nn.make_optimizer("adam", 0.01, params)
+        m, v = rng.normal(size=params.total_size) * 1e-2, rng.exponential(size=params.total_size)
+        for _, state in (got, want):
+            state.step, state.m.vector[...], state.v.vector[...] = first - 1, m, v * 1e-4
+        for _ in range(first, last + 1):
+            index = rng.integers(0, 40, size=6)
+            [emb] = nn.row_grads(40, index, rng.normal(size=(6, 6)))
+            grads = {"w": rng.normal(size=(5, 6)), "emb": emb, "b": rng.normal(size=5)}
+            nn.optimizer_step(got[0], grads, got[1])
+            ref_optimizer_step(want[0], grads, want[1])
+            assert_same_state("adam", got, want)
+        assert got[1].step == last
+
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
     def test_arrays_taken_before_make_optimizer_keep_aliasing_params(self, kind):
         params = nn.ArrayBundle({k: np.ones(s) for k, s in self.SHAPES.items()})
@@ -934,12 +958,14 @@ class TestThreadedAdam:
 
     @pytest.fixture(params=[2, 3], autouse=True)
     def threads(self, request, monkeypatch):
-        """nn.make_optimizer makes Adam states whose phases run on k threads."""
+        """nn.make_optimizer makes Adam states whose gradient-free phase runs
+        on k threads, in chunks of about 24 entries."""
         k, make = request.param, nn.make_optimizer
+        monkeypatch.setattr(nn, "ADAM_CHUNK_ENTRIES", 24)
         with ThreadPoolExecutor(k - 1) as pool:
             def threaded(kind, lr, params):
                 state = make(kind, lr, params, k, pool)
-                assert len(state.parts) == k and state.pool is pool
+                assert state.threads == k and len(state.chunks) >= k and state.pool is pool
                 return state
 
             monkeypatch.setattr(nn, "make_optimizer", threaded)
@@ -964,9 +990,11 @@ class TestThreadedAdam:
         assert_same_state("adam", fused._run_layout("adam", nn.optimizer_step, layout),
                           fused._run_layout("adam", ref_optimizer_step, layout))
 
-    def test_wide_vector_of_every_magnitude(self):
-        # Parts of about 33k entries, so each part has a SIMD body and a
+    def test_wide_vector_of_every_magnitude(self, monkeypatch):
+        # Chunks of about 32k entries, so each chunk has a SIMD body and a
         # tail, holding gradients from 1e-150 to 1e150 and exact zeros.
+        monkeypatch.setattr(nn, "ADAM_CHUNK_ENTRIES", 2**15)
+
         def run(step_fn):
             rng = np.random.default_rng(12)
             shapes = {"emb": (3_001, 32), "b": (7,)}
@@ -1001,21 +1029,23 @@ def test_threaded_adam_under_stress(monkeypatch):
     assert_same_state("adam", got, want)
 
 
-def _force_adam_threads(monkeypatch, cpus, min_entries=64):
-    """A one-thread BLAS, ``cpus`` usable CPUs and a constant of ``min_entries``;
-    returns the list to which each fit's Adam state adds its number of parts."""
+def _force_adam_threads(monkeypatch, cpus, min_entries=64, chunk_entries=24):
+    """A one-thread BLAS, ``cpus`` usable CPUs, and constants of
+    ``min_entries`` and ``chunk_entries``; returns the list to which each
+    fit's Adam state adds its number of threads."""
     monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(nn, "blas_threads", lambda: 1)
     monkeypatch.setattr(nn, "ADAM_MIN_ENTRIES_PER_THREAD", min_entries)
-    parts, make = [], nn.make_optimizer
+    monkeypatch.setattr(nn, "ADAM_CHUNK_ENTRIES", chunk_entries)
+    threads, make = [], nn.make_optimizer
 
     def counting(*args):
         state = make(*args)
-        parts.append(len(state.parts))
+        threads.append(state.threads)
         return state
 
     monkeypatch.setattr(nn, "make_optimizer", counting)
-    return parts
+    return threads
 
 
 class TestThreadedFit:
@@ -1027,9 +1057,9 @@ class TestThreadedFit:
         cfg = nn.TrainConfig(max_epochs=4, batch_size=64)
         fits = {}
         for cpus in (1, 2, 3):
-            parts = _force_adam_threads(monkeypatch, cpus)
+            threads = _force_adam_threads(monkeypatch, cpus)
             params, result = nn.fit_params(wiring, arrays, arrays, cfg, 5, model._monitor_score)
-            assert parts == [cpus]
+            assert threads == [cpus]
             fits[cpus] = params, result
         (one, first), *threaded = fits.values()
         for params, result in threaded:
@@ -1038,8 +1068,49 @@ class TestThreadedFit:
             assert (result.epochs_run, result.best_epoch, result.monitor_value) == (
                 first.epochs_run, first.best_epoch, first.monitor_value)
 
+    @pytest.mark.parametrize("arch", ["decoupled", "neuralcdm"])
+    def test_row_form_fit_gives_the_reference_bits_on_threads(
+        self, small_dataset, monkeypatch, arch
+    ):
+        # Every table's gradient comes as a RowGrad, so the gradient-free
+        # phase computes updates the gradient phase keeps or redoes. Batches
+        # of 60 of the 800 records leave a partial last batch, consecutive
+        # batches share students, and min_delta = 1 makes every epoch after
+        # the first a bad one: early stopping ends the fit at epoch 3 of 6.
+        monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)
+        wiring = build_wiring(CDArchConfig(arch=arch, embed_dim=8, ffn_hidden=(12,)),
+                              80, 10, small_dataset.qmatrix)
+        arrays = records_to_arrays(small_dataset.records)
+        cfg = nn.TrainConfig(max_epochs=6, batch_size=60, patience=2, min_delta=1.0)
+        assert len(arrays[2]) % cfg.batch_size
+        batches, forward = [], wiring.forward
+
+        def recording(params, students, items, train=False, rng=None):
+            if train:
+                batches.append(set(students.tolist()))
+            return forward(params, students, items, train=train, rng=rng)
+
+        monkeypatch.setattr(wiring, "forward", recording)
+
+        def fit(cpus):
+            batches.clear()
+            threads = _force_adam_threads(monkeypatch, cpus)
+            fitted = nn.fit_params(wiring, arrays, arrays, cfg, 5, model._monitor_score)
+            assert threads == [cpus]
+            return fitted
+
+        fits = [fit(cpus) for cpus in (1, 2, 3)]
+        assert any(a & b for a, b in zip(batches, batches[1:]))
+        monkeypatch.setattr(nn, "optimizer_step", ref_optimizer_step)  # on one thread
+        want, want_result = fit(1)
+        assert want_result.epochs_run == 3 < cfg.max_epochs
+        for params, result in fits:
+            assert params.vector.tobytes() == want.vector.tobytes()
+            assert (result.epochs_run, result.best_epoch, result.monitor_value) == (
+                want_result.epochs_run, want_result.best_epoch, want_result.monitor_value)
+
     def test_no_thread_outlives_a_fit(self, small_dataset, monkeypatch):
-        parts = _force_adam_threads(monkeypatch, 2)
+        threads = _force_adam_threads(monkeypatch, 2)
         during, step = [], nn.optimizer_step
 
         def counting_step(params, grads, state):
@@ -1056,7 +1127,7 @@ class TestThreadedFit:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="training diverged"):
             diverging.fit(small_dataset.records, small_dataset.qmatrix)
         assert threading.active_count() == before
-        assert parts == [2, 2]
+        assert threads == [2, 2]
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_monitor_predictions_run_on_the_fits_pool(self, small_dataset, monkeypatch, k):
@@ -1105,6 +1176,104 @@ class TestThreadedFit:
         for threads, pool in ((2, None), (0, None), (1.5, None)):
             with pytest.raises(ValueError, match="thread"):
                 nn.make_optimizer("adam", 0.1, params, threads, pool)
+
+
+def test_threaded_fit_under_stress(small_dataset, monkeypatch):
+    # Eight threads switching every microsecond while the batch's forward
+    # and backward run alongside the gradient-free phase, each chunk of which
+    # first sleeps 0.2 ms: a chunk that wrote the parameters, or one that ran
+    # into the gradient phase, would move bits.
+    monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)  # always the row form
+    start_step = nn._start_adam_step
+
+    def slow_step(state):
+        run = start_step(state)
+
+        def slow(chunk):
+            time.sleep(0.0002)
+            run(chunk)
+
+        return slow
+
+    monkeypatch.setattr(nn, "_start_adam_step", slow_step)
+    wiring = build_wiring(CDArchConfig(embed_dim=8, ffn_hidden=(12,)), 80, 10,
+                          small_dataset.qmatrix)
+    arrays = records_to_arrays(small_dataset.records)
+    cfg = nn.TrainConfig(max_epochs=2, batch_size=64)
+
+    def fit(cpus):
+        threads = _force_adam_threads(monkeypatch, cpus)
+        params, _ = nn.fit_params(wiring, arrays, arrays, cfg, 5, model._monitor_score)
+        assert threads == [cpus]
+        return params
+
+    want = fit(1)
+    switch, start = sys.getswitchinterval(), time.perf_counter()
+    try:
+        sys.setswitchinterval(1e-6)
+        got = fit(8)
+    finally:
+        sys.setswitchinterval(switch)
+    assert time.perf_counter() - start < 60.0
+    assert_same_bits(got.vector, want.vector)
+
+
+def test_no_chunk_outlives_a_raising_block_on_a_callers_pool():
+    started, ended = [], []
+
+    def run(chunk):
+        started.append(chunk)
+        time.sleep(0.2)
+        ended.append(chunk)
+
+    with ThreadPoolExecutor(1) as pool:
+        with pytest.raises(ValueError, match="the block"):
+            with nn._alongside(run, [(0, 1), (1, 2), (2, 3)], 2, pool):
+                while not started:
+                    time.sleep(0.001)
+                raise ValueError("the block")
+        assert ended == started == [(0, 1)]  # the chunk in flight ended; the queued two were dropped
+
+
+def test_a_backward_raising_mid_fit_leaves_no_chunk_running(small_dataset, monkeypatch):
+    _force_adam_threads(monkeypatch, 3)
+    wiring = build_wiring(CDArchConfig(embed_dim=8, ffn_hidden=(12,)), 80, 10,
+                          small_dataset.qmatrix)
+    events, calls, start, backward = [], [], nn._start_adam_step, wiring.backward
+
+    def slow_step(state):  # each chunk of the gradient-free phase takes 2 ms
+        run = start(state)
+
+        def slow(chunk):
+            events.append(("start", state.step))
+            time.sleep(0.002)
+            run(chunk)
+            events.append(("end", state.step))
+
+        return slow
+
+    def failing(params, cache, dz, mode):  # the third batch's, once a chunk of its step runs
+        calls.append(mode)
+        if len(calls) < 3:
+            return backward(params, cache, dz, mode)
+        while ("start", 3) not in events:
+            time.sleep(0.001)
+        raise RuntimeError("backward failed")
+
+    monkeypatch.setattr(nn, "_start_adam_step", slow_step)
+    monkeypatch.setattr(wiring, "backward", failing)
+    arrays = records_to_arrays(small_dataset.records)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="backward failed"):
+        nn.fit_params(wiring, arrays, arrays, nn.TrainConfig(max_epochs=1), 5,
+                      model._monitor_score)
+    ended = len(events)
+    time.sleep(0.05)
+    assert len(events) == ended  # no chunk started after the fit raised
+    starts = [step for kind, step in events if kind == "start"]
+    assert sorted(starts) == sorted(step for kind, step in events if kind == "end")
+    assert starts.count(3) < starts.count(1)  # the chunks not yet taken were dropped
+    assert threading.active_count() == before
 
 
 def ref_sum_sq_grads(wiring, params, s, q, y, batch_size):

@@ -317,6 +317,44 @@ class TestAttenuateCore:
         with pytest.raises(ValueError, match="non-finite importance"):
             run()
 
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_writing_into_the_smoothed_map_keeps_the_bits_and_the_inputs(
+        self, small_model, monkeypatch, beta
+    ):
+        # Thresholds of 64 entries, the last one shorter, and maps with exact
+        # zeros and ties; the reference holds a map-sized threshold as the
+        # rule did before it wrote into the smoothed map's buffer.
+        monkeypatch.setattr(unlearn, "_SELECT_CHUNK", 64)
+        rng = np.random.default_rng(31)
+        params = small_model.params_
+        assert params.total_size % 64
+        imp_f = params.with_vector(rng.exponential(size=params.total_size))
+        imp_r = params.with_vector(rng.exponential(size=params.total_size))
+        imp_f.vector[::7] = 0.0
+        imp_r.vector[::5] = 0.0
+        imp_f.vector[1::9] = 1.2 * imp_r.vector[1::9]
+        before = [bundle.vector.copy() for bundle in (params, imp_f, imp_r)]
+        cfg = HIFConfig(alpha=1.2, lambda_=0.6, beta=beta, excluded_layers={"kc_emb"})
+
+        smoothed = smooth_importance(imp_f, layer_importance(imp_f), beta)
+        threshold = cfg.alpha * imp_r.vector
+        selected = smoothed.vector > threshold
+        selected &= np.repeat([k != "kc_emb" for k, _ in params.layout],
+                              [v.size for _, v in params.items()])
+        want = params.with_vector(threshold)
+        want.vector[...] = params.vector
+        want.vector[selected] *= 1.0 - cfg.lambda_
+
+        got, n = attenuate(small_model, imp_f, imp_r, cfg)
+        assert n == np.count_nonzero(selected) > 0
+        assert got.params_.vector.tobytes() == want.vector.tobytes()
+        if beta == 0.0:
+            out, n_public = select_and_attenuate(params, imp_f, imp_r, 1.2, 0.6,
+                                                 frozenset({"kc_emb"}))
+            assert n_public == n and out.vector.tobytes() == want.vector.tobytes()
+        for bundle, bits in zip((params, imp_f, imp_r), before):
+            assert bundle.vector.tobytes() == bits.tobytes()
+
     def test_fim_report_is_its_own(self, small_model, forget_retain):
         forget, retain = forget_retain
         _, report = fim_unlearn(small_model, forget, retain, alpha=1.3, lambda_=0.5)
