@@ -684,18 +684,16 @@ def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -
         _adam_update(ms, vs, g, ts, bc1, bc2, state.lr)
     for sl, g in row_layers:
         ms, vs = m[sl].reshape(g.shape), v[sl].reshape(g.shape)
-        if (sl.start, sl.stop) not in state.row_spans:
-            ms[g.rows] += g.values * (1.0 - ADAM_BETA1)
-            vs[g.rows] += np.square(g.values) * (1.0 - ADAM_BETA2)
-            _adam_update(m[sl], v[sl], u[sl], t[sl], bc1, bc2, state.lr)
-            continue
         mr, vr = ms[g.rows], vs[g.rows]
         mr += g.values * (1.0 - ADAM_BETA1)
         vr += np.square(g.values) * (1.0 - ADAM_BETA2)
         ms[g.rows], vs[g.rows] = mr, vr
-        ur, tr = np.empty_like(mr), np.empty_like(mr)
-        _adam_update(mr, vr, ur, tr, bc1, bc2, state.lr)
-        u[sl].reshape(g.shape)[g.rows] = ur
+        if (sl.start, sl.stop) in state.row_spans:
+            ur, tr = np.empty_like(mr), np.empty_like(mr)
+            _adam_update(mr, vr, ur, tr, bc1, bc2, state.lr)
+            u[sl].reshape(g.shape)[g.rows] = ur
+        else:  # the gradient-free phase computed no update here
+            _adam_update(m[sl], v[sl], u[sl], t[sl], bc1, bc2, state.lr)
     p -= u
     state.row_spans = frozenset((sl.start, sl.stop) for sl, _ in row_layers)
 
