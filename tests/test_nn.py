@@ -1159,7 +1159,7 @@ class TestThreadedFit:
     @pytest.mark.parametrize("cpus, blas, size, threads", [
         (8, None, 100.0, 1),  # a BLAS that cannot be asked
         (1, 1, 100.0, 1),     # one CPU
-        (2, 1, 1.99, 1),      # a model under two parts' worth of entries
+        (2, 1, 1.99, 1),      # a model under two threads' worth of entries
         (64, 1, 20_753 / 2**16, 1),  # the benchmark-shaped model
         (2, 1, 2.0, 2),
         (3, 2, 100.0, 1),     # BLAS's threads leave no second CPU
