@@ -47,6 +47,7 @@ import math
 import numbers
 import os
 import sys
+import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -80,10 +81,10 @@ ROW_GRAD_MIN_ENTRIES_PER_RECORD = 256
 # from 2,500 (86k); 2-epoch fits at density 0.2 lost at 3,000 (102k, 0.91 ->
 # 0.95-1.12 s), tied at 4,000 (134k) and won from 5,000 (166k, 1.74 -> 1.59 s).
 ADAM_MIN_ENTRIES_PER_THREAD = 2**16
-# Adam's gradient-free phase runs in chunks of about this many entries, which
-# a threaded state's threads share (make_optimizer). On one thread (2-vCPU
-# x86-64 VM) a step of the 326k-entry deletions-m model took 1.77-1.86 ms in
-# chunks of 2**15 entries and 1.79-1.87 ms in one; with 2**13 it took 1.93-2.14.
+# Adam's gradient-free phase runs in chunks of about this many entries, of
+# which a threaded state's threads take shares (make_optimizer, _alongside).
+# On one thread (2-vCPU x86-64 VM) a step of the 326k-entry deletions-m model
+# took 1.77-1.86 ms in chunks of 2**15 entries and 1.79-1.87 ms in one.
 ADAM_CHUNK_ENTRIES = 2**15
 # sum_sq_grads runs on one thread per this many batches, up to the CPUs BLAS
 # leaves free (sq_sum_threads). On a 2-vCPU x86-64 VM at one BLAS thread, with
@@ -580,23 +581,30 @@ def _alongside(
     run: Callable[[tuple[int, int]], None], chunks: Sequence[tuple[int, int]],
     threads: int, pool: Executor | None,
 ) -> Iterator[None]:
-    """``run(chunk)`` for every chunk, on ``threads - 1`` threads of ``pool``
+    """``run`` over every chunk, on ``threads - 1`` threads of ``pool``
     while the block runs on this thread, each in a copy of this thread's
-    context. When the block ends, this thread runs the chunks no thread has
-    taken yet (all of them at one thread), waits for the rest and raises the
-    first exception a pool thread's chunks raised, if any. When the block
-    raises, the chunks not yet taken are dropped and the block's exception
-    is raised once the others have ended. Either way no chunk outlives the
-    block.
+    context. ``chunks`` are contiguous ranges in order; a thread takes a
+    ``1/threads`` share of those still queued (at least one) and runs it as
+    one range, so a pool thread starts with few long NumPy calls, which take
+    the interpreter lock back from the block's thread rarely, and the shares
+    shrink towards the end. When the block ends, this thread runs the chunks
+    no thread has taken yet (all of them at one thread), waits for the rest
+    and raises the first exception a pool thread raised, if any. When the
+    block raises, the chunks not yet taken are dropped and the block's
+    exception is raised once the others have ended. Either way no chunk
+    outlives the block.
     """
-    queued = list(reversed(chunks))  # each thread takes chunks with one atomic pop
+    queued = list(reversed(chunks))
+    lock = threading.Lock()
 
     def drain() -> None:
         while True:
-            try:
-                chunk = queued.pop()
-            except IndexError:
-                return
+            with lock:  # take a 1/threads share of the queued chunks, as one range
+                if not queued:
+                    return
+                count = max(1, len(queued) // threads)
+                chunk = queued[-1][0], queued[-count][1]
+                del queued[-count:]
             run(chunk)
 
     assert threads < 2 or pool is not None
@@ -604,7 +612,8 @@ def _alongside(
     try:
         yield
     except BaseException:
-        queued.clear()
+        with lock:
+            queued.clear()
         raise
     else:
         drain()

@@ -1180,8 +1180,8 @@ class TestThreadedFit:
 
 def test_threaded_fit_under_stress(small_dataset, monkeypatch):
     # Eight threads switching every microsecond while the batch's forward
-    # and backward run alongside the gradient-free phase, each chunk of which
-    # first sleeps 0.2 ms: a chunk that wrote the parameters, or one that ran
+    # and backward run alongside the gradient-free phase, each range of which
+    # first sleeps 0.2 ms: a range that wrote the parameters, or one that ran
     # into the gradient phase, would move bits.
     monkeypatch.setattr(nn, "ROW_GRAD_MIN_ENTRIES_PER_RECORD", 0)  # always the row form
     start_step = nn._start_adam_step
@@ -1241,7 +1241,7 @@ def test_a_backward_raising_mid_fit_leaves_no_chunk_running(small_dataset, monke
                           small_dataset.qmatrix)
     events, calls, start, backward = [], [], nn._start_adam_step, wiring.backward
 
-    def slow_step(state):  # each chunk of the gradient-free phase takes 2 ms
+    def slow_step(state):  # each range of the gradient-free phase takes 2 ms
         run = start(state)
 
         def slow(chunk):
