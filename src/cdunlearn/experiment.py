@@ -427,14 +427,18 @@ class ExperimentContext:
             mia_auc=mia_report.mia_auc,
             mia_acc=mia_report.mia_acc,
         )
-        if unlearn_report is not None:
-            entry.parameters_modified = unlearn_report.parameters_modified
-            entry.algorithm_config = unlearn_report.config
-            entry.wall_time_seconds = unlearn_report.wall_time_seconds
-            entry.rtrr = metrics.rtrr(
-                unlearn_report.wall_time_seconds, self.t_retrain_seconds
-            )
-        return entry
+        return entry if unlearn_report is None else self.reported(entry, unlearn_report)
+
+    def reported(self, entry: ModelEntry, unlearn_report: UnlearnReport) -> ModelEntry:
+        """``entry`` with what ``unlearn_report`` gives: the parameters
+        modified, the config, the wall time and the RTRR."""
+        return dataclasses.replace(
+            entry,
+            parameters_modified=unlearn_report.parameters_modified,
+            algorithm_config=unlearn_report.config,
+            wall_time_seconds=unlearn_report.wall_time_seconds,
+            rtrr=metrics.rtrr(unlearn_report.wall_time_seconds, self.t_retrain_seconds),
+        )
 
 
 def fit_attacker(m_orig: CDModel, splits: MiaSplits, seed: int) -> LogisticAttacker:
@@ -445,11 +449,13 @@ def fit_attacker(m_orig: CDModel, splits: MiaSplits, seed: int) -> LogisticAttac
     return train_attacker(members, nonmembers, seed=seed)
 
 
-def _fit_worker(conn, kwargs: dict, cpus: int) -> None:
-    """Worker process: send the model ``train(**kwargs)`` fits, or the
-    exception it raised, over ``conn``. The fit's threads fill at most
-    ``cpus`` CPUs (:func:`nn.cpu_share`)."""
+def _fit_worker(args, conn, cpus: int) -> None:
+    """Worker process: read ``kwargs`` from ``args``, and send the model
+    ``train(**kwargs)`` fits, or the exception it raised, over ``conn``.
+    The fit's threads fill at most ``cpus`` CPUs (:func:`nn.cpu_share`)."""
     try:
+        with args:
+            kwargs = args.recv()
         with nn.cpu_share(cpus):
             model, _ = train(**kwargs)
         conn.send(model)
@@ -470,9 +476,11 @@ def _fit_baselines(fit: dict, orig_records, retain_records) -> tuple[CDModel, CD
     one; the worker's threads (:func:`nn.adam_threads`,
     :func:`nn.sq_sum_threads`, :func:`nn.predict_threads`) fill half of the
     CPUs, rounded down, and this process's the rest (:func:`nn.cpu_share`).
-    The worker sends back its fitted model or its exception, which is raised
-    here as itself; on every exit the worker is stopped, if it still runs,
-    and joined.
+    The worker gets its fit's arguments over a pipe once it runs, and sends
+    back its fitted model or its exception, which is raised here as itself.
+    A worker that exits first, even before reading its arguments, fails the
+    stage with its exit code; on every exit the worker is stopped, if it
+    still runs, and joined.
     Otherwise both fit here, the original first, on every CPU: with one CPU,
     with BLAS threads that would contend for the CPUs (OpenBLAS's idle
     threads spin), or with a BLAS that cannot be asked.
@@ -486,26 +494,37 @@ def _fit_baselines(fit: dict, orig_records, retain_records) -> tuple[CDModel, CD
         return m_orig, m_retrain
     spawn = multiprocessing.get_context("spawn")
     receiver, sender = spawn.Pipe(duplex=False)
-    worker = spawn.Process(
-        target=_fit_worker, args=(sender, {**fit, "train_records": retain_records}, cpus // 2)
-    )
-    with receiver:
+    # The arguments go over a pipe of their own, sent once this process holds
+    # no read end of it: a worker that has died then breaks the pipe, where
+    # a send into spawn's start-up pipe, which this process still reads,
+    # would block for good once it outgrew the pipe's buffer.
+    args_reader, args = spawn.Pipe(duplex=False)
+    worker = spawn.Process(target=_fit_worker, args=(args_reader, sender, cpus // 2))
+
+    def no_result() -> RuntimeError:
+        worker.join()
+        return RuntimeError(f"the fit worker exited with code {worker.exitcode} and no result")
+
+    with receiver, args:
         with _stage("train-retrain"):
             try:
                 worker.start()
             finally:
                 sender.close()
+                args_reader.close()
         try:
+            with _stage("train-retrain"):
+                try:
+                    args.send({**fit, "train_records": retain_records})
+                except BrokenPipeError:
+                    raise no_result() from None
             with _stage("train-original"), nn.cpu_share(cpus - cpus // 2):
                 m_orig, _ = train(train_records=orig_records, **fit)
             with _stage("train-retrain"):
                 try:
                     m_retrain = receiver.recv()
                 except EOFError:
-                    worker.join()
-                    raise RuntimeError(
-                        f"the fit worker exited with code {worker.exitcode} and no result"
-                    ) from None
+                    raise no_result() from None
                 if isinstance(m_retrain, BaseException):
                     raise m_retrain
             return m_orig, m_retrain
@@ -698,7 +717,10 @@ def sweep(
     feasible when its utility AUC is within ``epsilon_utility`` (not NaN) of
     the original model's. The feasible point whose attack AUC is nearest the
     retrained model's is re-run through :func:`apply_algorithm` for its wall
-    time (:meth:`SweepResult.timing_dict`). The sweep ends by handing freed
+    time (:meth:`SweepResult.timing_dict`) and is not audited again:
+    ``best_entry`` takes the utility and attack values from the point, whose
+    model has the re-run's bits, and the rest from the re-run's report
+    (:meth:`ExperimentContext.reported`). The sweep ends by handing freed
     heap pages back to the system (:func:`nn.trim_heap`): at 10,000
     students, 20-30 MB that the C library would keep resident.
     """
@@ -764,8 +786,10 @@ def sweep(
     best = min(feasible, key=lambda p: p.mia_gap) if feasible else None
     best_entry = None
     if best is not None:
-        model, ureport = apply_algorithm(ctx, best.algorithm, best.params)
-        best_entry = ctx.entry_for(best.algorithm, model, ureport)
+        _, ureport = apply_algorithm(ctx, best.algorithm, best.params)
+        audit = ModelEntry(best.algorithm, best.utility_auc, best.utility_acc,
+                           best.mia_auc, best.mia_acc)
+        best_entry = ctx.reported(audit, ureport)
     nn.trim_heap()
     return SweepResult(
         points=points,

@@ -117,27 +117,32 @@ class _Wiring:
             shapes.append((f"ffn_b_{l}", (dout,)))
         return shapes
 
-    def _ffn_forward(self, params, x, train, rng):
+    def _ffn_forward(self, params, x, train, rng, cache):
+        """The stack's output for the input ``x``. When ``cache`` is a dict,
+        the layers' inputs, activations and dropout masks go into it for
+        :meth:`_ffn_backward`; otherwise each layer's is dropped once the
+        next has it."""
         n_dense = len(self.dims) - 1
-        inputs = [x]
-        acts = []
-        drops: list[np.ndarray | None] = []
+        inputs, acts, drops = [x], [], []
         h = x
         for l in range(n_dense - 1):
             a = self._dense_layer(params, l, h)
-            acts.append(a)
+            mask = None
             if train and self.dropout > 0.0:
                 if rng is None:
                     raise ValueError("training forward pass needs an rng for dropout")
                 mask = (rng.random(a.shape) >= self.dropout) / (1.0 - self.dropout)
-                drops.append(mask)
                 h = a * mask
             else:
-                drops.append(None)
                 h = a
-            inputs.append(h)
+            if cache is not None:
+                acts.append(a)
+                drops.append(mask)
+                inputs.append(h)
         p = self._dense_layer(params, n_dense - 1, h)[:, 0]
-        return p, inputs, acts, drops
+        if cache is not None:
+            cache.update(inputs=inputs, acts=acts, drops=drops)
+        return p
 
     @staticmethod
     def _dense_layer(params, l, h):
@@ -205,25 +210,19 @@ class DecoupledWiring(_Wiring):
         z += params[bias]
         return nn.sigmoid(z, out=z)
 
-    def forward(self, params, students, items, train=False, rng=None):
+    def forward(self, params, students, items, train=False, rng=None, cache=True):
         students, items = self._indices(students, items)
         prof = self._over_kcs(params, params["student_emb"][students], "prof_bias")
         diff = self._over_kcs(params, params["exercise_emb"][items], "diff_bias")
         qmask = self.qrows[items]
         gap = prof - diff
         gap *= qmask
-        p, inputs, acts, drops = self._ffn_forward(params, gap, train, rng)
-        cache = {
-            "students": students,
-            "items": items,
-            "prof": prof,
-            "diff": diff,
-            "qmask": qmask,
-            "inputs": inputs,
-            "acts": acts,
-            "drops": drops,
-        }
-        return p, cache
+        kept = None
+        if cache:
+            kept = {"students": students, "items": items, "prof": prof, "diff": diff,
+                    "qmask": qmask}
+        del prof, diff, qmask  # without a cache, freed before the stack runs
+        return self._ffn_forward(params, gap, train, rng, kept), kept
 
     def backward(self, params, cache, dz, mode="sum"):
         squared = self._squared(mode)
@@ -287,7 +286,7 @@ class MonotonicCdmWiring(_Wiring):
     def proficiency_from(self, params: nn.ArrayBundle, students: np.ndarray) -> np.ndarray:
         return nn.sigmoid(params["student_emb"][students])
 
-    def forward(self, params, students, items, train=False, rng=None):
+    def forward(self, params, students, items, train=False, rng=None, cache=True):
         students, items = self._indices(students, items)
         # each lookup is a copy, which becomes its sigmoid in place
         mastery = params["student_emb"][students]
@@ -299,19 +298,12 @@ class MonotonicCdmWiring(_Wiring):
         x = mastery - difficulty
         x *= qmask
         x *= disc
-        p, inputs, acts, drops = self._ffn_forward(params, x, train, rng)
-        cache = {
-            "students": students,
-            "items": items,
-            "mastery": mastery,
-            "difficulty": difficulty,
-            "disc": disc,
-            "qmask": qmask,
-            "inputs": inputs,
-            "acts": acts,
-            "drops": drops,
-        }
-        return p, cache
+        kept = None
+        if cache:
+            kept = {"students": students, "items": items, "mastery": mastery,
+                    "difficulty": difficulty, "disc": disc, "qmask": qmask}
+        del mastery, difficulty, disc, qmask  # without a cache, freed before the stack runs
+        return self._ffn_forward(params, x, train, rng, kept), kept
 
     def backward(self, params, cache, dz, mode="sum"):
         squared = self._squared(mode)

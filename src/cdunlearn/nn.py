@@ -7,7 +7,7 @@ Backward passes themselves are written per architecture (see ``model``); a
 
     layer_shapes() -> list[(layer_id, shape)]
     init_params(rng) -> ArrayBundle
-    forward(params, students, items, train=False, rng=None) -> (probs, cache)
+    forward(params, students, items, train=False, rng=None, cache=True) -> (probs, cache)
     backward(params, cache, dz, mode) -> dict             # mode: "sum" | "sq_sum"
     post_step(params) -> None                             # optional in-place projection
 
@@ -20,23 +20,22 @@ row-indexed table that is large next to the batch, and every one in
 ``sq_sum`` mode, may come back as a :class:`RowGrad`, which holds only the
 rows the batch touched (see :func:`row_grads`); :func:`dense` turns such a
 map into a bundle. ``backward`` uses the cache up, freeing what it holds as
-it goes, so a cache serves one ``backward`` call.
+it goes, so a cache serves one ``backward`` call; with ``cache=False``,
+``forward`` keeps none (and returns None for it), as prediction calls it.
 
 An :class:`ArrayBundle` is flat: its layers are views of one contiguous
 vector from construction on. ``optimizer_step`` updates that vector, and
-Adam's moments, with a few whole-vector operations. Adam's step has a
-gradient-free phase (the moment decay, and the update of every row the batch
-does not touch) and a gradient phase (the batch's terms, the update of what
-it touches, and ``p -= u``). In a fit of at least twice
-:data:`ADAM_MIN_ENTRIES_PER_THREAD` parameters, when the CPUs allow it
-(:func:`adam_threads`), the gradient-free phase runs in chunks on the fit's
-pool during the batch's forward and backward, which read only the
-parameters (:func:`_alongside`). The bits cannot move: each element still
-gets the same correctly rounded IEEE operations, in the same order, on one
-thread. :func:`sum_sq_grads` likewise runs its batches on threads
-(:func:`sq_sum_threads`) and adds them up in batch order, and
-:func:`_predict_all` its chunks of rows (:func:`predict_threads`), each into
-its own slice of the result, both through :func:`_over_chunks`.
+Adam's moments, with a few whole-vector operations, in a gradient-free phase
+(the moment decay, and the update of every row the batch does not touch) and
+a gradient phase (the batch's terms, the update of what it touches, and
+``p -= u``).
+
+One thread runner, :func:`_over_chunks`, runs Adam's gradient-free phase
+(:func:`adam_threads`) during a batch's forward and backward, which read only
+the parameters, the batches of :func:`sum_sq_grads` (:func:`sq_sum_threads`)
+and the chunks of rows of :func:`_predict_all` (:func:`predict_threads`).
+No bit moves: a chunk makes the same calls on the same inputs on any thread,
+writes only its own slice, and sums keep their order.
 """
 
 from __future__ import annotations
@@ -63,9 +62,11 @@ PROB_EPS = 1e-7  # probability clamp applied before logs
 # _predict_all runs its rows in chunks of PREDICT_ROWS on one thread and of
 # PREDICT_CHUNK_ROWS on several, the last chunk taking a remainder under
 # PREDICT_ROWS: no chunk is smaller than that unless the whole set is (see
-# _predict_all for why it matters to the bits). On one thread (2-vCPU x86-64
-# VM, one BLAS thread) 6,891 rows of the 536-student model took 6.2 ms in
-# chunks of 512 rows and 8.6 ms in chunks of 2,048.
+# _predict_all for why it matters to the bits). On a 2-vCPU x86-64 VM at one
+# BLAS thread, 6,891 rows of the 536-student model took 6.2 ms on one thread
+# in chunks of 512 rows and 8.6 ms in chunks of 2,048; 38,773 rows at 10,000
+# students took 29.0 ms on one thread, and on 2 threads 17.1 ms in chunks of
+# 2,048 rows, 17.3 in chunks of 4,096, 19.1 of 8,192 and 19.7 of 1,024.
 PREDICT_ROWS = 512
 PREDICT_CHUNK_ROWS = 2048
 # row_grads gives a table its gradient as a RowGrad when it holds at least this
@@ -76,30 +77,29 @@ PREDICT_CHUNK_ROWS = 2048
 ROW_GRAD_MIN_ENTRIES_PER_RECORD = 256
 # Adam's step runs on one thread per this many parameter entries, up to the
 # CPUs BLAS leaves free (adam_threads). On a 2-vCPU x86-64 VM at one BLAS
-# thread, decoupled models of n students x 100 items at embed_dim 32: a lone
-# step on 2 threads lost at n = 2,000 (70k entries, 0.55 -> 0.60 ms) and won
-# from 2,500 (86k); 2-epoch fits at density 0.2 lost at 3,000 (102k, 0.91 ->
-# 0.95-1.12 s), tied at 4,000 (134k) and won from 5,000 (166k, 1.74 -> 1.59 s).
+# thread, 2-epoch fits of decoupled models of n students x 100 items at
+# embed_dim 32 and density 0.2 took, on one thread and on 2: n = 2,000 (70k
+# entries) 0.45 and 0.48 s, 5,000 (166k) 1.54 and 1.67 s, 7,000 (230k) 2.47
+# and 1.88 s, 10,000 (326k) 4.26 and 3.15 s.
 ADAM_MIN_ENTRIES_PER_THREAD = 2**16
 # Adam's gradient-free phase runs in chunks of about this many entries, of
-# which a threaded state's threads take shares (make_optimizer, _alongside).
+# which a threaded state's threads take shares (make_optimizer, _gradient_free).
 # On one thread (2-vCPU x86-64 VM) a step of the 326k-entry deletions-m model
 # took 1.77-1.86 ms in chunks of 2**15 entries and 1.79-1.87 ms in one.
 ADAM_CHUNK_ENTRIES = 2**15
 # sum_sq_grads runs on one thread per this many batches, up to the CPUs BLAS
 # leaves free (sq_sum_threads). On a 2-vCPU x86-64 VM at one BLAS thread, with
 # the default widths, 2 threads beat one from 2 batches of 4,096 records up
-# (-21% to -33% at 2 batches, -29% to -38% at 8). A pool thread keeps up to
-# one batch's working set resident in its malloc arena, though (trim_heap),
-# so a pass of 3 batches or fewer stays on one thread: the 536-student
-# model's largest, the 6,881-record union, is 2.
+# (-28% at 2 batches, -34% at 8, -47% at 38). A pool thread keeps up to one
+# batch's working set resident in its malloc arena, though, so a pass of 3
+# batches or fewer, every pass of the 536-student model among them, stays on
+# one thread.
 SQ_SUM_MIN_BATCHES_PER_THREAD = 2
 # _predict_all runs on one thread per this many full chunks, up to the CPUs
-# BLAS leaves free (predict_threads). On a 2-vCPU x86-64 VM at one BLAS
-# thread, 38,773 rows at embed_dim 32 took 37.5-41.8 ms on one thread, and on
-# 2 threads 22.6-33 ms in chunks of 2,048 rows, 30-36 ms in chunks of 1,024
-# and more again in chunks of 8,192. With 2 chunks per thread, every set of
-# the 536-student model (6,891 rows at most) stays on one thread.
+# BLAS leaves free (predict_threads). On a 2-vCPU x86-64 VM at one BLAS thread
+# and 10,000 students, 2 threads beat one from 2 chunks up (4,096 rows: 3.3 ->
+# 2.6 ms; 12,000 rows: 9.8 -> 6.5 ms), but for the pool thread's arena every
+# set of the 536-student model (6,891 rows at most) stays on one thread.
 PREDICT_MIN_CHUNKS_PER_THREAD = 2
 
 
@@ -378,66 +378,115 @@ def predict_threads(n_rows: int) -> int:
     return _threads(n_rows // PREDICT_CHUNK_ROWS, PREDICT_MIN_CHUNKS_PER_THREAD)
 
 
-def _ignore(result: object) -> None:
-    pass
-
-
+@contextmanager
 def _over_chunks(
-    run: Callable[[slice], object], chunks: Sequence[slice], threads: int,
-    take: Callable[[object], None] = _ignore, pool: Executor | None = None,
-) -> None:
-    """``take(run(chunk))`` for every chunk, with ``take`` called in chunk
-    order on this thread: the thread runner of :func:`sum_sq_grads` and of
-    :func:`_predict_all`.
+    run: Callable, chunks: Sequence, threads: int, take: Callable[[object], None] | None = None,
+    pool: Executor | None = None, shares: bool = False,
+) -> Iterator[None]:
+    """``run`` over every chunk on ``threads`` threads, alongside the block.
 
-    With ``threads`` k >= 2 the chunks go in rounds of k: the first of a
-    round runs on this thread and the others on ``pool``, each in a copy of
-    this thread's context (so NumPy's ``errstate`` and :func:`cpu_share`
-    hold there too), and the round is taken once all of it has ended. So at
-    most k chunks are in flight, and no chunk outlives the call, whether it
-    returns or raises; a raise is the exception of the first chunk, in chunk
-    order, that raised one (or of ``take``). ``pool`` is owned by the
-    caller and should have at least k - 1 threads. Without one, the call
-    makes a pool of k - 1 threads that ends with it, importing
-    ``concurrent.futures``, and then hands the freed pages back
-    (:func:`trim_heap`).
+    Every thread takes its next work from one queue, in chunk order: up to
+    ``threads - 1`` of ``pool``'s from the start of the block, each in a copy
+    of this thread's context (so NumPy's ``errstate`` and :func:`cpu_share`
+    hold there), and this thread once the block has ended. Work is one chunk
+    or, with ``shares`` (contiguous ``(start, stop)`` ranges), a
+    ``1/threads`` share of the chunks still queued, at least one, as one
+    range: a pool thread then makes few long NumPy calls, which rarely take
+    the interpreter lock back from the block. With ``take``, this thread
+    calls ``take(run(chunk))`` in chunk order, each once its chunk and those
+    before it have ended, and the threads run at most ``2 * threads`` chunks
+    ahead of it.
+
+    No chunk outlives the block. A raising block drops the queued chunks and
+    raises once the running ones have ended; otherwise a raise is the first
+    chunk's, in chunk order, that raised (or ``take``'s), and drops the
+    chunks queued after it. ``pool`` is the caller's; without one, a
+    threaded call makes its own.
     """
-    if threads < 2 or len(chunks) < 2:
-        for chunk in chunks:
-            take(run(chunk))
+    helpers = min(threads, len(chunks)) - 1
+    if helpers < 1:  # one thread: no queue, and none of its cost
+        yield
+        for chunk in [(chunks[0][0], chunks[-1][1])] if shares and chunks else chunks:
+            result = run(chunk)
+            if take:
+                take(result)
         return
     if pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        try:
-            with ThreadPoolExecutor(threads - 1) as own:
-                _over_chunks(run, chunks, threads, take, own)
-        finally:
-            trim_heap()
+        with ThreadPoolExecutor(helpers) as own, _over_chunks(run, chunks, threads, take, own, shares):
+            yield
         return
-    for start in range(0, len(chunks), threads):
-        first, *rest = chunks[start : start + threads]
-        futures = [pool.submit(contextvars.copy_context().run, run, chunk) for chunk in rest]
+    cond = threading.Condition()
+    claimed = taken = 0  # chunks [0, claimed) have gone to a thread, [0, taken) to take
+    end = len(chunks)  # the end of the queue; a raise moves it to claimed
+    ended: dict[int, tuple[int, bool, object]] = {}  # first chunk -> (stop, raised, result)
+    ahead = 2 * threads if take else len(chunks)
+
+    def claim() -> tuple[int, int] | None:
+        """Under ``cond``: the chunks ``[first, stop)`` of the next work, or
+        None while the queue is empty or ``ahead`` chunks wait for ``take``."""
+        nonlocal claimed
+        if claimed >= min(end, taken + ahead):
+            return None
+        first = claimed
+        claimed += max(1, (end - first) // threads) if shares else 1
+        return first, claimed
+
+    def work(first: int, stop: int) -> None:
+        nonlocal end
+        chunk = (chunks[first][0], chunks[stop - 1][1]) if shares else chunks[first]
         try:
-            result = run(first)
-        finally:
-            for future in futures:
-                future.exception()  # waits for the chunk to end, without raising
-        take(result)
+            done = stop, False, run(chunk)
+        except BaseException as exc:  # raised on this thread in its chunk's turn
+            done = stop, True, exc
+        with cond:
+            ended[first] = done
+            end = claimed if done[1] else end
+            cond.notify_all()
+
+    def helper() -> None:
+        while True:
+            with cond:
+                while not (piece := claim()) and claimed < end:
+                    cond.wait()
+            if not piece:
+                return
+            work(*piece)
+
+    futures = [pool.submit(contextvars.copy_context().run, helper) for _ in range(helpers)]
+    try:
+        yield
+        while True:  # take what has ended, in chunk order, or run the next work
+            with cond:
+                while not (done := ended.pop(taken, None)) and not (piece := claim()):
+                    if taken == claimed:
+                        return
+                    cond.wait()
+                if done:
+                    taken = done[0]
+                    cond.notify_all()
+            if not done:
+                work(*piece)
+            elif done[1]:
+                raise done[2]
+            elif take:
+                take(done[2])
+    finally:
+        with cond:
+            end = claimed
+            cond.notify_all()
         for future in futures:
-            take(future.result())
+            future.exception()  # waits for the thread's work to end, without raising
 
 
 def trim_heap() -> None:
     """Hand the free pages of the C heap back to the system, where the C
-    library is glibc (``malloc_trim``); elsewhere do nothing.
-
-    glibc keeps freed memory resident up to a threshold that grows with the
-    largest block the process has freed, so after loading a data set it may
-    keep tens of MB. ``malloc_trim`` returns the main heap's free pages and
-    every arena's free chunks, but not the free top of a thread's arena:
-    a pool thread keeps up to one chunk's working set resident.
-    """
+    library is glibc (``malloc_trim``); elsewhere do nothing. glibc keeps
+    freed memory resident up to a threshold that grows with the largest
+    block the process has freed, so after loading a data set it may keep
+    tens of MB; ``malloc_trim`` does not return the free top of a thread's
+    arena, though."""
     try:
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
     except (OSError, TypeError):  # no C library to ask
@@ -484,8 +533,8 @@ def make_optimizer(
 
     Adam's gradient-free phase runs in chunks of about
     :data:`ADAM_CHUNK_ENTRIES` entries. With ``threads`` k >= 2, k threads
-    share them, k - 1 of them ``pool``'s, which the caller owns and which
-    should have k - 1 threads. SGD runs on the calling thread.
+    take shares of them, k - 1 of them ``pool``'s, which the caller owns and
+    which should have k - 1 threads. SGD runs on the calling thread.
     """
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
@@ -576,58 +625,12 @@ def _start_adam_step(state: OptimizerState) -> Callable[[tuple[int, int]], None]
     return gradient_free
 
 
-@contextmanager
-def _alongside(
-    run: Callable[[tuple[int, int]], None], chunks: Sequence[tuple[int, int]],
-    threads: int, pool: Executor | None,
-) -> Iterator[None]:
-    """``run`` over every chunk, on ``threads - 1`` threads of ``pool``
-    while the block runs on this thread, each in a copy of this thread's
-    context. ``chunks`` are contiguous ranges in order; a thread takes a
-    ``1/threads`` share of those still queued (at least one) and runs it as
-    one range, so a pool thread starts with few long NumPy calls, which take
-    the interpreter lock back from the block's thread rarely, and the shares
-    shrink towards the end. When the block ends, this thread runs the chunks
-    no thread has taken yet (all of them at one thread), waits for the rest
-    and raises the first exception a pool thread raised, if any. When the
-    block raises, the chunks not yet taken are dropped and the block's
-    exception is raised once the others have ended. Either way no chunk
-    outlives the block.
-    """
-    queued = list(reversed(chunks))
-    lock = threading.Lock()
-
-    def drain() -> None:
-        while True:
-            with lock:  # take a 1/threads share of the queued chunks, as one range
-                if not queued:
-                    return
-                count = max(1, len(queued) // threads)
-                chunk = queued[-1][0], queued[-count][1]
-                del queued[-count:]
-            run(chunk)
-
-    assert threads < 2 or pool is not None
-    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(threads - 1)]
-    try:
-        yield
-    except BaseException:
-        with lock:
-            queued.clear()
-        raise
-    else:
-        drain()
-    finally:
-        for future in futures:
-            future.exception()  # waits for the thread's chunks to end, without raising
-    for future in futures:
-        future.result()
-
-
 def _gradient_free(state: OptimizerState):
     """The next Adam step's gradient-free phase alongside the block, on
-    ``state.threads`` threads (see :func:`_alongside`)."""
-    return _alongside(_start_adam_step(state), state.chunks, state.threads, state.pool)
+    ``state.threads`` threads, each taking a share of the chunks still
+    queued (see :func:`_over_chunks`)."""
+    return _over_chunks(_start_adam_step(state), state.chunks, state.threads,
+                        pool=state.pool, shares=True)
 
 
 def optimizer_step(params: ArrayBundle, grads: GradMap, state: OptimizerState) -> None:
@@ -720,9 +723,10 @@ def sum_sq_grads(
     Each batch of ``batch_size`` records, in dataset order, reduces in a
     fixed order, and the batches are added into the total in dataset order,
     so the result is reproducible bit-for-bit on one machine. The batches run
-    on :func:`sq_sum_threads` threads (see :func:`_over_chunks`), at most one
-    batch in flight per thread; that changes no bit, since each batch makes
-    the same calls on the same inputs and the adds keep their order.
+    on :func:`sq_sum_threads` threads, each taking the next batch as it ends
+    one, and this thread adds each batch's result in batch order (see
+    :func:`_over_chunks`); that changes no bit, since each batch makes the
+    same calls on the same inputs and the adds keep their order.
     """
     if not is_count(batch_size, 1):
         raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
@@ -745,7 +749,8 @@ def sum_sq_grads(
                 v += g
 
     batches = [slice(start, start + batch_size) for start in range(0, n, batch_size)]
-    _over_chunks(batch, batches, sq_sum_threads(n, batch_size), add)
+    with _over_chunks(batch, batches, sq_sum_threads(n, batch_size), add):
+        pass  # this thread runs batches, and adds them, as the block ends
     return total
 
 
@@ -794,16 +799,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _fit_pool(threads: int):
-    """A pool of ``threads - 1`` threads for a fit, or a null context at one
-    thread. Only a threaded fit imports ``concurrent.futures``."""
-    if threads < 2:
-        return nullcontext()
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(threads - 1)
-
-
 def fit_params(
     wiring,
     train_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -825,8 +820,9 @@ def fit_params(
     raises. On k >= 2 threads each Adam step's gradient-free phase starts on
     the pool before the batch's forward; this thread runs the forward and
     the backward, then the chunks still queued, waits for the rest and runs
-    the gradient phase (see :func:`optimizer_step`). A forward or backward
-    that raises drops the queued chunks and waits for the running ones.
+    the gradient phase (see :func:`_over_chunks`, :func:`optimizer_step`).
+    A forward or backward that raises drops the queued chunks and waits for
+    the running ones.
     """
     t0 = time.perf_counter()
     s_tr, q_tr, y_tr = train_arrays
@@ -836,7 +832,10 @@ def fit_params(
     rng = np.random.default_rng(seed)
     params = wiring.init_params(rng)
     threads = adam_threads(params.total_size) if cfg.optimizer == "adam" else 1
-    with _fit_pool(max(threads, predict_threads(len(monitor_arrays[0])))) as pool:
+    helpers = max(threads, predict_threads(len(monitor_arrays[0]))) - 1
+    if helpers:  # only a threaded fit imports concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(helpers) if helpers else nullcontext() as pool:
         state = make_optimizer(cfg.optimizer, cfg.lr, params, threads, pool)
         best_value = -np.inf
         best_params = params.copy()
@@ -880,9 +879,10 @@ def _predict_all(
     arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
     pool: Executor | None = None,
 ) -> np.ndarray:
-    """Dropout-free predictions for every row, on :func:`predict_threads`
-    threads, in chunks of :data:`PREDICT_ROWS` rows on one thread and of
-    :data:`PREDICT_CHUNK_ROWS` rows on several.
+    """Dropout-free predictions for every row, through a ``forward`` that
+    keeps no backward cache, on :func:`predict_threads` threads, in chunks
+    of :data:`PREDICT_ROWS` rows on one thread and of
+    :data:`PREDICT_CHUNK_ROWS` on several (see :func:`_over_chunks`).
 
     Chunks start at multiples of their size, and the last one takes a
     remainder under :data:`PREDICT_ROWS`, so no chunk is smaller than 512
@@ -890,14 +890,11 @@ def _predict_all(
     chunks of a few rows gave bits that differed from one ``forward`` over
     every row; aligned chunks of 512 rows or more gave the same bits, so the
     chunk size moves none. Nor do threads: each chunk makes the calls it
-    makes on one thread and writes only its own slice of the result, and
-    nothing is summed across chunks. ``pool``, owned by the caller (a fit),
-    should have at least a thread fewer than :func:`predict_threads`;
-    without it a threaded call makes its own (see :func:`_over_chunks`).
-    Chunks of 512 rows are too small for threads, whose turns at the GIL
-    they then mostly wait for, and chunks of 2,048 rows are slower than
-    those of 512 on one thread; they keep the working set a pool thread
-    leaves in its malloc arena to a few MB.
+    makes on one thread and writes only its own slice of the result.
+    ``pool``, owned by the caller (a fit), should have at least a thread
+    fewer than :func:`predict_threads`; without it a threaded call makes its
+    own. Chunks of 512 rows are too small for threads, which then mostly
+    wait for the GIL, and chunks of 2,048 rows are slower on one thread.
     """
     s, q, _ = arrays
     n = len(s)
@@ -907,8 +904,9 @@ def _predict_all(
     edges = [0, *range(size, n - PREDICT_ROWS + 1, size), n]
 
     def predict(chunk: slice) -> None:
-        out[chunk], _ = wiring.forward(params, s[chunk], q[chunk], train=False)
+        out[chunk], _ = wiring.forward(params, s[chunk], q[chunk], cache=False)
 
     chunks = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    _over_chunks(predict, chunks, threads, pool=pool)
+    with _over_chunks(predict, chunks, threads, pool=pool):
+        pass  # this thread runs chunks as the block ends
     return out

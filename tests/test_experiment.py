@@ -344,14 +344,16 @@ class TestRunExperiment:
         assert status == {"status": "failed", "stage": "train-attacker"}
 
 
-def _fit_on_no_records(conn, kwargs, cpus):
+def _fit_on_no_records(args, conn, cpus):
     """The fit worker given an empty training set: its fit raises ValueError.
     Module-level, so that a spawned worker can import it."""
-    experiment._fit_worker(conn, {**kwargs, "train_records": kwargs["train_records"][:0]}, cpus)
+    train = experiment.train
+    experiment.train = lambda **kw: train(**{**kw, "train_records": kw["train_records"][:0]})
+    experiment._fit_worker(args, conn, cpus)
 
 
-def _exit_without_result(conn, kwargs, cpus):
-    """A fit worker that dies before it sends anything."""
+def _exit_without_result(args, conn, cpus):
+    """A fit worker that dies before it reads its arguments or sends anything."""
     os._exit(3)
 
 
@@ -368,7 +370,7 @@ def _recording_adam_threads(owner):
     return asked
 
 
-def _fit_recording_threads(conn, kwargs, cpus):
+def _fit_recording_threads(args, conn, cpus):
     """The fit worker on a one-thread BLAS, 64 usable CPUs and a gate that
     splits any model, writing the Adam threads its fit asked for to the file
     named by CDUNLEARN_TEST_THREADS: only its CPU share can bound them."""
@@ -384,7 +386,7 @@ def _fit_recording_threads(conn, kwargs, cpus):
         return fitted
 
     patch.setattr(experiment, "train", recording_train)
-    experiment._fit_worker(conn, kwargs, cpus)
+    experiment._fit_worker(args, conn, cpus)
 
 
 def _cpus(monkeypatch, n):
@@ -494,6 +496,42 @@ class TestBaselineFits:
                            match="train-retrain.*exited with code 3 and no result"):
             build_context(config)
         assert multiprocessing.active_children() == []
+
+    def test_a_worker_dead_before_reading_a_large_payload_fails_the_stage(self, tmp_path):
+        # The worker dies as it starts, when it imports the script again, as
+        # one killed or failing at start-up would. At 536 students the retain
+        # records pickle to more than a pipe's 64 KB buffer, so a send to it
+        # can only end by failing. The run is a subprocess with a timeout: a
+        # hang fails the test instead of stalling the suite.
+        script = tmp_path / "dead_worker.py"
+        script.write_text(f"""
+import multiprocessing, os, pickle
+from cdunlearn import experiment, nn, synth
+
+if __name__ == "__mp_main__":
+    os._exit(3)
+if __name__ == "__main__":
+    synth.write_dataset_csv(synth.generate_dataset(536, 20, 5, seed=3),
+                            {str(tmp_path / "r.csv")!r}, {str(tmp_path / "q.csv")!r})
+    config = experiment.ExperimentConfig({str(tmp_path / "r.csv")!r}, {str(tmp_path / "q.csv")!r},
+                                         training={{"max_epochs": 2}})
+    nn.usable_cpus, nn.blas_threads = (lambda: 2), (lambda: 1)  # the worker path
+    retain = experiment.prepare_data(config)[3].retain_train_valid
+    try:
+        experiment.build_context(config)
+    except experiment.StageError as exc:
+        print(len(pickle.dumps(retain)), exc.stage, exc, multiprocessing.active_children())
+""")
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        size, stage, message = done.stdout.split(" ", 2)
+        assert int(size) > 64 * 1024 and stage == "train-retrain"
+        assert message.strip() == (
+            "stage 'train-retrain' failed: the fit worker exited with code 3 and no result []"
+        )
 
     def test_original_fit_failure_stops_the_worker(self, tiny_paths, monkeypatch):
         config = _tiny_config(tiny_paths, "orig_fail")
@@ -632,7 +670,30 @@ class TestSweep:
             ("noop", {}, 0)
         ]
         assert result.best_entry.parameters_modified == 0  # the re-run of the one stock point
-        assert [m.params_.vector.tobytes() for m in models] == [orig_bytes] * 2
+        assert [m.params_.vector.tobytes() for m in models] == [orig_bytes]  # its one audit
+
+    @pytest.mark.parametrize("name, grid", [
+        ("hif", [{"alpha": 1.3, "lambda_": 0.5, "beta": 0.1}, {"alpha": 2.0, "lambda_": 0.8}]),
+        ("hessian", [{"n_probe_samples": 10, "n_batches": 1}, {"n_probe_samples": 20}]),
+    ])
+    def test_the_winner_is_audited_once(self, tiny_paths, hessian_sweep_ctx, monkeypatch,
+                                        name, grid):
+        # best_entry takes the winning point's audit and the re-run's report,
+        # and equals a full entry of the re-run model field for field.
+        _, ctx = hessian_sweep_ctx
+        config = _tiny_config(tiny_paths, f"sweep_winner_{name}", algorithms={name: {}},
+                              architecture={"arch": ctx.config.architecture.arch})
+        reruns, apply = [], experiment.apply_algorithm
+        monkeypatch.setattr(experiment, "apply_algorithm",
+                            lambda *args: reruns.append(apply(*args)) or reruns[-1])
+        audits, evaluate = [], experiment.evaluate_attack
+        monkeypatch.setattr(experiment, "evaluate_attack",
+                            lambda *args: audits.append(1) or evaluate(*args))
+        result = sweep(config, grids={name: grid}, ctx=ctx, epsilon_utility=1.0)
+        monkeypatch.undo()
+        assert len(audits) == len(grid) and len(reruns) == 1
+        model, ureport = reruns[0]
+        assert result.best_entry == ctx.entry_for(name, model, ureport)
 
     def test_hessian_points_match_apply_algorithm(self, hessian_sweep_ctx, monkeypatch):
         config, ctx = hessian_sweep_ctx

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -1048,6 +1049,31 @@ def _force_adam_threads(monkeypatch, cpus, min_entries=64, chunk_entries=24):
     return threads
 
 
+def recording_threads(monkeypatch, wiring, on_call=None, wait=True):
+    """Patch ``wiring.forward`` to list the thread of each call at
+    ``train=False``, calling ``on_call()`` there. With ``wait``, the first
+    such call waits, up to 10 s, until a second one starts, which only
+    another thread can make: a pass shows two threads if a second one takes
+    a chunk while the first runs, as the runner's threads share one queue."""
+    ran_on, forward, lock, second = [], wiring.forward, threading.Lock(), threading.Event()
+
+    def recording(params, students, items, train=False, rng=None, cache=True):
+        if not train:
+            with lock:
+                ran_on.append(threading.get_ident())
+                first = len(ran_on) == 1
+            if on_call is not None:
+                on_call()
+            if not first:
+                second.set()
+            elif wait:
+                assert second.wait(10.0), "no second thread took a chunk"
+        return forward(params, students, items, train=train, rng=rng, cache=cache)
+
+    monkeypatch.setattr(wiring, "forward", recording)
+    return ran_on
+
+
 class TestThreadedFit:
     @pytest.mark.parametrize("arch", ["decoupled", "neuralcdm"])
     def test_threads_give_the_same_params_and_fit_result(self, small_dataset, monkeypatch, arch):
@@ -1085,10 +1111,10 @@ class TestThreadedFit:
         assert len(arrays[2]) % cfg.batch_size
         batches, forward = [], wiring.forward
 
-        def recording(params, students, items, train=False, rng=None):
+        def recording(params, students, items, train=False, rng=None, cache=True):
             if train:
                 batches.append(set(students.tolist()))
-            return forward(params, students, items, train=train, rng=rng)
+            return forward(params, students, items, train=train, rng=rng, cache=cache)
 
         monkeypatch.setattr(wiring, "forward", recording)
 
@@ -1140,19 +1166,13 @@ class TestThreadedFit:
                               small_dataset.qmatrix)
         arrays = records_to_arrays(small_dataset.records)
         assert nn.predict_threads(len(arrays[0])) == k
-        alive, ran_on, forward = [], set(), wiring.forward
-
-        def recording(params, students, items, train=False, rng=None):
-            if not train:
-                alive.append(threading.active_count())
-                ran_on.add(threading.get_ident())
-            return forward(params, students, items, train=train, rng=rng)
-
-        monkeypatch.setattr(wiring, "forward", recording)
+        alive = []
+        ran_on = recording_threads(monkeypatch, wiring, lambda: alive.append(
+            threading.active_count()))
         before = threading.active_count()
         nn.fit_params(wiring, arrays, arrays, nn.TrainConfig(max_epochs=3), 5,
                       model._monitor_score)
-        assert len(ran_on) > 1 and max(alive) <= before + k - 1
+        assert 1 < len(set(ran_on)) <= k and max(alive) <= before + k - 1
         assert threading.active_count() == before
 
     # (usable CPUs, BLAS threads, parameters in units of the constant, threads)
@@ -1228,7 +1248,7 @@ def test_no_chunk_outlives_a_raising_block_on_a_callers_pool():
 
     with ThreadPoolExecutor(1) as pool:
         with pytest.raises(ValueError, match="the block"):
-            with nn._alongside(run, [(0, 1), (1, 2), (2, 3)], 2, pool):
+            with nn._over_chunks(run, [(0, 1), (1, 2), (2, 3)], 2, pool=pool, shares=True):
                 while not started:
                     time.sleep(0.001)
                 raise ValueError("the block")
@@ -1311,17 +1331,6 @@ class TestThreadedSquaredPass:
         monkeypatch.setattr(nn, "sq_sum_threads", lambda n_records, batch_size=4096: k)
         return k
 
-    @staticmethod
-    def _recording_threads(monkeypatch, wiring):
-        ran_on, forward = set(), wiring.forward
-
-        def recording(*args, **kwargs):
-            ran_on.add(threading.get_ident())
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(wiring, "forward", recording)
-        return ran_on
-
     # (records, batch size): an uneven last batch, even batches, fewer
     # records than one batch, and one record per batch
     @pytest.mark.parametrize("n, batch_size", [(700, 64), (640, 64), (50, 64), (9, 1)])
@@ -1331,13 +1340,12 @@ class TestThreadedSquaredPass:
         if form == "dense":
             monkeypatch.setattr(nn, "row_grads", dense_row_grads)
         want = ref_sum_sq_grads(wiring, params, s[:n], q[:n], y[:n], batch_size)
-        ran_on = self._recording_threads(monkeypatch, wiring)
+        ran_on = recording_threads(monkeypatch, wiring, wait=n > batch_size)
         before = threading.active_count()
         got = nn.sum_sq_grads(wiring, params, s[:n], q[:n], y[:n], batch_size)
         assert threading.active_count() == before
         assert_same_bits(got.vector, want)
-        # a pool thread may take two chunks of a round when the first ends early
-        assert (len(ran_on) > 1) == (n > batch_size) and len(ran_on) <= threads
+        assert (len(set(ran_on)) > 1) == (n > batch_size) and len(set(ran_on)) <= threads
 
     def test_out_of_range_id_in_a_worker_batch_raises_index_error(self, sq_setup):
         wiring, params, (s, q, y) = sq_setup
@@ -1353,10 +1361,10 @@ class TestThreadedSquaredPass:
         wiring, params, (s, q, y) = sq_setup
         forward = wiring.forward
 
-        def overflowing(params, students, items, train=False, rng=None):
+        def overflowing(params, students, items, train=False, rng=None, cache=True):
             if students.ctypes.data == s[64:].ctypes.data:
                 np.exp(np.array([1000.0]))
-            return forward(params, students, items, train=train, rng=rng)
+            return forward(params, students, items, train=train, rng=rng, cache=cache)
 
         monkeypatch.setattr(wiring, "forward", overflowing)
         before = threading.active_count()
@@ -1367,7 +1375,7 @@ class TestThreadedSquaredPass:
 
 def test_threaded_squared_pass_under_stress(sq_setup, monkeypatch):
     # Eight threads on this machine's CPUs, switching every microsecond: a
-    # batch added out of order, or a round taken before it ended, would move
+    # batch added out of order, or one taken before it ended, would move
     # bits.
     wiring, params, (s, q, y) = sq_setup
     want = ref_sum_sq_grads(wiring, params, s, q, y, 4)
@@ -1506,9 +1514,9 @@ class TestPredictAll:
         forward = wiring.forward
         chunks = []
 
-        def recording_forward(params, students, items, train=False, rng=None):
+        def recording_forward(params, students, items, train=False, rng=None, cache=True):
             chunks.append(students)
-            return forward(params, students, items, train=train, rng=rng)
+            return forward(params, students, items, train=train, rng=rng, cache=cache)
 
         monkeypatch.setattr(wiring, "forward", recording_forward)
         nn._predict_all(wiring, params, (s[:n], q[:n], y[:n]))
@@ -1564,13 +1572,8 @@ class TestThreadedPredict:
         wiring, params, (s, q, y) = predict_setup
         want = ref_predict(wiring, params, s[:n], q[:n])
         assert_same_bits(wiring.forward(params, s[:n], q[:n], train=False)[0], want)
-        ran_on, forward = set(), wiring.forward
-
-        def recording(*args, **kwargs):
-            ran_on.add(threading.get_ident())
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(wiring, "forward", recording)
+        several = n >= 2 * nn.PREDICT_CHUNK_ROWS  # two chunks or more
+        ran_on = recording_threads(monkeypatch, wiring, wait=several)
         before = threading.active_count()
         if pool == "own":
             got = nn._predict_all(wiring, params, (s[:n], q[:n], y[:n]))
@@ -1580,7 +1583,7 @@ class TestThreadedPredict:
                 got = nn._predict_all(wiring, params, (s[:n], q[:n], y[:n]), owned)
                 assert threading.active_count() <= before + threads - 1
         assert_same_bits(got, want)
-        assert (len(ran_on) > 1) == (n >= 2 * nn.PREDICT_CHUNK_ROWS) and len(ran_on) <= threads
+        assert (len(set(ran_on)) > 1) == several and len(set(ran_on)) <= threads
 
     def test_out_of_range_id_in_a_worker_chunk_raises_index_error(self, predict_setup):
         wiring, params, (s, q, y) = predict_setup
@@ -1596,10 +1599,10 @@ class TestThreadedPredict:
         wiring, params, (s, q, y) = predict_setup
         forward = wiring.forward
 
-        def overflowing(params, students, items, train=False, rng=None):
+        def overflowing(params, students, items, train=False, rng=None, cache=True):
             if students.ctypes.data == s[2048:].ctypes.data:
                 np.exp(np.array([1000.0]))
-            return forward(params, students, items, train=train, rng=rng)
+            return forward(params, students, items, train=train, rng=rng, cache=cache)
 
         monkeypatch.setattr(wiring, "forward", overflowing)
         before = threading.active_count()
@@ -1627,18 +1630,162 @@ def test_threaded_predict_under_stress(predict_setup, monkeypatch):
 
 
 def test_no_chunk_outlives_a_raising_call_on_a_callers_pool():
-    ended = []
+    started, ended = threading.Event(), []
 
-    def run(chunk):
+    def run(chunk):  # the first chunk raises once the second has started
         if chunk.start == 0:
+            assert started.wait(10.0)
             raise ValueError("the first chunk")
+        started.set()
         time.sleep(0.2)
         ended.append(chunk.start)
 
     with ThreadPoolExecutor(1) as pool:
         with pytest.raises(ValueError, match="the first chunk"):
-            nn._over_chunks(run, [slice(0, 1), slice(1, 2)], 2, pool=pool)
+            with nn._over_chunks(run, [slice(0, 1), slice(1, 2)], 2, pool=pool):
+                pass
         assert ended == [1]
+
+
+class TestRunner:
+    """nn._over_chunks on k threads, with its own pool and with a caller's."""
+
+    @pytest.fixture(params=[2, 3])
+    def k(self, request):
+        return request.param
+
+    @pytest.fixture(params=["own", "caller's"])
+    def pool(self, request, k):
+        if request.param == "own":
+            yield None
+        else:
+            with ThreadPoolExecutor(k - 1) as pool:
+                yield pool
+
+    def test_results_reach_take_in_chunk_order(self, k, pool):
+        taken = []
+
+        def run(i):  # later chunks end sooner
+            time.sleep((12 - i) / 1000)
+            return i * i
+
+        with nn._over_chunks(run, range(12), k, taken.append, pool):
+            pass
+        assert taken == [i * i for i in range(12)]
+
+    def test_a_raise_is_the_first_chunks_in_chunk_order(self, k, pool):
+        raised = threading.Event()
+
+        def run(i):  # chunk 5 raises first, then chunk 3
+            if i == 3:
+                assert raised.wait(10.0)
+                raise ValueError("chunk 3")
+            if i == 5:
+                raised.set()
+                raise KeyError("chunk 5")
+
+        with pytest.raises(ValueError, match="chunk 3"):
+            with nn._over_chunks(run, range(10), k, pool=pool):
+                pass
+        taken = []
+
+        def run_with_take(i):  # the chunks before the raising one reach take
+            if i == 3:
+                time.sleep(0.02)
+                raise ValueError("chunk 3")
+            if i == 5:
+                raise KeyError("chunk 5")
+            return i
+
+        with pytest.raises(ValueError, match="chunk 3"):
+            with nn._over_chunks(run_with_take, range(10), k, taken.append, pool):
+                pass
+        assert taken == [0, 1, 2]
+
+    def test_a_raise_drops_the_chunks_queued_after_it(self, k, pool):
+        started = []
+
+        def run(i):  # the first chunk holds take back while the third raises
+            started.append(i)
+            time.sleep(0.05 if i == 0 else 0.002)
+            if i == 2:
+                raise ValueError("chunk 2")
+
+        with pytest.raises(ValueError, match="chunk 2"):
+            with nn._over_chunks(run, range(40), k, pool=pool):
+                pass
+        assert len(started) <= 2 * k + 2  # not the dozens the other threads could run
+
+    @pytest.mark.parametrize("raises", [None, "chunk", "block", "take"])
+    def test_no_chunk_and_no_thread_outlives_the_call(self, k, pool, raises):
+        before = threading.active_count()
+        started, ended = [], []
+
+        def run(i):
+            started.append(i)
+            time.sleep(0.005)
+            ended.append(i)
+            if raises == "chunk" and i == 4:
+                raise ValueError("raised")
+
+        def take(result):
+            if raises == "take" and len(started) > 4:
+                raise ValueError("raised")
+
+        with pytest.raises(ValueError, match="raised") if raises else nullcontext():
+            with nn._over_chunks(run, range(20), k, take, pool):
+                if raises == "block":
+                    while not started:
+                        time.sleep(0.001)
+                    raise ValueError("raised")
+        count = len(started)
+        assert sorted(started) == sorted(ended)
+        time.sleep(0.05)
+        assert len(started) == count and (raises or count == 20)
+        assert threading.active_count() <= before + (0 if pool is None else k - 1)
+
+    def test_a_slow_chunk_holds_no_other_thread_back(self, k, pool):
+        # the first chunk ends only once every other chunk has: in rounds of
+        # k, the chunks after the first round would wait for it
+        others, ended = threading.Event(), []
+
+        def run(i):
+            if i == 0:
+                assert others.wait(10.0), "the other chunks waited for the first"
+            else:
+                ended.append(i)
+                if len(ended) == 9:
+                    others.set()
+
+        with nn._over_chunks(run, range(10), k, pool=pool):
+            pass
+
+    def test_threads_run_at_most_2k_chunks_ahead_of_take(self, k, pool):
+        started = []
+
+        def run(i):  # the first chunk holds take back
+            started.append(i)
+            if i == 0:
+                deadline = time.perf_counter() + 10.0
+                while len(started) < 2 * k and time.perf_counter() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.05)
+                assert sorted(started) == list(range(2 * k))
+
+        with nn._over_chunks(run, range(4 * k), k, lambda result: None, pool):
+            pass
+        assert sorted(started) == list(range(4 * k))
+
+
+@pytest.mark.parametrize("offset, n", [(0, 1), (3, 7), (1, 511), (5, 513), (3, 2049),
+                                       (0, 6881)])
+def test_a_forward_without_a_cache_gives_the_same_bits(predict_setup, offset, n):
+    wiring, params, (s, q, _) = predict_setup
+    rows = slice(offset, offset + n)
+    want, cache = wiring.forward(params, s[rows], q[rows], train=False)
+    got, none = wiring.forward(params, s[rows], q[rows], cache=False)
+    assert isinstance(cache, dict) and none is None
+    assert_same_bits(got, want)
 
 
 class TestPredictGate:
